@@ -9,9 +9,7 @@ honesty rules as the sharded sweep in ``bench_store_backends``:
   a fixed per-request service time whose ``sleep`` releases the GIL,
   modelling the deployment the ROADMAP aims at (data on disk or on
   another box, not resident in the serving process's heap).  The
-  facade's LRU is disabled for the sweep so every request pays the
-  storage path; the LRU's own wins are measured in
-  ``bench_store_backends``, not re-counted here;
+  facade caches nothing, so every request pays the storage path;
 * client threads each hold a keep-alive connection (the backend's
   thread-local) and replay a Zipfian identifier stream from
   :mod:`repro.harness.workloads` — repository reads are rank-skewed,
@@ -72,14 +70,13 @@ LARGE_OVERVIEW_WORDS = 200_000
 class ServingStack:
     """One served repository + one shared client, ready to be hammered."""
 
-    def __init__(self, *, latency: float = STORAGE_LATENCY,
-                 cache_size: int = 0) -> None:
+    def __init__(self, *, latency: float = STORAGE_LATENCY) -> None:
         self.entries = make_entries(POPULATION)
         inner = MemoryBackend()
         backend = LatencyShard(inner, fixed=latency, per_item=0.0)
         # Populate through the fast path, serve through the slow one.
         inner.add_many(self.entries)
-        self.service = RepositoryService(backend, cache_size=cache_size)
+        self.service = RepositoryService(backend)
         self.server = RepositoryServer(self.service).start()
         self.client = HTTPBackend(self.server.url)
         self.identifiers = [entry.identifier for entry in self.entries]
@@ -183,8 +180,8 @@ def stack():
 
 @pytest.fixture(scope="module")
 def warm_stack():
-    """An in-memory, fully cached stack: the HTTP layer's own floor."""
-    built = ServingStack(latency=0.0, cache_size=POPULATION * 2)
+    """An in-memory, zero-latency stack: the HTTP layer's own floor."""
+    built = ServingStack(latency=0.0)
     yield built
     built.close()
 
@@ -325,10 +322,10 @@ class TestServingTargets:
     def test_warm_single_read_latency_sane(self):
         """The TCP_NODELAY guard: a warm in-memory read through the
         whole HTTP layer stays well under the ~40ms Nagle stall."""
-        stack = ServingStack(latency=0.0, cache_size=POPULATION * 2)
+        stack = ServingStack(latency=0.0)
         try:
             identifier = stack.identifiers[0]
-            stack.client.get(identifier)  # connection + cache warm
+            stack.client.get(identifier)  # connection warm
             rounds = 50
             started = time.perf_counter()
             for _round in range(rounds):
@@ -393,8 +390,8 @@ class TestServingTargets:
         service = RepositoryService(MemoryBackend())
         service.add_many(entries)
         server = RepositoryServer(service)
-        # Size the wire memos to the corpus, as warm_stack does for the
-        # entry LRU: the floor measures the steady warm state.
+        # Size the wire memos to the corpus: the floor measures the
+        # steady warm state.
         server.wire_memo = EncodeMemo(maxsize=BULK_POPULATION * 2)
         server.start()
         streamer = HTTPBackend(server.url)
@@ -455,7 +452,7 @@ class TestServingTargets:
         inner = MemoryBackend()
         inner.add_many(entries)
         backend = LatencyShard(inner, fixed=0.005, per_item=0.0)
-        service = RepositoryService(backend, cache_size=0)
+        service = RepositoryService(backend)
         server = RepositoryServer(service, max_inflight=capacity,
                                   shed_retry_after=0.05).start()
         identifiers = [entry.identifier for entry in entries]

@@ -10,7 +10,7 @@ Two layers:
 
   - SQLite ``add_many`` bulk-load (1000 entries) ≥ 5× faster than the
     per-file ``FileStore`` load of the same entries;
-  - cached point-gets through :class:`RepositoryService` ≥ 5× faster
+  - memoised point-gets through :class:`RepositoryService` ≥ 3× faster
     than uncached per-file ``FileStore`` access;
   - the incremental index update after a single ``add_version`` ≥ 10×
     faster than a full :meth:`SearchIndex.build`;
@@ -24,9 +24,6 @@ Two layers:
   - a repeated ``get_many`` through the
     :class:`~repro.repository.codec.DecodeMemo` ≥ 3× faster than the
     same backend's cold first read;
-  - plus a Zipfian ``cache_size`` sweep (``CACHE_RATIOS``) whose
-    hit-rate/latency curve rides into the trend artifact via
-    ``extra_info``;
 
 * :class:`TestScalingTargets` — the sharded/replicated layer, driven by
   Zipfian read streams from :mod:`repro.harness.workloads`:
@@ -346,44 +343,8 @@ def test_anti_entropy_clean_pass(benchmark, bulk_size, tmp_path_factory):
 
 
 # ----------------------------------------------------------------------
-# The read-path caches: Zipfian cache-size sweep (the sizing curve the
-# trend artifact records) and repeated-read micro-benchmarks.
+# The read-path caches: repeated-read micro-benchmarks.
 # ----------------------------------------------------------------------
-
-#: The fractions of the corpus the service LRU is sized to in the
-#: sweep — four points spanning "tiny" to "fits everything", so the
-#: hit-rate/latency curve in the trend artifact has a real shape.
-CACHE_RATIOS = (0.05, 0.2, 0.5, 1.0)
-
-
-@pytest.mark.parametrize("cache_ratio", CACHE_RATIOS)
-def test_zipfian_cache_size_sweep(benchmark, cache_ratio, bulk_size,
-                                  tmp_path_factory):
-    """Zipf-skewed reads through the service LRU at one cache size.
-
-    The benchmark times a full Zipfian ``get_many`` stream over a
-    file store (misses pay real I/O + decode); the steady-state hit
-    rate and the absolute cache size ride along as ``extra_info``, so
-    ``BENCH_PR<N>.json`` records the whole hit-rate/latency curve.
-    """
-    cache_size = max(4, int(bulk_size * cache_ratio))
-    backend = FileBackend(
-        tmp_path_factory.mktemp(f"zipf{cache_size}") / "repo")
-    entries = make_entries(bulk_size)
-    backend.add_many(entries)
-    service = RepositoryService(backend, cache_size=cache_size)
-    requests = zipfian_identifiers(
-        bulk_size, [entry.identifier for entry in entries], seed=11)
-
-    results = benchmark(service.get_many, requests)
-    assert len(results) == len(requests)
-
-    info = service.cache_info()
-    lookups = info["hits"] + info["misses"]
-    benchmark.extra_info["cache_size"] = cache_size
-    benchmark.extra_info["population"] = bulk_size
-    benchmark.extra_info["hit_rate"] = round(info["hits"] / lookups, 4)
-    service.close()
 
 
 def test_repeated_get_many_through_decode_memo(benchmark, bulk_size,
@@ -466,30 +427,37 @@ class TestAccelerationTargets:
         assert ratio >= 5.0
 
     def test_cached_point_get_beats_uncached_file_store(self, tmp_path):
-        file_backend = FileBackend(tmp_path / "files")
-        file_backend.add_many(make_entries(100))
+        """Memoised point reads through the facade vs a decoding store.
+
+        The baseline is the *decoding* per-file store the ratio was
+        first defined against, so its decode memo is disabled.  The
+        measured side is a service over a second, memoised
+        ``FileBackend`` on the same root.  The floor is 3x, not the
+        5x a facade snapshot cache once cleared: every read now
+        re-reads the change-counter file, which is exactly the check
+        that keeps a reader fresh after another process's write.
+        """
+        root = tmp_path / "files"
+        uncached_backend = FileBackend(root)
+        uncached_backend.add_many(make_entries(100))
         identifiers = [f"generated-example-{index % 100}"
                        for index in range(1000)]
 
-        # The PR-1 baseline this ratio was defined against is the
-        # *decoding* per-file store; the PR-4 decode memo would
-        # otherwise absorb 90% of the repeats and flatter the
-        # baseline, so it is disabled for the baseline measurement.
         from repro.repository.codec import DecodeMemo
-        file_backend._memo = DecodeMemo(maxsize=0)
-        uncached = _clock(lambda: [file_backend.get(identifier)
+        uncached_backend._memo = DecodeMemo(maxsize=0)
+        uncached = _clock(lambda: [uncached_backend.get(identifier)
                                    for identifier in identifiers])
 
-        service = RepositoryService(file_backend, cache_size=256)
+        service = RepositoryService(FileBackend(root))
         for identifier in set(identifiers):
-            service.get(identifier)  # warm
+            service.get(identifier)  # warm the decode memo
         cached = _clock(lambda: [service.get(identifier)
                                  for identifier in identifiers])
 
         ratio = uncached / cached
         print(f"\npoint-get x1000: uncached file {uncached:.3f}s, "
-              f"cached service {cached:.3f}s ({ratio:.1f}x faster)")
-        assert ratio >= 5.0
+              f"memoised service {cached:.3f}s ({ratio:.1f}x faster)")
+        assert ratio >= 3.0
 
     def test_incremental_update_beats_full_rebuild(self):
         service = RepositoryService(MemoryBackend())

@@ -88,7 +88,7 @@ def build_stack():
 
 def main() -> None:
     sharded, slow_primaries, replicas, pairs = build_stack()
-    service = RepositoryService(sharded, cache_size=0)
+    service = RepositoryService(sharded)
 
     # Seed one entry per shard so both key-ranges are observable.
     by_shard: dict[int, ExampleEntry] = {}

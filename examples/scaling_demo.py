@@ -69,10 +69,10 @@ def main() -> None:
         thread.start()
     for thread in threads:
         thread.join()
-    info = service.cache_info()
+    memo = service.cache_stats()["decode_memo"]
     print(f"served {sum(results)} zipfian reads from "
           f"{len(threads)} reader threads "
-          f"(cache hits {info['hits']}, misses {info['misses']})")
+          f"(decode memo hits {memo['hits']}, misses {memo['misses']})")
 
     # 3. Divergence: the replica misses writes that land directly on
     #    the sharded primary (an "offline replica" window).

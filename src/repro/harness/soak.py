@@ -296,7 +296,6 @@ class SoakStack:
 
 def build_soak_stack(root: str | Path, *, shards: int = 2,
                      http: bool = False,
-                     cache_size: int = 512,
                      shard_timeout: float = 0.25,
                      brownout_delay: float = 0.6,
                      breaker_reset: float = 0.2) -> SoakStack:
@@ -345,7 +344,7 @@ def build_soak_stack(root: str | Path, *, shards: int = 2,
         replicated.append(ReplicatedBackend(
             primary, [flaky_replica], reset_timeout=breaker_reset))
     sharded = ShardedBackend(replicated, shard_timeout=shard_timeout)
-    service = RepositoryService(sharded, cache_size=cache_size)
+    service = RepositoryService(sharded)
     stack = SoakStack(
         target=service, service=service, sharded=sharded,
         injector=injector, flaky_primaries=flaky_primaries,
@@ -399,11 +398,8 @@ class ShardKillFault(SoakFault):
     def inject(self, run: "SoakRunner") -> dict[str, Any]:
         primary = run.stack.flaky_primaries[self.shard]
         primary.kill()
-        # The outage must be observable immediately: drop the service
-        # cache (shared by both stack shapes) so the probe read really
-        # reaches the dead primary, fails over, and still comes back
-        # correct via the replica.
-        run.stack.service.invalidate()
+        # The probe read reaches the dead primary, fails over, and
+        # must still come back correct via the replica.
         identifier = run.identifier_on_shard(self.shard)
         if identifier is not None:
             survived = run.stack.target.get(identifier)
@@ -587,7 +583,6 @@ class BrownoutFault(SoakFault):
     def inject(self, run: "SoakRunner") -> dict[str, Any]:
         slow = run.stack.slow_primaries[self.shard]
         slow.brownout()
-        run.stack.service.invalidate()
         identifier = run.identifier_on_shard(self.shard)
         assert identifier is not None, \
             f"no identifier stored on shard {self.shard} to probe"

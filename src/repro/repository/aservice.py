@@ -12,12 +12,11 @@ Design decisions, and why:
 
 * **Wrap, don't reimplement.**  The sync facade already owns the hard
   parts — the writer-preference
-  :class:`~repro.repository.concurrency.ReadWriteLock`, the internally
-  locked LRU snapshot cache, event dispatch, index lifecycle.  Every
-  coroutine here delegates to the sync service inside an executor
-  thread, so there is exactly one lock and one cache regardless of how
-  many layers (sync callers, async callers, the HTTP server's handler
-  threads) touch the same service concurrently.
+  :class:`~repro.repository.concurrency.ReadWriteLock`, event
+  dispatch, index lifecycle.  Every coroutine here delegates to the
+  sync service inside an executor thread, so there is exactly one lock
+  regardless of how many layers (sync callers, async callers, the HTTP
+  server's handler threads) touch the same service concurrently.
 * **Reads fan out, writes serialise.**  Read operations run on a
   bounded reader pool (``max_readers`` threads) — the read lock admits
   them all concurrently, and a sharded backend fans each one out
@@ -118,8 +117,8 @@ class AsyncRepositoryService:
             service = RepositoryService()
         elif not isinstance(service, RepositoryService):
             service = RepositoryService(service)
-        #: The wrapped sync facade — the single owner of the lock, the
-        #: LRU and the event stream.  Shared sync access (e.g. the HTTP
+        #: The wrapped sync facade — the single owner of the lock and
+        #: the event stream.  Shared sync access (e.g. the HTTP
         #: server fronting the same repository) stays safe because all
         #: coordination lives there, not here.
         self.service = service

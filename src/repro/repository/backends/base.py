@@ -222,8 +222,7 @@ class StorageBackend(ABC):
         counter dicts.  The default is empty — ``MemoryBackend`` stores
         live objects and decodes nothing.  Composites merge their
         children's counters (:func:`merge_cache_stats`), and
-        ``RepositoryService.cache_stats()`` folds the backend's counters
-        in next to its own LRU's.
+        ``RepositoryService.cache_stats()`` reports its backend's.
         """
         return {}
 

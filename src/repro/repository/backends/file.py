@@ -156,7 +156,7 @@ class FileBackend(StorageBackend):
             if not stored:
                 raise EntryNotFound(identifier)
             version = stored[-1]
-        cached = self._memo.get(identifier, str(version), counter)
+        cached = self._memo.get((identifier, str(version), counter))
         if cached is not None:
             return cached
         path = self._version_path(identifier, version)
@@ -168,7 +168,7 @@ class FileBackend(StorageBackend):
                 f"file {path} contains entry {entry.identifier!r}, "
                 f"expected {identifier!r}"
             )
-        self._memo.put(identifier, str(version), counter, entry)
+        self._memo.put((identifier, str(version), counter), entry)
         return entry
 
     # ------------------------------------------------------------------
@@ -218,7 +218,8 @@ class FileBackend(StorageBackend):
             else:
                 self._listing_map = None
             for entry in entries:
-                self._memo.put(entry.identifier, str(entry.version), counter, entry)
+                key = (entry.identifier, str(entry.version), counter)
+                self._memo.put(key, entry)
 
     def add(self, entry: ExampleEntry) -> None:
         if self.has(entry.identifier):
@@ -317,7 +318,7 @@ class FileBackend(StorageBackend):
             self._listing_map = None
         # The bytes just written came from this very object: prime the
         # memo so the next read skips the decode entirely.
-        self._memo.put(entry.identifier, str(entry.version), counter, entry)
+        self._memo.put((entry.identifier, str(entry.version), counter), entry)
 
     def _write_in_group(self, entry: ExampleEntry) -> None:
         """One write inside an open group: rename only, no counter I/O.
@@ -341,7 +342,7 @@ class FileBackend(StorageBackend):
                 bisect.insort(stored, entry.version)
         else:
             self._listing_map = None
-        self._memo.put(entry.identifier, str(entry.version), working, entry)
+        self._memo.put((entry.identifier, str(entry.version), working), entry)
         self._group_entries.append(entry)
 
     def _bump_counter(self, counter: int) -> None:

@@ -43,11 +43,15 @@ Thread safety — the backend is safe to share across threads, which the
 sharded fan-out path relies on:
 
 * **durable databases** use one *write* connection serialised on an
-  internal lock plus one read-only connection **per reader thread**
-  (created lazily, ``PRAGMA query_only=ON``).  WAL mode lets those
-  readers run genuinely in parallel with each other and with the single
-  writer, and a reader can never observe an uncommitted transaction
-  because it never shares the writer's connection;
+  internal lock plus a pool of read-only connections
+  (``PRAGMA query_only=ON``).  Each read borrows an idle reader and
+  hands it back, so the pool grows only to the number of *concurrent*
+  reads — never to the number of threads that ever read, which under
+  a thread-per-connection server is every client connection ever
+  accepted.  WAL mode lets those readers run genuinely in parallel
+  with each other and with the single writer, and a reader can never
+  observe an uncommitted transaction because it never shares the
+  writer's connection;
 * **":memory:" databases** exist only on their one connection, so every
   operation — reads included — serialises on the internal lock, as
   before.
@@ -95,26 +99,6 @@ from repro.repository.versioning import Version
 
 __all__ = ["SQLiteBackend"]
 
-
-class _WriteGroup:
-    """Mutable state of one open write group (or standalone write).
-
-    ``owner`` is the thread that opened it — writes from that thread
-    join the group's transaction; ``entries`` collects every snapshot
-    staged so the decode memo can be primed once, at the counter the
-    group commits under.  ``counter`` stays None until the commit-time
-    bump, which doubles as the committed/rolled-back flag.
-    """
-
-    __slots__ = ("owner", "entries", "counter")
-
-    def __init__(self, owner: int) -> None:
-        self.owner = owner
-        self.entries: list[ExampleEntry] = []
-        self.counter: int | None = None
-
-    def stage(self, entry: ExampleEntry) -> None:
-        self.entries.append(entry)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS entries (
@@ -196,13 +180,14 @@ class SQLiteBackend(StorageBackend):
         #: because N grouped writes pay one fsync instead of N.
         self.durability = durability
         self._lock = Mutex()
-        self._group: _WriteGroup | None = None
+        #: The thread owning the open write group (None: no group).
+        self._group_owner: int | None = None
         self._closed = False
         self._memo = DecodeMemo()
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
-        self._local = threading.local()
-        self._read_conns: list[sqlite3.Connection] = []
-        self._conns_lock = Mutex()
+        #: Idle read-only connections; reads borrow one and hand it back.
+        self._idle_readers: list[sqlite3.Connection] = []
+        self._readers_lock = Mutex()
         if not self._memory:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute(
@@ -233,38 +218,52 @@ class SQLiteBackend(StorageBackend):
         )
 
     # ------------------------------------------------------------------
-    # Read plumbing.  Durable databases: one read-only connection per
-    # thread (WAL readers run in parallel with the writer).  ":memory:"
+    # Read plumbing.  Durable databases: a pool of read-only connections
+    # (WAL readers run in parallel with the writer).  ":memory:"
     # databases exist only on the write connection, so reads serialise
     # on the lock there.
     # ------------------------------------------------------------------
 
     def _read_conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
+        """Borrow an idle read-only connection, opening one if none is
+        idle; the borrower hands it back with :meth:`_release_read_conn`."""
+        with self._readers_lock:
             if self._closed:
                 raise StorageError(f"backend for {self.path!r} is closed")
-            # check_same_thread=False so close() may run from any thread.
-            conn = sqlite3.connect(self.path, check_same_thread=False)
-            conn.execute("PRAGMA query_only=ON")
-            self._local.conn = conn
-            with self._conns_lock:
-                self._read_conns.append(conn)
+            if self._idle_readers:
+                return self._idle_readers.pop()
+        # check_same_thread=False: a reader serves whichever thread
+        # borrows it next, and close() may run from any thread.
+        conn = sqlite3.connect(self.path, check_same_thread=False)
+        conn.execute("PRAGMA query_only=ON")
         return conn
 
+    def _release_read_conn(self, conn: sqlite3.Connection) -> None:
+        with self._readers_lock:
+            if not self._closed:
+                self._idle_readers.append(conn)
+                return
+        conn.close()  # the backend closed while this read ran
+
+    def _in_own_group(self) -> bool:
+        return self._group_owner == threading.get_ident()
+
     def _run_read(self, operation):
-        group = self._group
-        if group is not None and group.owner == threading.get_ident():
+        if self._in_own_group():
             # The thread owning an open write group already holds the
             # lock; read on the open transaction (and see the group's
-            # own staged writes).  For durable databases the per-thread
-            # WAL reader could not see the uncommitted transaction; for
+            # own staged writes).  For durable databases a pooled WAL
+            # reader could not see the uncommitted transaction; for
             # ":memory:" taking the lock again would deadlock.
             return operation(self._conn)
         if self._memory:
             with self._lock:
                 return operation(self._conn)
-        return operation(self._read_conn())
+        conn = self._read_conn()
+        try:
+            return operation(conn)
+        finally:
+            self._release_read_conn(conn)
 
     # ------------------------------------------------------------------
     # Reads.
@@ -292,9 +291,8 @@ class SQLiteBackend(StorageBackend):
 
     def get(self, identifier: str, version: Version | None = None) -> ExampleEntry:
         def fetch(conn) -> ExampleEntry:
-            counter = self._counter_on(conn)
-            major, minor, payload = self._get_row(conn, identifier, version)
-            return self._hydrate(identifier, Version(major, minor), payload, counter)
+            _major, _minor, payload = self._get_row(conn, identifier, version)
+            return self._hydrate(payload)
 
         return self._run_read(fetch)
 
@@ -305,8 +303,8 @@ class SQLiteBackend(StorageBackend):
         query per chunk of identifiers instead of one SELECT each;
         explicit-version requests fall back to point lookups.  Each
         snapshot hydrates through the decode memo, so a payload this
-        process has seen (or written) since the last write is never
-        JSON-decoded again.
+        process has already seen (or written) is never JSON-decoded
+        again.
         """
         split = [_split_request(request) for request in requests]
         latest_wanted = sorted(
@@ -314,7 +312,6 @@ class SQLiteBackend(StorageBackend):
         )
 
         def fetch(conn) -> list[ExampleEntry]:
-            counter = self._counter_on(conn)
             latest = self._latest_payloads(conn, latest_wanted)
             results = []
             for identifier, version in split:
@@ -324,10 +321,7 @@ class SQLiteBackend(StorageBackend):
                         raise EntryNotFound(identifier)
                 else:
                     row = self._get_row(conn, identifier, version)
-                major, minor, payload = row
-                results.append(
-                    self._hydrate(identifier, Version(major, minor), payload, counter)
-                )
+                results.append(self._hydrate(row[2]))
             return results
 
         return self._run_read(fetch)
@@ -353,15 +347,18 @@ class SQLiteBackend(StorageBackend):
         ).fetchone()
         return int(row[0]) if row is not None else 0
 
-    def _hydrate(
-        self, identifier: str, version: Version, payload: str, counter: int
-    ) -> ExampleEntry:
-        """Decode one payload through the memo (at most once per write)."""
-        cached = self._memo.get(identifier, str(version), counter)
+    def _hydrate(self, payload: str) -> ExampleEntry:
+        """Decode one payload through the payload-keyed memo.
+
+        Decoding is a pure function of the stored string, so a hit is
+        never stale and needs no counter read — and a write to one entry
+        leaves every other entry's memoised snapshot alive.
+        """
+        cached = self._memo.get(payload)
         if cached is not None:
             return cached
         entry = decode_entry(payload)
-        self._memo.put(identifier, str(version), counter, entry)
+        self._memo.put(payload, entry)
         return entry
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
@@ -417,21 +414,12 @@ class SQLiteBackend(StorageBackend):
             else:
                 scored.sort(key=lambda item: (-item[0], item[1]))
             page = scored[plan.offset : plan.page_end()]
-            counter = self._counter_on(conn)
             payloads = self._latest_payloads(
                 conn, [identifier for _score, identifier in page]
             )
             hits = tuple(
-                SearchHit(
-                    identifier,
-                    score,
-                    self._hydrate(
-                        identifier,
-                        Version(*payloads[identifier][:2]),
-                        payloads[identifier][2],
-                        counter,
-                    ),
-                )
+                SearchHit(identifier, score,
+                          self._hydrate(payloads[identifier][2]))
                 for score, identifier in page
             )
             return QueryResult(hits=hits, total=len(matched), facets=facets)
@@ -509,8 +497,7 @@ class SQLiteBackend(StorageBackend):
         self, conn, identifiers: Sequence[str]
     ) -> dict[str, tuple[int, int, str]]:
         """Latest ``(major, minor, payload)`` per identifier, in chunked
-        bulk queries — the version rides along so callers can probe the
-        decode memo before parsing the payload."""
+        bulk queries."""
         wanted = list(identifiers)
         latest: dict[str, tuple[int, int, str]] = {}
         for chunk_start in range(0, len(wanted), 400):
@@ -538,66 +525,58 @@ class SQLiteBackend(StorageBackend):
     # ------------------------------------------------------------------
 
     @contextmanager
-    def _write_txn(self) -> Iterator[_WriteGroup]:
+    def _write_txn(self) -> Iterator[None]:
         """One write's transactional context: standalone or grouped.
 
         Standalone: take the writer lock, run the body in its own
-        transaction, bump the counter once, then prime the decode memo
-        for whatever the body staged.  Inside an open group owned by
-        the calling thread: just hand the body the group — the group
+        transaction and bump the counter once.  Inside an open group
+        owned by the calling thread: just run the body — the group
         already holds the lock and the open transaction, and it bumps
-        the counter and primes the memo once, at commit.
+        the counter once, at commit.
         """
-        group = self._group
-        if group is not None and group.owner == threading.get_ident():
-            yield group
+        if self._in_own_group():
+            yield
             return
-        staged = _WriteGroup(threading.get_ident())
         with self._lock, self._conn:
-            yield staged
-            staged.counter = self._bump_counter()
-        self._prime_memo(staged.entries, staged.counter)
+            yield
+            self._bump_counter()
 
     @contextmanager
     def write_group(self) -> Iterator["SQLiteBackend"]:
         """Group commit: every write in the block shares one transaction.
 
         The group takes the writer lock once, stages each write's
-        inserts and dirty marks in a single transaction, bumps the
-        change counter once at exit and primes the decode memo with
-        every staged snapshot at that one counter.  A write that fails
+        inserts and dirty marks in a single transaction and bumps the
+        change counter once at exit.  A write that fails
         mid-group (duplicate identifier, non-increasing version) raises
         before touching the database and poisons only itself — the
         rest of the group still commits.  If the block itself raises,
-        the whole transaction rolls back and the memo is left unprimed.
-        Re-entering on the owning thread joins the open group.
+        the whole transaction rolls back; the payloads its writes
+        primed into the decode memo are then stored nowhere, so they
+        can never be served.  Re-entering on the owning thread joins
+        the open group.
         """
-        existing = self._group
-        if existing is not None and existing.owner == threading.get_ident():
+        if self._in_own_group():
             yield self
             return
-        group = _WriteGroup(threading.get_ident())
         with self._lock:
-            self._group = group
+            self._group_owner = threading.get_ident()
             try:
                 with self._conn:
                     yield self
-                    group.counter = self._bump_counter()
+                    self._bump_counter()
             finally:
-                self._group = None
-        if group.counter is not None:
-            self._prime_memo(group.entries, group.counter)
+                self._group_owner = None
 
     def add(self, entry: ExampleEntry) -> None:
-        with self._write_txn() as txn:
+        with self._write_txn():
             if self._has(self._conn, entry.identifier):
                 raise DuplicateEntry(entry.identifier)
             self._insert(entry)
             self._mark_dirty([entry.identifier])
-            txn.stage(entry)
 
     def add_version(self, entry: ExampleEntry) -> None:
-        with self._write_txn() as txn:
+        with self._write_txn():
             latest = self._latest_row(entry.identifier)
             if latest is None:
                 raise EntryNotFound(entry.identifier)
@@ -608,10 +587,9 @@ class SQLiteBackend(StorageBackend):
                 )
             self._insert(entry)
             self._mark_dirty([entry.identifier])
-            txn.stage(entry)
 
     def replace_latest(self, entry: ExampleEntry) -> None:
-        with self._write_txn() as txn:
+        with self._write_txn():
             latest = self._latest_row(entry.identifier)
             if latest is None:
                 raise EntryNotFound(entry.identifier)
@@ -620,18 +598,19 @@ class SQLiteBackend(StorageBackend):
                     "replace_latest must keep the version "
                     f"({Version(*latest)}), got {entry.version}"
                 )
+            payload = encode_entry(entry)
             self._conn.execute(
                 "UPDATE entries SET payload = ? WHERE identifier = ? "
                 "AND major = ? AND minor = ?",
                 (
-                    encode_entry(entry),
+                    payload,
                     entry.identifier,
                     entry.version.major,
                     entry.version.minor,
                 ),
             )
             self._mark_dirty([entry.identifier])
-            txn.stage(entry)
+            self._memo.put(payload, entry)
 
     def add_many(self, entries: Iterable[ExampleEntry]) -> int:
         """Bulk-load brand-new entries in a single transaction.
@@ -643,7 +622,7 @@ class SQLiteBackend(StorageBackend):
         group).
         """
         batch = list(entries)
-        with self._write_txn() as txn:
+        with self._write_txn():
             seen: set[str] = set()
             for entry in batch:
                 if entry.identifier in seen:
@@ -660,6 +639,7 @@ class SQLiteBackend(StorageBackend):
                 ).fetchone()
                 if clash is not None:
                     raise DuplicateEntry(clash[0])
+            payloads = [encode_entry(entry) for entry in batch]
             self._conn.executemany(
                 "INSERT INTO entries (identifier, major, minor, payload) "
                 "VALUES (?, ?, ?, ?)",
@@ -668,14 +648,14 @@ class SQLiteBackend(StorageBackend):
                         entry.identifier,
                         entry.version.major,
                         entry.version.minor,
-                        encode_entry(entry),
+                        payload,
                     )
-                    for entry in batch
+                    for entry, payload in zip(batch, payloads, strict=True)
                 ],
             )
             self._mark_dirty([entry.identifier for entry in batch])
-            for entry in batch:
-                txn.stage(entry)
+            for entry, payload in zip(batch, payloads, strict=True):
+                self._memo.put(payload, entry)
         return len(batch)
 
     # ------------------------------------------------------------------
@@ -683,16 +663,16 @@ class SQLiteBackend(StorageBackend):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        self._closed = True
-        with self._conns_lock:
-            readers, self._read_conns = self._read_conns, []
+        with self._readers_lock:
+            self._closed = True
+            readers, self._idle_readers = self._idle_readers, []
         for conn in readers:
             conn.close()
         self._conn.close()
 
     # ------------------------------------------------------------------
     # Internals (writers hold the lock and pass the write connection;
-    # readers pass their per-thread connection).
+    # readers pass the connection they borrowed).
     # ------------------------------------------------------------------
 
     def _has(self, conn: sqlite3.Connection, identifier: str) -> bool:
@@ -727,6 +707,8 @@ class SQLiteBackend(StorageBackend):
         return row
 
     def _insert(self, entry: ExampleEntry) -> None:
+        """Insert one snapshot row and prime the memo with its payload."""
+        payload = encode_entry(entry)
         self._conn.execute(
             "INSERT INTO entries (identifier, major, minor, payload) "
             "VALUES (?, ?, ?, ?)",
@@ -734,9 +716,10 @@ class SQLiteBackend(StorageBackend):
                 entry.identifier,
                 entry.version.major,
                 entry.version.minor,
-                encode_entry(entry),
+                payload,
             ),
         )
+        self._memo.put(payload, entry)
 
     def _latest_row(self, identifier: str) -> tuple[int, int] | None:
         return self._conn.execute(
@@ -775,8 +758,7 @@ class SQLiteBackend(StorageBackend):
         commit before ours lands (a writer that is blocked on us will
         re-mark its identifier dirty when it proceeds).
         """
-        group = self._group
-        if group is not None and group.owner == threading.get_ident():
+        if self._in_own_group():
             # A query issued by the thread owning an open write group:
             # flush inside the group's transaction (the lock is already
             # held; the marks commit or roll back with the group).
@@ -806,13 +788,9 @@ class SQLiteBackend(StorageBackend):
                     f"DELETE FROM {table} WHERE identifier IN ({marks})",
                     chunk,
                 )
-        counter = self._counter_on(self._conn)
         payloads = self._latest_payloads(self._conn, dirty)
         self._index_latest_batch(
-            [
-                self._hydrate(identifier, Version(major, minor), payload, counter)
-                for identifier, (major, minor, payload) in payloads.items()
-            ]
+            [self._hydrate(row[2]) for row in payloads.values()]
         )
 
     def _index_latest_batch(self, batch: Sequence[ExampleEntry]) -> None:
@@ -866,22 +844,10 @@ class SQLiteBackend(StorageBackend):
             ],
         )
 
-    def _bump_counter(self) -> int:
+    def _bump_counter(self) -> None:
         self._conn.execute(
             "UPDATE meta SET value = value + 1 WHERE key = 'change_counter'"
         )
-        return self._counter_on(self._conn)
-
-    def _prime_memo(self, entries: Sequence[ExampleEntry], counter: int) -> None:
-        """After a committed write, memoise the just-encoded entries.
-
-        The payload bytes came from these very objects, so the next
-        read (or deferred index flush) skips the decode entirely.  Runs
-        *after* the transaction commits — a rolled-back write must not
-        leave phantom snapshots in the memo.
-        """
-        for entry in entries:
-            self._memo.put(entry.identifier, str(entry.version), counter, entry)
 
 
 def _chunks(items: list, size: int = 400):

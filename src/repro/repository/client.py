@@ -791,10 +791,10 @@ class HTTPBackend(StorageBackend):
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """The *server's* read-path counters, namespaced ``server:...``.
 
-        The prefix keeps a local facade's own ``entry_cache`` (and any
-        sibling backend's caches in a composite) from colliding with
-        the remote service's identically named groups when
-        ``RepositoryService.cache_stats()`` merges them.
+        The prefix keeps a sibling backend's caches in a composite
+        (a local ``decode_memo``, say) from colliding with the remote
+        service's identically named groups when the stats are
+        merged.
         """
         remote = self._stats()["cache"]
         return {f"server:{name}": dict(counters)

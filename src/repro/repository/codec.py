@@ -17,13 +17,11 @@ bytes the same process had just produced.  Now:
   files, pre-codec sqlite rows) decode identically.  A payload tagged
   with a *newer* codec version fails loudly instead of guessing;
 * :class:`DecodeMemo` is the **decode fast path**: a bounded LRU of
-  hydrated entries keyed by ``(identifier, version, change_counter)``.
-  Entries are immutable value objects, so a memoised snapshot is safe
-  to share; keying by the backend's durable change counter means any
-  write — including a foreign process's, which bumps the counter file /
-  meta row — atomically orphans every stale key.  Backends prime the
-  memo on their own writes (the bytes they just encoded came from an
-  entry object they already hold) and consult it before every decode.
+  hydrated entries consulted before every decode.  SQLite keys it by
+  the stored payload (a hit can never be stale), files by
+  ``(identifier, version, change_counter)`` (a hit also skips the file
+  read).  Backends prime it on their own writes with the entry object
+  they just encoded.
 
 The wire-speed PR adds the two caches that make the HTTP layer as
 cheap as the storage caches behind it:
@@ -114,86 +112,16 @@ def decode_entry(payload: str | bytes) -> ExampleEntry:
     return ExampleEntry.from_dict(data)
 
 
-class DecodeMemo:
-    """A bounded LRU of hydrated entries, keyed by change counter.
-
-    The key is ``(identifier, version, change_counter)``: the counter a
-    backend reported *at fetch time*.  Because durable counters bump on
-    every write, any write silently orphans every key minted under the
-    old counter; orphans age out through the LRU bound.  That makes the
-    memo safe without any invalidation protocol — the read-dominated
-    workloads it exists for never pay more than one decode per snapshot
-    between writes.  The one ordering subtlety lives with the backends:
-    a write must leave its final counter value unseen by any reader who
-    could still fetch the pre-write state (``FileBackend._write`` bumps
-    once more after the content rename; SQLite commits payload and
-    counter atomically).
-
-    Internally locked: backends are shared across threads (the sharded
-    fan-out), and LRU bookkeeping mutates state even on ``get``.
-    """
-
-    def __init__(self, maxsize: int = 4096) -> None:
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._mutex = Mutex()
-        self._data: OrderedDict[tuple[str, str, int],
-                                ExampleEntry] = OrderedDict()
-
-    def get(self, identifier: str, version: str,
-            change_counter: int) -> ExampleEntry | None:
-        key = (identifier, version, change_counter)
-        with self._mutex:
-            entry = self._data.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, identifier: str, version: str, change_counter: int,
-            entry: ExampleEntry) -> None:
-        if self.maxsize <= 0:
-            return
-        key = (identifier, version, change_counter)
-        with self._mutex:
-            self._data[key] = entry
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._mutex:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._mutex:
-            return len(self._data)
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters for ``cache_stats()`` reporting."""
-        with self._mutex:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "currsize": len(self._data),
-                "maxsize": self.maxsize,
-            }
-
-
 class _KeyedLRU:
-    """The locked LRU core shared by the wire-speed memos.
+    """The one locked LRU of the repository layer, generic over keys.
 
-    Same accounting and eviction behaviour as :class:`DecodeMemo`, but
-    generic over key and value — the serving-side :class:`EncodeMemo`
-    keys encoded lines by ``(identifier, version, change_token)`` while
-    the client-side :class:`LineMemo` keys hydrated entries by the raw
-    line bytes themselves.
+    Every memo on the read path is a thin subclass: the backends'
+    :class:`DecodeMemo`, the serving-side :class:`EncodeMemo` keyed by
+    ``(identifier, version, change_token)``, the client-side
+    :class:`LineMemo` keyed by the raw line bytes, and the client's
+    validation cache.  Internally locked — backends and services are
+    shared across threads, and recency bookkeeping mutates state even
+    on a hit.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -244,6 +172,40 @@ class _KeyedLRU:
             }
 
 
+class DecodeMemo(_KeyedLRU):
+    """Hydrated entries keyed by whatever pins their stored bytes.
+
+    Entries are immutable value objects, so a memoised snapshot is safe
+    to share; the key decides when a hit may be served:
+
+    * :class:`~repro.repository.backends.SQLiteBackend` keys by the
+      stored **payload string** itself.  Decoding is a pure function of
+      the payload, so a hit can never be stale — no counter read, no
+      invalidation, and hot entries survive writes to other entries;
+    * :class:`~repro.repository.backends.FileBackend` keys by
+      ``(identifier, version, change_counter)``, because a hit there
+      also skips reading the entry file, so the key must be known
+      before the bytes are.  Any write — a foreign process's included —
+      bumps the counter and orphans every older key; orphans age out
+      through the LRU bound.  A write must leave its final counter
+      value unseen by any reader who could still fetch the pre-write
+      bytes, which is why ``FileBackend._write`` bumps once more after
+      the content rename.
+
+    Backends prime the memo on their own writes with the entry object
+    they just encoded, so bytes this process produced are never parsed.
+    """
+
+    def __init__(self, maxsize: int = 4096) -> None:
+        super().__init__(maxsize)
+
+    def get(self, key) -> ExampleEntry | None:
+        return self._get(key)
+
+    def put(self, key, entry: ExampleEntry) -> None:
+        self._put(key, entry)
+
+
 class EncodeMemo(_KeyedLRU):
     """Encoded wire lines keyed ``(identifier, version, change_token)``.
 
@@ -253,7 +215,7 @@ class EncodeMemo(_KeyedLRU):
     The token is the service's :meth:`change_token` — it changes on
     every write, so a write orphans every stale line and the LRU bound
     ages the orphans out.  A ``version`` of ``None`` marks the "latest"
-    slot, exactly as in the service's LRU.
+    slot, distinct from every explicit version.
 
     Priming happens at *fetch* time with a token read *before* the
     fetch, so a racing write can at worst store a fresher line under an

@@ -2,9 +2,9 @@
 
 The facade serves many reader threads (a sharded backend fans reads out
 over a thread pool) while writers must be exclusive: a write updates the
-backend, the snapshot cache and the subscriber list as one atomic step,
-or a racing reader could cache a stale snapshot fetched just before the
-write landed.  CPython has no readers-writer lock in the standard
+backend, bumps the change token and notifies subscribers as one atomic
+step, so no reader observes the new entry under the old token or a
+search index that has not yet seen the write.  CPython has no readers-writer lock in the standard
 library, so a small one lives here.
 
 :class:`ReadWriteLock` is writer-preference (a waiting writer blocks new

@@ -93,12 +93,11 @@ class CuratedRepository:
 
     Any :class:`RepositoryStore`/backend passed in is wrapped in a
     :class:`~repro.repository.service.RepositoryService`, so curated
-    writes benefit from the snapshot cache and emit change events
-    (keeping e.g. an attached search index fresh); ``self.store`` is
-    always the service.  Consequently, if you keep a handle on the raw
-    backend, write through ``repo.store`` — a direct backend write
-    bypasses the facade and requires ``repo.store.invalidate()`` before
-    the repository sees it.
+    writes emit change events (keeping e.g. an attached search index
+    fresh); ``self.store`` is always the service.  Reads always reach
+    the backend, so a direct backend write is visible at once, but it
+    emits no event: write through ``repo.store`` to keep subscribers
+    in step.
     """
 
     def __init__(self, store: RepositoryStore,

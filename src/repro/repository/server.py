@@ -12,7 +12,7 @@ constraint (no new dependencies) holds:
         ▼
     RepositoryServer (ThreadingHTTPServer: one thread per connection)
         ▼
-    RepositoryService (the RepositoryAPI facade: RW lock, LRU, events)
+    RepositoryService (the RepositoryAPI facade: RW lock, events)
         ▼
     StorageBackend (memory / file / sqlite / sharded / replicated)
 
@@ -1157,8 +1157,8 @@ class RepositoryServer:
 
     Wraps any :class:`~repro.repository.service.RepositoryAPI`
     implementation — a bare :class:`StorageBackend` is wrapped in a
-    :class:`RepositoryService` first (the facade's lock and LRU are what
-    make concurrent handler threads safe), and an
+    :class:`RepositoryService` first (the facade's lock is what makes
+    concurrent handler threads safe), and an
     :class:`~repro.repository.aservice.AsyncRepositoryService` is
     unwrapped to the sync facade it already fronts (handler threads are
     plain threads; the async variant serves in-process awaiters, this

@@ -5,10 +5,6 @@ talk to a :class:`RepositoryService`, never to a backend directly.  The
 facade adds, on top of any
 :class:`~repro.repository.backends.StorageBackend`:
 
-* an **LRU snapshot cache** — entries are immutable value objects, so a
-  cached snapshot can never go stale except through the three write
-  operations, all of which pass through the facade and write through the
-  cache;
 * **batch APIs** (``add_many``, ``get_many``, ``versions_many``) that
   forward to the backend's bulk paths (one SQLite transaction instead of
   n single-row commits);
@@ -20,11 +16,16 @@ facade adds, on top of any
   :class:`~repro.repository.concurrency.ReadWriteLock` lets any number
   of reader threads proceed concurrently (a sharded backend fans their
   requests out further) while each write is exclusive, so backend
-  write, cache write-through and event dispatch form one atomic step.
-  Without it a reader could fetch a snapshot, lose the CPU to a writer,
-  and then cache the now-stale snapshot over the writer's fresh one.
-  The lock is writer-preference and writer-reentrant: subscribers
-  called during a write may read back through the service.
+  write, token bump and event dispatch form one atomic step.  The lock
+  is writer-preference and writer-reentrant: subscribers called during
+  a write may read back through the service.
+
+The facade keeps **no snapshot cache** of its own: every read goes to
+the backend, whose own caches (the SQLite decode memo keyed by the
+stored payload, the file backend's counter-keyed memo) can never serve
+a snapshot the backend itself would not return.  So two services over
+one durable store — in one process or several — always agree, and
+``replace_latest`` through either is visible through both.
 
 The service implements the full storage interface itself, so everything
 that accepts a ``RepositoryStore`` (the compatibility name for
@@ -35,7 +36,6 @@ service, though stacking them buys nothing.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +48,7 @@ from typing import (
 )
 
 from repro.repository.backends import MemoryBackend, StorageBackend
-from repro.repository.backends.base import GetRequest, _split_request
+from repro.repository.backends.base import GetRequest
 from repro.repository.concurrency import Mutex, ReadWriteLock
 from repro.repository.entry import ExampleEntry
 from repro.repository.query import (
@@ -175,67 +175,12 @@ class RepositoryEvent:
         return self.entry.identifier
 
 
-class _LRUCache:
-    """A small LRU mapping with hit/miss accounting.
-
-    Internally locked: every method is atomic, so concurrent readers
-    may share it (recency bookkeeping mutates state even on ``get``,
-    which is why a bare dict under concurrent readers is not enough).
-    """
-
-    _MISSING = object()
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._mutex = Mutex()
-        self._data: OrderedDict[object, ExampleEntry] = OrderedDict()
-
-    def get(self, key: object) -> ExampleEntry | None:
-        with self._mutex:
-            value = self._data.get(key, self._MISSING)
-            if value is self._MISSING:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value  # type: ignore[return-value]
-
-    def put(self, key: object, value: ExampleEntry) -> None:
-        if self.maxsize <= 0:
-            return
-        with self._mutex:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    def discard_identifier(self, identifier: str) -> None:
-        with self._mutex:
-            stale = [key for key in self._data if key[0] == identifier]
-            for key in stale:
-                del self._data[key]
-
-    def clear(self) -> None:
-        with self._mutex:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._mutex:
-            return len(self._data)
-
-
 class RepositoryService(StorageBackend):
-    """Caching, batching, event-emitting facade over a storage backend."""
+    """Batching, event-emitting facade over a storage backend."""
 
     def __init__(self, backend: StorageBackend | None = None, *,
-                 cache_size: int = 256,
                  index_path: str | Path | None = None) -> None:
         self.backend = backend if backend is not None else MemoryBackend()
-        self._cache = _LRUCache(cache_size)
         self._rwlock = ReadWriteLock()
         self._subscribers: list[Callable[[RepositoryEvent], None]] = []
         self._subscribers_mutex = Mutex()
@@ -254,7 +199,7 @@ class RepositoryService(StorageBackend):
         self._write_seq = 0
 
     # ------------------------------------------------------------------
-    # Reads (cached; any number may run concurrently).
+    # Reads (any number may run concurrently).
     # ------------------------------------------------------------------
 
     def identifiers(self) -> list[str]:
@@ -280,54 +225,18 @@ class RepositoryService(StorageBackend):
 
     def get(self, identifier: str,
             version: Version | None = None) -> ExampleEntry:
-        # The read lock covers fetch *and* cache fill: without it a
-        # reader could cache a snapshot made stale by a write that
-        # landed between its backend fetch and its cache put.
         with self._rwlock.read_locked():
-            key = _cache_key(identifier, version)
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-            entry = self.backend.get(identifier, version)
-            self._cache.put(key, entry)
-            if version is None:
-                # The latest lookup also pins the explicit-version slot.
-                self._cache.put(_cache_key(identifier, entry.version),
-                                entry)
-            return entry
+            return self.backend.get(identifier, version)
 
     def get_many(self,
                  requests: Sequence[GetRequest]) -> list[ExampleEntry]:
-        """Resolve many entries, serving from cache where possible.
-
-        Cache misses are fetched from the backend in one ``get_many``
-        call (one transaction / one scan where the backend supports it)
-        and then cached.
-        """
+        """Resolve many entries in one backend ``get_many`` call (one
+        transaction / one scan where the backend supports it)."""
         with self._rwlock.read_locked():
-            split = [_split_request(request) for request in requests]
-            results: list[ExampleEntry | None] = []
-            missing: list[tuple[int, str, Version | None]] = []
-            for position, (identifier, version) in enumerate(split):
-                cached = self._cache.get(_cache_key(identifier, version))
-                results.append(cached)
-                if cached is None:
-                    missing.append((position, identifier, version))
-            if missing:
-                fetched = self.backend.get_many(
-                    [(identifier, version)
-                     for _position, identifier, version in missing])
-                for (position, identifier, version), entry in zip(
-                        missing, fetched, strict=True):
-                    results[position] = entry
-                    self._cache.put(_cache_key(identifier, version), entry)
-                    if version is None:
-                        self._cache.put(
-                            _cache_key(identifier, entry.version), entry)
-            return results  # type: ignore[return-value]
+            return self.backend.get_many(requests)
 
     # ------------------------------------------------------------------
-    # Writes (exclusive; write-through cache, then events).
+    # Writes (exclusive; token bump, then events).
     # ------------------------------------------------------------------
 
     def add(self, entry: ExampleEntry) -> None:
@@ -352,8 +261,8 @@ class RepositoryService(StorageBackend):
                 count = self.backend.add_many(batch)
             except Exception:  # noqa: BLE001 - re-raised below after announcing the stored prefix
                 # A non-transactional backend may have stored a prefix
-                # of the batch before failing; subscribers (and the
-                # cache) must still hear about what actually landed —
+                # of the batch before failing; subscribers must still
+                # hear about what actually landed —
                 # once per identifier whose stored latest is a batch
                 # entry.
                 announced: set[str] = set()
@@ -384,10 +293,10 @@ class RepositoryService(StorageBackend):
         serial writes.  A write that fails inside the block raises at
         that write; the caller decides whether the group continues.
         If the block itself escapes with an exception, the backend
-        rolls the group back but per-entry write-through (cache fills,
-        event dispatch, index upserts) has already happened — so the
-        facade drops its snapshot cache and search index to restore
-        coherence before re-raising.
+        rolls the group back but per-entry event dispatch (index
+        upserts, token bumps) has already happened — so the facade
+        bumps the token once more and drops its search index to
+        restore coherence before re-raising.
         """
         self._rwlock.acquire_write()
         try:
@@ -419,16 +328,11 @@ class RepositoryService(StorageBackend):
         return unsubscribe
 
     def _after_write(self, kind: str, entry: ExampleEntry) -> None:
-        # The write succeeded, so the entry is now the latest snapshot:
-        # write it through both cache slots (stale values for the same
-        # keys are overwritten, which is the cache-coherence guarantee).
-        # The token sequence bumps here too — under the write lock, so
-        # a reader can never observe the new entry under the old token
-        # (stale-token-fresh-entry is the safe direction: it costs one
-        # spurious revalidation, never a false 304).
+        # The token sequence bumps under the write lock, so a reader can
+        # never observe the new entry under the old token (stale token,
+        # fresh entry is the safe direction: it costs one spurious
+        # revalidation, never a false 304).
         self._write_seq += 1
-        self._cache.put(_cache_key(entry.identifier, None), entry)
-        self._cache.put(_cache_key(entry.identifier, entry.version), entry)
         event = RepositoryEvent(kind, entry)
         with self._subscribers_mutex:
             listeners = list(self._subscribers)
@@ -487,9 +391,9 @@ class RepositoryService(StorageBackend):
         a durable counter, or a remote server's validator — wins, so
         foreign-process writes are visible; otherwise the facade's own
         epoch + write sequence stands in, which covers every write that
-        can reach an in-process-only backend.  ``invalidate()`` (the
-        documented escape hatch for mutating such a backend behind the
-        facade) bumps the sequence too.
+        can reach an in-process-only backend.  :meth:`invalidate` (the
+        escape hatch for mutating such a backend behind the facade)
+        bumps the sequence too.
         """
         with self._rwlock.read_locked():
             token = self.backend.change_token()
@@ -586,63 +490,33 @@ class RepositoryService(StorageBackend):
     # ``search()`` — that is the index's API, not the facade's.
 
     # ------------------------------------------------------------------
-    # Cache management / introspection.
+    # Introspection.
     # ------------------------------------------------------------------
-
-    def cache_info(self) -> dict[str, int]:
-        return {
-            "hits": self._cache.hits,
-            "misses": self._cache.misses,
-            "currsize": len(self._cache),
-            "maxsize": self._cache.maxsize,
-        }
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """Every read-cache counter on this service's read path.
 
-        ``entry_cache`` is the facade's own LRU (hits, misses,
-        evictions, sizes); the backend's caches — the decode memo, the
-        file listing cache, summed across composite children — are
-        merged in under their own names (see
-        :meth:`StorageBackend.cache_stats`).  The companion
-        :class:`~repro.repository.render_cache.RenderCache` reports its
-        counters through its own ``cache_stats()``; benchmarks use both
-        to plot the hit-rate/latency curve against cache sizing.
+        The facade caches nothing itself, so these are the backend's
+        caches — the decode memo, the file listing cache, summed across
+        composite children (see :meth:`StorageBackend.cache_stats`).
+        The companion :class:`~repro.repository.render_cache.RenderCache`
+        reports its counters through its own ``cache_stats()``.
         """
-        stats: dict[str, dict[str, int]] = {
-            "entry_cache": {
-                "hits": self._cache.hits,
-                "misses": self._cache.misses,
-                "evictions": self._cache.evictions,
-                "currsize": len(self._cache),
-                "maxsize": self._cache.maxsize,
-            },
-        }
-        stats.update(self.backend.cache_stats())
-        return stats
+        return self.backend.cache_stats()
 
-    def invalidate(self, identifier: str | None = None) -> None:
-        """Drop cached snapshots (all, or one identifier's).
+    def invalidate(self) -> None:
+        """Move the change token after a mutation behind the facade.
 
-        Only needed when the underlying backend is mutated behind the
-        facade's back (e.g. another process wrote to the same file
-        store).  Bumps the in-process token sequence for the same
-        reason: validators minted before the foreign mutation must stop
-        matching on backends with no durable counter of their own.
+        Reads always reach the backend, so nothing is cached here to
+        drop.  Backends with a durable counter already move the token
+        on a foreign write; for one without (an in-process backend
+        mutated directly), this bumps the in-process sequence so
+        validators minted before the mutation stop matching.
         """
         self._write_seq += 1
-        if identifier is None:
-            self._cache.clear()
-        else:
-            self._cache.discard_identifier(identifier)
 
     def close(self) -> None:
         """Snapshot the index (when configured) and close the backend."""
         self.save_index()
         self.backend.close()
 
-
-def _cache_key(identifier: str,
-               version: Version | None) -> tuple[str, str | None]:
-    # None marks the "latest" slot, distinct from every explicit version.
-    return (identifier, str(version) if version is not None else None)

@@ -200,7 +200,9 @@ class TestQueries:
                 stats = await aservice.query_stats(["entry"])
                 assert stats.document_count == 4
                 assert await aservice.change_counter() is None
-                assert "entry_cache" in await aservice.cache_stats()
+                # A memory backend decodes nothing, and the facade
+                # adds no cache of its own.
+                assert await aservice.cache_stats() == {}
 
         asyncio.run(scenario())
 

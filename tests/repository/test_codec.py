@@ -3,9 +3,9 @@
 The codec is the single serialisation seam of the read path (see
 ``repro/repository/codec.py``): every durable backend writes through
 ``encode_entry`` and hydrates through ``decode_entry`` + a
-change-counter-keyed ``DecodeMemo``.  These tests pin the wire format,
-the legacy-payload tolerance the conformance suite relies on, and the
-memo's counter-keyed coherence.
+``DecodeMemo`` (payload-keyed on SQLite, change-counter-keyed on
+files).  These tests pin the wire format, the legacy-payload tolerance
+the conformance suite relies on, and the memo's coherence.
 """
 
 from __future__ import annotations
@@ -66,29 +66,39 @@ class TestDecodeMemo:
     def test_hit_requires_matching_counter(self):
         memo = DecodeMemo()
         entry = minimal_entry()
-        memo.put("demo-example", "0.1", 7, entry)
-        assert memo.get("demo-example", "0.1", 7) is entry
-        assert memo.get("demo-example", "0.1", 8) is None  # a write landed
-        assert memo.get("demo-example", "0.2", 7) is None
+        memo.put(("demo-example", "0.1", 7), entry)
+        assert memo.get(("demo-example", "0.1", 7)) is entry
+        assert memo.get(("demo-example", "0.1", 8)) is None  # a write landed
+        assert memo.get(("demo-example", "0.2", 7)) is None
         assert memo.stats()["hits"] == 1
         assert memo.stats()["misses"] == 2
+
+    def test_payload_key_hits_on_an_equal_string(self):
+        """SQLite's key: each fetch returns a fresh but equal string."""
+        memo = DecodeMemo()
+        entry = minimal_entry()
+        payload = encode_entry(entry)
+        memo.put(payload, entry)
+        assert memo.get("".join(list(payload))) is entry
+        assert memo.get(encode_entry(minimal_entry(overview="New."))) \
+            is None
 
     def test_lru_bound_evicts_oldest(self):
         memo = DecodeMemo(maxsize=2)
         entry = minimal_entry()
-        memo.put("a", "0.1", 1, entry)
-        memo.put("b", "0.1", 1, entry)
-        memo.get("a", "0.1", 1)  # refresh a
-        memo.put("c", "0.1", 1, entry)  # evicts b (least recent)
-        assert memo.get("b", "0.1", 1) is None
-        assert memo.get("a", "0.1", 1) is entry
+        memo.put("a", entry)
+        memo.put("b", entry)
+        memo.get("a")  # refresh a
+        memo.put("c", entry)  # evicts b (least recent)
+        assert memo.get("b") is None
+        assert memo.get("a") is entry
         assert memo.stats()["evictions"] == 1
         assert len(memo) == 2
 
     def test_zero_size_disables_memoisation(self):
         memo = DecodeMemo(maxsize=0)
-        memo.put("a", "0.1", 1, minimal_entry())
-        assert memo.get("a", "0.1", 1) is None
+        memo.put("a", minimal_entry())
+        assert memo.get("a") is None
         assert len(memo) == 0
 
 

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.core.errors import StorageError, WikiSyncError
-from repro.repository.backends import FileBackend, MemoryBackend
+from repro.repository.backends import FileBackend, MemoryBackend, SQLiteBackend
 from repro.repository.export import (
     render_markdown,
     render_repository_markdown,
@@ -284,18 +284,20 @@ class TestInstrumentation:
         assert stats["invalidations"] == 1
         assert stats["wiki_pages"] == 3
 
-    def test_service_cache_stats_shape(self, service):
+    def test_service_cache_stats_shape(self, tmp_path):
+        service = RepositoryService(SQLiteBackend(tmp_path / "repo.db"))
+        service.add_many(entry_batch(3))
         service.get("entry-0")
         service.get("entry-0")
         stats = service.cache_stats()
-        assert stats["entry_cache"]["hits"] >= 1
+        assert stats["decode_memo"]["hits"] >= 1
         assert {"misses", "evictions", "currsize",
-                "maxsize"} <= set(stats["entry_cache"])
+                "maxsize"} <= set(stats["decode_memo"])
+        service.close()
 
     def test_service_cache_stats_include_backend_caches(self, tmp_path):
         service = RepositoryService(FileBackend(tmp_path / "repo"))
         service.add(minimal_entry())
-        service.invalidate()  # force the next get through the backend
         service.get("demo-example")
         stats = service.cache_stats()
         assert "decode_memo" in stats

@@ -656,7 +656,7 @@ class TestServerAdmission:
         injector = FaultInjector()
         slow = SlowBackend(MemoryBackend(), injector, "backend.slow",
                            delay=0.6)
-        service = RepositoryService(slow, cache_size=0)
+        service = RepositoryService(slow)
         entry = minimal_entry()
         service.add(entry)
         server = RepositoryServer(service, max_inflight=1,

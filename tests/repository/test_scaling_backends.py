@@ -437,7 +437,7 @@ class TestCompositeStats:
                               "probe:p1", "probe:r1"}
         backend.close()
 
-    def test_service_merges_composite_stats_next_to_its_lru(self):
+    def test_service_reports_the_composite_stats(self):
         shards = [ReplicatedBackend(ProbeBackend(f"p{i}"),
                                     [ProbeBackend(f"r{i}")])
                   for i in range(2)]
@@ -445,7 +445,7 @@ class TestCompositeStats:
         service = RepositoryService(ShardedBackend(shards))
         stats = service.cache_stats()
         assert stats["probe"] == {"children": 4}
-        assert "entry_cache" in stats
+        assert stats == service.backend.cache_stats()  # no cache of its own
         service.close()
 
     def test_sharded_query_stats_count_each_entry_once(self):

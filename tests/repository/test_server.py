@@ -12,7 +12,9 @@ from __future__ import annotations
 import gzip
 import http.client
 import json
+import os
 import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -21,7 +23,7 @@ import pytest
 
 from repro.core.errors import EntryNotFound, StorageError
 from repro.repository.aservice import AsyncRepositoryService
-from repro.repository.backends import MemoryBackend
+from repro.repository.backends import MemoryBackend, SQLiteBackend
 from repro.repository.client import HTTPBackend
 from repro.repository.codec import encode_entry
 from repro.repository.server import STREAM_PAGE_SIZE, RepositoryServer
@@ -39,6 +41,16 @@ def served():
     client.close()
     server.stop()
     service.close()
+
+
+@pytest.fixture()
+def sqlite_served(tmp_path):
+    service = RepositoryService(SQLiteBackend(tmp_path / "repo.db"))
+    server = RepositoryServer(service, close_service=True).start()
+    client = HTTPBackend(server.url)
+    yield server, client
+    client.close()
+    server.stop()
 
 
 def entry_batch(count: int):
@@ -195,22 +207,22 @@ class TestRouting:
 
 
 class TestStatsEndpoint:
-    def test_stats_shape(self, served):
-        server, client = served
+    def test_stats_shape(self, sqlite_served):
+        server, client = sqlite_served
         client.add_many(entry_batch(3))
         client.get("entry-0")
         payload = json.loads(fetch(server.url + "/stats")[2])
         assert payload["entry_count"] == 3
-        assert payload["change_counter"] is None  # memory backend
-        assert "entry_cache" in payload["cache"]
+        assert payload["change_counter"] == 1  # one add_many transaction
+        assert "decode_memo" in payload["cache"]
         assert set(payload["render_cache"]) >= {"hits", "misses"}
 
-    def test_client_namespaces_server_caches(self, served):
-        _server, client = served
+    def test_client_namespaces_server_caches(self, sqlite_served):
+        _server, client = sqlite_served
         client.add(minimal_entry())
         stats = client.cache_stats()
         assert all(name.startswith("server:") for name in stats)
-        assert "server:entry_cache" in stats
+        assert "server:decode_memo" in stats
 
 
 class TestWikiEndpoint:
@@ -361,7 +373,7 @@ class TestLifecycle:
                 time.sleep(0.4)
                 return super().get(identifier, version)
 
-        service = RepositoryService(SlowBackend(), cache_size=0)
+        service = RepositoryService(SlowBackend())
         server = RepositoryServer(service, close_service=True).start()
         url = server.url
         client = HTTPBackend(url)
@@ -611,6 +623,103 @@ class TestConditionalReads:
             assert status == 400, bad
             assert detail["type"] == "StorageError"
             assert "If-None-Match" in detail["message"]
+
+
+class TestServersSharingOneDatabase:
+    """Two servers over one SQLite file — two processes serving one
+    repository — must both serve an in-place revision at once."""
+
+    def test_a_write_through_one_server_is_fresh_through_the_other(
+            self, tmp_path):
+        servers, clients = [], []
+        for _side in ("a", "b"):
+            service = RepositoryService(SQLiteBackend(tmp_path / "repo.db"))
+            servers.append(
+                RepositoryServer(service, close_service=True).start())
+            clients.append(HTTPBackend(servers[-1].url))
+        (_server_a, server_b), (client_a, client_b) = servers, clients
+        try:
+            client_a.add(minimal_entry())
+            assert client_b.get("demo-example").overview == "A demo."
+            _s, before, _b = raw_get(server_b.port, "/entries/demo-example")
+            client_a.replace_latest(minimal_entry(overview="Revised."))
+            # No false 304: the validator B minted before A's write
+            # must not revalidate, and the 200 must carry the revision.
+            status, after, body = raw_get(
+                server_b.port, "/entries/demo-example",
+                **{"If-None-Match": before["ETag"]})
+            assert status == 200
+            assert after["ETag"] != before["ETag"]
+            assert json.loads(body)["entry"]["overview"] == "Revised."
+            # B's own client revalidates its cached copy the same way.
+            assert client_b.get("demo-example").overview == "Revised."
+        finally:
+            for client in clients:
+                client.close()
+            for server in servers:
+                server.stop()
+
+
+class TestReadConnections:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open files through /proc")
+    def test_closed_client_connections_leave_no_read_connections(
+            self, sqlite_served, tmp_path):
+        """A thread-per-connection server must not keep one SQLite
+        reader per client connection it ever accepted: readers are
+        pooled, so the pool tracks concurrent reads, not history."""
+        server, client = sqlite_served
+        client.add(minimal_entry())
+        for _request in range(200):
+            status, _headers, _body = raw_get(
+                server.port, "/entries/demo-example", Connection="close")
+            assert status == 200
+        database = str(tmp_path / "repo.db")
+        opened = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:
+                continue  # closed while listing
+            if target.startswith(database):
+                opened.append(target)
+        # The writer plus a few pooled readers, each holding the
+        # database, its WAL and its shared-memory index.
+        assert len(opened) <= 12, opened
+
+    def test_concurrent_readers_never_share_a_connection(self, tmp_path):
+        """The pool under contention: more reader threads than cores,
+        switching as often as the interpreter allows.  A connection
+        handed to two borrowers at once would come back twice."""
+        backend = SQLiteBackend(tmp_path / "pool.db")
+        backend.add_many(entry_batch(8))
+        identifiers = backend.identifiers()
+        wrong: list[object] = []
+
+        def reader() -> None:
+            try:
+                for _round in range(40):
+                    for identifier in identifiers:
+                        if backend.get(identifier).identifier != identifier:
+                            wrong.append(identifier)
+            except Exception as error:  # noqa: BLE001 - asserted below
+                wrong.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        idle = backend._idle_readers
+        assert len({id(conn) for conn in idle}) == len(idle) <= 8
+        backend.close()
 
 
 class TestCompression:

@@ -1,4 +1,4 @@
-"""The RepositoryService facade: cache coherence, batching, events,
+"""The RepositoryService facade: read coherence, batching, events,
 incremental search — over every backend."""
 
 from __future__ import annotations
@@ -98,28 +98,58 @@ class TestChangeToken:
         assert service.change_token() != token
 
 
+def memo_counts(service):
+    """``(hits, misses)`` of the backend's decode memo; memory has none."""
+    memo = service.cache_stats().get("decode_memo")
+    if memo is None:
+        return None
+    return memo["hits"], memo["misses"]
+
+
 class TestCache:
+    """The facade caches nothing; the backend's memo is the one cache.
+
+    A repeated read hands back one snapshot object on every backend:
+    the stored entry in memory, the decode memo's on file and SQLite.
+    """
+
     def test_repeated_get_hits_cache(self, service):
-        service.invalidate()
         service.add(minimal_entry())
-        service.invalidate()  # start cold
         first = service.get("demo-example")
-        info = service.cache_info()
-        assert info["misses"] >= 1
-        hits_before = info["hits"]
+        before = memo_counts(service)
         assert service.get("demo-example") is first
-        assert service.cache_info()["hits"] == hits_before + 1
+        after = memo_counts(service)
+        if before is None:
+            assert service.cache_stats() == {}
+        else:
+            assert after == (before[0] + 1, before[1])
 
     def test_explicit_version_primed_by_latest_get(self, service):
         service.add(minimal_entry())
-        service.invalidate()
         latest = service.get("demo-example")
-        # The latest fetch also pinned (identifier, 0.1).
+        before = memo_counts(service)
+        # The latest read and the explicit read of its version share
+        # one memo slot (one stored payload on SQLite).
         assert service.get("demo-example", Version(0, 1)) is latest
+        if before is not None:
+            assert memo_counts(service) == (before[0] + 1, before[1])
+
+    def test_lru_eviction(self, tmp_path):
+        from repro.repository.codec import DecodeMemo
+        backend = SQLiteBackend(tmp_path / "repo.db")
+        backend._memo = DecodeMemo(maxsize=2)
+        service = RepositoryService(backend)
+        service.add_many(entry_batch(3))
+        for identifier in ("entry-0", "entry-1", "entry-2"):
+            assert service.get(identifier).identifier == identifier
+        memo = service.cache_stats()["decode_memo"]
+        assert memo["currsize"] <= 2
+        assert memo["evictions"] >= 1
+        service.close()
 
     def test_coherent_after_replace_latest(self, service):
         service.add(minimal_entry())
-        service.get("demo-example")  # warm the cache
+        service.get("demo-example")  # warm the backend's memo
         service.replace_latest(minimal_entry(overview="Patched."))
         assert service.get("demo-example").overview == "Patched."
         assert service.get("demo-example",
@@ -127,7 +157,7 @@ class TestCache:
 
     def test_coherent_after_add_version(self, service):
         service.add(minimal_entry())
-        service.get("demo-example")  # warm the "latest" slot
+        service.get("demo-example")  # warm the backend's memo
         service.add_version(minimal_entry(version=Version(0, 2),
                                           overview="Better."))
         assert service.get("demo-example").version == Version(0, 2)
@@ -140,26 +170,31 @@ class TestCache:
         warm = service.get("demo-example")
         with pytest.raises(DuplicateEntry):
             service.add(minimal_entry(overview="Impostor."))
-        assert service.get("demo-example") is warm
+        assert service.get("demo-example") == warm
 
-    def test_lru_eviction(self, tmp_path):
-        service = RepositoryService(MemoryBackend(), cache_size=2)
-        service.add_many(entry_batch(3))
-        service.invalidate()
-        for identifier in ("entry-0", "entry-1", "entry-2"):
-            service.get(identifier)
-        assert service.cache_info()["currsize"] <= 2
+    @pytest.mark.parametrize("kind", ["file", "sqlite"])
+    def test_second_service_over_the_same_store_sees_replace_latest(
+            self, kind, tmp_path):
+        """Two services over one durable store — as two processes
+        serving one repository would hold — agree after an in-place
+        revision through either: no facade keeps a stale snapshot."""
+        def open_backend():
+            if kind == "file":
+                return FileBackend(tmp_path / "repo")
+            return SQLiteBackend(tmp_path / "repo.db")
 
-    def test_invalidate_one_identifier(self, service):
-        service.add_many(entry_batch(2))
-        service.get("entry-0")
-        service.get("entry-1")
-        service.invalidate("entry-0")
-        info = service.cache_info()
-        service.get("entry-1")  # still cached
-        assert service.cache_info()["hits"] == info["hits"] + 1
-        service.get("entry-0")  # refetched
-        assert service.cache_info()["misses"] == info["misses"] + 1
+        writer = RepositoryService(open_backend())
+        reader = RepositoryService(open_backend())
+        writer.add(minimal_entry())
+        assert reader.get("demo-example").overview == "A demo."  # warm
+        assert reader.get_many(["demo-example"])[0].overview == "A demo."
+        writer.replace_latest(minimal_entry(overview="Revised."))
+        assert reader.get("demo-example").overview == "Revised."
+        assert reader.get("demo-example",
+                          Version(0, 1)).overview == "Revised."
+        assert reader.get_many(["demo-example"])[0].overview == "Revised."
+        writer.close()
+        reader.close()
 
 
 class TestBatching:
@@ -171,16 +206,22 @@ class TestBatching:
 
     def test_get_many_serves_from_cache(self, service):
         service.add_many(entry_batch(3))
-        # add_many wrote through the cache, so this is all hits.
-        before = service.cache_info()
-        service.get_many(["entry-0", "entry-1", "entry-2"])
-        after = service.cache_info()
-        assert after["hits"] == before["hits"] + 3
-        assert after["misses"] == before["misses"]
+        # add_many primed the backend's memo with what it stored.
+        before = memo_counts(service)
+        results = service.get_many(["entry-0", "entry-1", "entry-2"])
+        assert results == entry_batch(3)
+        after = memo_counts(service)
+        if isinstance(service.backend, SQLiteBackend):
+            # Keyed on the stored payload: a later write never orphans
+            # an earlier prime, so this is all hits.
+            assert after == (before[0] + 3, before[1])
+        elif after is not None:
+            # Keyed on the change counter: only the last add's prime is
+            # at the current counter; the file backend adds one by one.
+            assert after == (before[0] + 1, before[1] + 2)
 
     def test_get_many_mixed_cache_states(self, service):
         service.add_many(entry_batch(3))
-        service.invalidate("entry-1")
         results = service.get_many([
             ("entry-0", None),
             ("entry-1", Version(0, 1)),

@@ -244,7 +244,7 @@ class TestServiceWriteGroup:
         writes rolled back; an escaping group exception must flush it
         so no phantom entry survives."""
         backend = SQLiteBackend(tmp_path / "repo.db")
-        service = RepositoryService(backend, cache_size=32)
+        service = RepositoryService(backend)
         ghost = minimal_entry(title="GHOST")
         with pytest.raises(RuntimeError):
             with service.write_group():
