@@ -9,9 +9,9 @@ Two layers:
   for the wins the service/backends refactor was built to deliver:
 
   - SQLite ``add_many`` bulk-load (1000 entries) ≥ 5× faster than the
-    per-file ``FileStore`` load of the same entries;
+    per-file ``FileBackend`` load of the same entries;
   - memoised point-gets through :class:`RepositoryService` ≥ 3× faster
-    than uncached per-file ``FileStore`` access;
+    than uncached per-file ``FileBackend`` access;
   - the incremental index update after a single ``add_version`` ≥ 10×
     faster than a full :meth:`SearchIndex.build`;
 

@@ -6,7 +6,7 @@ Run with::
     python examples/wiki_roundtrip.py
 
 Simulates the situation the paper describes: the repository keeps a
-structured local copy (JSON in a FileStore) while the public face is a
+structured local copy (JSON in a FileBackend) while the public face is a
 wikidot page.  A community member edits the *page*; the wiki-sync lens
 puts the edit back into the structured copy — and restores a section the
 careless editor deleted.  Collection-scale rendering goes through the

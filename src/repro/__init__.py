@@ -13,7 +13,7 @@ Quickstart::
     from repro import catalogue, repository
     from repro.core import check_bx_properties
 
-    store = repository.MemoryStore()
+    store = repository.MemoryBackend()
     catalogue.populate_store(store)
     composers = catalogue.catalogue_example("composers")
     print(repository.render_wikidot(composers.entry()))

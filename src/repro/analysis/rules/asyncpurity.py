@@ -10,7 +10,10 @@ the loop; this rule catches the pattern statically.
 
 Callables *built* inside the body (lambdas, nested defs) are exempt:
 they execute later on an executor thread, which is exactly the
-sanctioned route.
+sanctioned route.  One service call is sanctioned by exact name:
+``self.service.enqueue_write``, which only appends to the facade's
+write queue, so async writes queue on the loop thread in submission
+order and then wait for their group commit on the writer thread.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from repro.analysis.engine import (
 _BLOCKING_EXACT = frozenset({"time.sleep"})
 _BLOCKING_PREFIXES = ("sqlite3.", "socket.")
 _SERVICE_PREFIXES = ("self.service.", "self._service.")
+#: Service calls that never block: they take no lock but a queue mutex.
+_NONBLOCKING_SERVICE_CALLS = frozenset({"self.service.enqueue_write"})
 
 Found = Iterator[tuple[ParsedFile, int, str]]
 
@@ -69,7 +74,7 @@ def _diagnose(name: str, where: str) -> str | None:
             f"blocking file I/O open() directly inside async def {where}; "
             "submit it to an executor instead"
         )
-    if name.startswith(_SERVICE_PREFIXES):
+    if name.startswith(_SERVICE_PREFIXES) and name not in _NONBLOCKING_SERVICE_CALLS:
         return (
             f"direct sync service call {name}() inside async def {where}; "
             "route it through self._read/self._write executor submission"

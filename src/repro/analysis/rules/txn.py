@@ -13,8 +13,8 @@ per "group".  Two invariants:
   (``write_group`` / ``begin_group`` / ``commit_group`` /
   ``abort_group``) defined on a concrete backend under ``backends/``
   must also exist on ``StorageBackend`` in ``base.py`` — otherwise the
-  API exists on one layer only and nothing (conformance suite, facade,
-  coalescer) can rely on it;
+  API exists on one layer only and nothing (conformance suite, the
+  facade's group commit) can rely on it;
 * **the durable layers stay in lockstep.**  If one of the persistent
   backends (``sqlite.py``, ``file.py``) overrides ``write_group`` and
   the other does not, the one without it still pays one commit unit

@@ -32,7 +32,7 @@ from repro.catalogue.strings import (
     composers_string_entry,
 )
 from repro.catalogue.uml2rdbms import uml2rdbms_bx, uml2rdbms_entry
-from repro.repository.store import RepositoryStore
+from repro.repository.backends import StorageBackend
 
 __all__ = ["builtin_catalogue", "catalogue_example", "populate_store"]
 
@@ -101,7 +101,7 @@ def catalogue_example(name: str) -> CatalogueExample:
     raise KeyError(f"no catalogue example {name!r}; known: {known}")
 
 
-def populate_store(store: RepositoryStore) -> int:
+def populate_store(store: StorageBackend) -> int:
     """Add every built-in entry to ``store``; returns the count added.
 
     Entries already present (by identifier) are skipped, so population

@@ -104,7 +104,6 @@ from repro.repository.service import (
 from repro.repository.aservice import AsyncRepositoryService
 from repro.repository.client import HTTPBackend
 from repro.repository.server import RepositoryServer
-from repro.repository.store import FileStore, MemoryStore, RepositoryStore
 from repro.repository.template import (
     TEMPLATE,
     EntryType,
@@ -141,8 +140,6 @@ __all__ = [
     "Version", "VersionHistory",
     # curation
     "Role", "User", "CurationPolicy", "CuratedRepository",
-    # store (compatibility names)
-    "RepositoryStore", "MemoryStore", "FileStore",
     # backends
     "StorageBackend", "MemoryBackend", "FileBackend", "SQLiteBackend",
     "BACKEND_SCHEMES", "create_backend",

@@ -1,63 +1,50 @@
-"""The async variant of the repository facade: many readers, one loop.
+"""The async adapter over the repository facade: coroutines, one loop.
 
-The ROADMAP's serving north-star wants the collection answering "many
-readers" without each of them blocking the event loop on storage I/O.
-:class:`AsyncRepositoryService` is that variant: a thin asynchronous
-shell around the synchronous
-:class:`~repro.repository.service.RepositoryService`, exposing the same
+:class:`AsyncRepositoryService` exposes the
 :class:`~repro.repository.service.RepositoryAPI` surface as coroutine
-methods.
+methods over a synchronous
+:class:`~repro.repository.service.RepositoryService`, so an event loop
+can serve many readers without blocking on storage I/O.  It is a thin
+executor adapter: every lock, event and group commit lives in the sync
+facade, which the HTTP server's handler threads and plain threads share.
 
-Design decisions, and why:
-
-* **Wrap, don't reimplement.**  The sync facade already owns the hard
-  parts — the writer-preference
-  :class:`~repro.repository.concurrency.ReadWriteLock`, event
-  dispatch, index lifecycle.  Every coroutine here delegates to the
-  sync service inside an executor thread, so there is exactly one lock
-  regardless of how many layers (sync callers, async callers, the HTTP
-  server's handler threads) touch the same service concurrently.
-* **Reads fan out, writes serialise.**  Read operations run on a
-  bounded reader pool (``max_readers`` threads) — the read lock admits
-  them all concurrently, and a sharded backend fans each one out
-  further.  Write operations run on a dedicated single-thread executor:
-  they are serialised among themselves *before* ever contending for the
-  write lock, so a burst of async writes cannot stack up blocked writer
-  threads (and the writer-preference lock never starves readers longer
-  than one write).
-* **``asyncio.gather``-safe by construction.**  Each coroutine submits
-  one executor job and awaits it; nothing shares mutable state outside
-  the sync service's own locks.  ``gather(get(...), query(...), ...)``
-  simply keeps up to ``max_readers`` storage calls in flight.  A bulk
-  :meth:`get_many` stays ONE job on purpose — the sync facade holds
-  its read lock across the whole batch, so the answer is a single
+* **Reads fan out.**  Read coroutines run on a bounded reader pool
+  (``max_readers`` threads); the facade's read lock admits them all at
+  once.  A bulk :meth:`get_many` stays ONE job, so it answers from one
   consistent snapshot (see the method docstring).
-* **Admission control, not unbounded queues.**  Each executor accepts
-  at most a watermark of pending jobs (``max_pending_reads`` /
-  ``max_pending_writes``); past that the call is *shed* immediately
-  with :class:`~repro.core.errors.BackendUnavailableError` carrying a
-  ``retry_after`` pacing hint, instead of stacking futures until the
-  process falls over.  :meth:`drain` flips the service into a
+* **Writes queue on the loop, commit on one writer thread.**  A write
+  coroutine queues its write on the facade with
+  :meth:`~repro.repository.service.RepositoryService.enqueue_write`
+  while still on the loop thread, so gathered writes keep their
+  submission order.  It then waits on the single writer thread in
+  :meth:`~repro.repository.service.RepositoryService.commit_write`.
+  Whichever thread takes the facade's write lock commits everything
+  queued as one group (the facade's leader/follower group commit), so
+  a burst of async writes pays one transaction per group, and each
+  coroutine still gets its own result or error once its group commits.
+  A queued write commits even if its coroutine is cancelled.
+* **Admission control, not unbounded queues.**  Each lane accepts at
+  most a watermark of pending jobs (``max_pending_reads`` /
+  ``max_pending_writes``); past that a call is *shed* at once with
+  :class:`~repro.core.errors.BackendUnavailableError` carrying a
+  ``retry_after`` hint.  :meth:`drain` flips the service into a
   refuse-new/finish-old mode for graceful shutdown or failover.
 * **The context manager owns shutdown.**  ``async with`` closes the
-  service on exit — :meth:`close` snapshots the search index (when the
-  sync service has an ``index_path``), closes the backend, and shuts
-  both executors down.  After close, further calls raise
-  ``RuntimeError`` from the executors rather than touching a closed
-  backend.
+  service on exit: :meth:`close` lets in-flight reads finish,
+  snapshots the search index (when the sync service has an
+  ``index_path``), closes the backend after every earlier write, and
+  shuts both executors down.  Later calls raise ``RuntimeError``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.core.errors import BackendUnavailableError
 from repro.repository.backends import StorageBackend
 from repro.repository.backends.base import GetRequest
-from repro.repository.concurrency import Mutex
 from repro.repository.entry import ExampleEntry
 from repro.repository.query import (
     Query,
@@ -74,31 +61,12 @@ __all__ = ["AsyncRepositoryService"]
 _T = TypeVar("_T")
 
 
-class _QueuedWrite:
-    """One queued write op awaiting the writer thread.
-
-    ``kind`` selects the service call (``add`` / ``add_version`` /
-    ``replace_latest`` / ``add_chunk``), ``payload`` is its argument
-    (an entry, or a list for a chunk), and ``future`` is the
-    per-op :class:`concurrent.futures.Future` the submitting coroutine
-    awaits — resolved individually, so one invalid entry fails its own
-    caller and nobody else in the group.
-    """
-
-    __slots__ = ("kind", "payload", "future")
-
-    def __init__(self, kind: str, payload) -> None:
-        self.kind = kind
-        self.payload = payload
-        self.future: Future = Future()
-
-
 class AsyncRepositoryService:
     """Async repository facade: the RepositoryAPI surface as coroutines.
 
     Wraps a :class:`~repro.repository.service.RepositoryService` (or
     builds one over a bare backend), running reads on a bounded thread
-    pool and writes on a single serialising thread.  See the module
+    pool and write commits on a single writer thread.  See the module
     docstring for the reasoning.
     """
 
@@ -110,8 +78,6 @@ class AsyncRepositoryService:
         max_pending_reads: int | None = None,
         max_pending_writes: int | None = 64,
         shed_retry_after: float = 0.5,
-        max_coalesce: int = 128,
-        coalesce_chunk: int = 512,
     ) -> None:
         if service is None:
             service = RepositoryService()
@@ -128,8 +94,8 @@ class AsyncRepositoryService:
         self._readers = ThreadPoolExecutor(
             max_workers=max_readers, thread_name_prefix="aservice-read"
         )
-        #: One thread: async writes are serialised before they contend
-        #: for the service's write lock.
+        #: One thread: however many async writes are in flight, at most
+        #: one thread waits on the facade's write lock for them.
         self._writer = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="aservice-write"
         )
@@ -146,24 +112,6 @@ class AsyncRepositoryService:
         self._draining = False
         self._idle = asyncio.Event()
         self._idle.set()
-        #: Write coalescing: ops queue here (on the loop thread) and
-        #: the single writer thread drains *runs* of them as one group
-        #: committed through ``service.write_group()`` — one backend
-        #: transaction, one change-counter bump, per-op futures.
-        if max_coalesce <= 0:
-            raise ValueError("max_coalesce must be positive")
-        if coalesce_chunk <= 0:
-            raise ValueError("coalesce_chunk must be positive")
-        self.max_coalesce = max_coalesce
-        self.coalesce_chunk = coalesce_chunk
-        self._write_queue: deque[_QueuedWrite] = deque()
-        self._queue_mutex = Mutex()
-        #: Coalescing accounting (written by the writer thread; read by
-        #: ``admission_stats`` — monotonic ints, torn reads impossible
-        #: under the GIL).
-        self._coalesced_groups = 0
-        self._coalesced_writes = 0
-        self._coalesce_high_water = 0
 
     # ------------------------------------------------------------------
     # Executor plumbing.
@@ -182,6 +130,31 @@ class AsyncRepositoryService:
 
     async def _write(self, fn: Callable[[], _T]) -> _T:
         self._admit(self._pending_writes, self.max_pending_writes, "writer")
+        return await self._on_writer(fn)
+
+    async def _queue_write(self, kind: str, payload: object) -> object:
+        """Queue one write on the facade, then wait for its group.
+
+        Admission comes first, so a shed write never reaches the
+        facade's queue.  Queueing happens here on the loop thread, in
+        submission order; the commit wait runs on the writer thread.
+        """
+        self._admit(self._pending_writes, self.max_pending_writes, "writer")
+        if self._closed:
+            raise RuntimeError("cannot queue a write after close")
+        op = self.service.enqueue_write(kind, payload)
+        try:
+            return await self._on_writer(lambda: self.service.commit_write(op))
+        except asyncio.CancelledError:
+            # The cancellation may have cancelled the commit job before
+            # it started, but the write is queued all the same: commit
+            # it now rather than whenever some later writer leads.  Its
+            # outcome belongs to a caller that is gone.
+            if not self._closed:
+                self._writer.submit(self.service.commit_write, op)
+            raise
+
+    async def _on_writer(self, fn: Callable[[], _T]) -> _T:
         self._pending_writes += 1
         self._idle.clear()
         loop = asyncio.get_running_loop()
@@ -218,105 +191,6 @@ class AsyncRepositoryService:
     def _note_if_idle(self) -> None:
         if self._pending_reads == 0 and self._pending_writes == 0:
             self._idle.set()
-
-    # ------------------------------------------------------------------
-    # Write coalescing.  Each write coroutine appends one op to the
-    # queue and submits a drain job; the single writer thread pops a
-    # *run* of adjacent ops per drain and commits them as one group.
-    # A drain that finds the queue already emptied (a previous drain
-    # absorbed its op) returns immediately, so the invariant is cheap:
-    # every queued op has at least one drain job behind it.
-    # ------------------------------------------------------------------
-
-    async def _enqueue_write(self, kind: str, payload) -> object:
-        self._admit(self._pending_writes, self.max_pending_writes, "writer")
-        self._pending_writes += 1
-        self._idle.clear()
-        op = _QueuedWrite(kind, payload)
-        with self._queue_mutex:
-            self._write_queue.append(op)
-        try:
-            try:
-                self._writer.submit(self._drain_write_queue)
-            except RuntimeError:
-                # Writer executor already shut down: withdraw the op so
-                # no later drain can apply it against a closed backend.
-                with self._queue_mutex:
-                    if op in self._write_queue:
-                        self._write_queue.remove(op)
-                raise
-            return await asyncio.wrap_future(op.future)
-        finally:
-            self._pending_writes -= 1
-            self._note_if_idle()
-
-    def _drain_write_queue(self) -> None:
-        """Writer thread: pop one run of ops and commit it as a group.
-
-        At most ``max_coalesce`` ops per group (the coalescing
-        watermark) so one drain can never monopolise the write lock
-        unboundedly.  Per-op outcomes resolve individually: a write
-        that fails (duplicate identifier, non-increasing version) fails
-        its own future and the rest of the group still commits.
-        """
-        with self._queue_mutex:
-            ops: list[_QueuedWrite] = []
-            while self._write_queue and len(ops) < self.max_coalesce:
-                ops.append(self._write_queue.popleft())
-        live = [op for op in ops if op.future.set_running_or_notify_cancel()]
-        if not live:
-            return
-        if len(live) == 1:
-            self._resolve(live[0], *self._apply_op(live[0]))
-            return
-        self._coalesced_groups += 1
-        self._coalesced_writes += len(live)
-        if len(live) > self._coalesce_high_water:
-            self._coalesce_high_water = len(live)
-        # Outcomes are staged and futures resolved only AFTER the group
-        # transaction commits: an awaiter must never see "added" while
-        # the commit is still in flight (or worse, about to roll back).
-        outcomes: list[tuple[bool, object]] = []
-        try:
-            with self.service.write_group():
-                for op in live:
-                    outcomes.append(self._apply_op(op))
-        except BaseException as exc:  # noqa: BLE001 - the rollback fans out to every op whose write is gone
-            for index, op in enumerate(live):
-                if index < len(outcomes) and not outcomes[index][0]:
-                    self._resolve(op, *outcomes[index])  # its own error
-                else:
-                    self._resolve(op, False, exc)
-            return
-        for op, outcome in zip(live, outcomes):
-            self._resolve(op, *outcome)
-
-    @staticmethod
-    def _resolve(op: _QueuedWrite, ok: bool, value: object) -> None:
-        if ok:
-            op.future.set_result(value)
-        else:
-            op.future.set_exception(value)  # type: ignore[arg-type]
-
-    def _apply_op(self, op: _QueuedWrite) -> tuple[bool, object]:
-        """Apply one op through the sync facade; never raises.
-
-        Returns ``(ok, result-or-exception)`` instead of touching the
-        future — the drain resolves futures once the op's commit unit
-        (its own, or the surrounding group's) is actually durable.
-        """
-        try:
-            if op.kind == "add":
-                result = self.service.add(op.payload)
-            elif op.kind == "add_version":
-                result = self.service.add_version(op.payload)
-            elif op.kind == "replace_latest":
-                result = self.service.replace_latest(op.payload)
-            else:  # "add_chunk"
-                result = self.service.add_many(op.payload)
-        except BaseException as exc:  # noqa: BLE001 - the op's outcome, good or bad, belongs to its own future
-            return False, exc
-        return True, result
 
     # ------------------------------------------------------------------
     # Reads (fanned out over the reader pool).
@@ -406,37 +280,20 @@ class AsyncRepositoryService:
         return await self._read(self.service.change_token)
 
     # ------------------------------------------------------------------
-    # Writes (serialised through the one-thread writer executor).
+    # Writes (queued on the facade, committed on the writer thread).
     # ------------------------------------------------------------------
 
     async def add(self, entry: ExampleEntry) -> None:
-        await self._enqueue_write("add", entry)
+        await self._queue_write("add", entry)
 
     async def add_version(self, entry: ExampleEntry) -> None:
-        await self._enqueue_write("add_version", entry)
+        await self._queue_write("add_version", entry)
 
     async def replace_latest(self, entry: ExampleEntry) -> None:
-        await self._enqueue_write("replace_latest", entry)
+        await self._queue_write("replace_latest", entry)
 
     async def add_many(self, entries: Iterable[ExampleEntry]) -> int:
-        """Bulk-load through the coalescing path, one chunk at a time.
-
-        The batch splits into ``coalesce_chunk``-sized chunks and each
-        chunk queues as one op, so a huge ingest (a 100k corpus) can
-        never starve queued point writes — they interleave between
-        chunks.  Each chunk keeps the backend's all-or-nothing
-        guarantee; across chunks the load is resumable, not atomic (a
-        failing chunk leaves earlier chunks committed and raises).
-        Batches at or under one chunk behave exactly as before.
-        """
-        batch = list(entries)
-        if len(batch) <= self.coalesce_chunk:
-            return await self._enqueue_write("add_chunk", batch)  # type: ignore[return-value]
-        total = 0
-        for start in range(0, len(batch), self.coalesce_chunk):
-            chunk = batch[start:start + self.coalesce_chunk]
-            total += await self._enqueue_write("add_chunk", chunk)  # type: ignore[operator]
-        return total
+        return await self._queue_write("add_many", list(entries))  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle.
@@ -446,23 +303,12 @@ class AsyncRepositoryService:
         return await self._read(self.service.cache_stats)
 
     def admission_stats(self) -> dict[str, int | bool]:
-        """Pending-job counts, shed count, and coalescing accounting.
-
-        ``coalesced_groups``/``coalesced_writes`` count multi-op groups
-        and the ops they carried; ``coalesce_high_water`` is the
-        largest group committed so far and ``max_coalesce`` the
-        configured watermark it can never exceed.
-        """
+        """Pending-job counts per lane, the shed count, and drain state."""
         return {
             "pending_reads": self._pending_reads,
             "pending_writes": self._pending_writes,
-            "queued_writes": len(self._write_queue),
             "shed_total": self._shed_total,
             "draining": self._draining,
-            "coalesced_groups": self._coalesced_groups,
-            "coalesced_writes": self._coalesced_writes,
-            "coalesce_high_water": self._coalesce_high_water,
-            "max_coalesce": self.max_coalesce,
         }
 
     async def drain(self, timeout: float | None = None) -> bool:

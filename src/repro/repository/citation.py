@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.core.errors import CitationError
 from repro.repository.entry import ExampleEntry
-from repro.repository.store import RepositoryStore
+from repro.repository.backends import StorageBackend
 
 __all__ = [
     "REPOSITORY_URL",
@@ -108,7 +108,7 @@ def cite_repository(style: str = "plain") -> str:
     ])
 
 
-def archive_manuscript(store: RepositoryStore,
+def archive_manuscript(store: StorageBackend,
                        query=None) -> dict[str, object]:
     """Assemble the archival snapshot the paper anticipates (§5.2).
 
@@ -142,7 +142,7 @@ def archive_manuscript(store: RepositoryStore,
     }
 
 
-def cite_archive(store: RepositoryStore, style: str = "plain",
+def cite_archive(store: StorageBackend, style: str = "plain",
                  year: str = "2014") -> str:
     """Cite the archival snapshot of the whole repository."""
     _check_style(style)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 __all__ = ["Mutex", "ReadWriteLock"]
 
@@ -85,12 +85,20 @@ class ReadWriteLock:
     # Write side.
     # ------------------------------------------------------------------
 
-    def acquire_write(self) -> None:
+    def acquire_write(self, give_up: Callable[[], bool] | None = None) -> bool:
+        """Take the write lock; True once held.
+
+        ``give_up`` is checked each time the wait wakes (every write
+        release wakes it): once it returns true the call returns False
+        without the lock.  A group-commit follower passes "my write is
+        done", so it leaves as soon as a leader has committed its write
+        instead of queueing for a lock it no longer needs.
+        """
         me = threading.get_ident()
         with self._cond:
             if self._writer == me:
                 self._writer_depth += 1
-                return
+                return True
             if me in self._readers:
                 # Upgrading read -> write deadlocks against other
                 # readers; fail fast instead of hanging.
@@ -99,11 +107,21 @@ class ReadWriteLock:
             self._waiting_writers += 1
             try:
                 while self._writer is not None or self._readers:
+                    if give_up is not None and give_up():
+                        return False
                     self._cond.wait()
             finally:
                 self._waiting_writers -= 1
             self._writer = me
             self._writer_depth = 1
+            return True
+
+    def owns_write(self) -> bool:
+        """Whether the calling thread holds the write lock.
+
+        Lock-free: only the owning thread can make this true or false.
+        """
+        return self._writer == threading.get_ident()
 
     def release_write(self) -> None:
         me = threading.get_ident()

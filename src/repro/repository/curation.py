@@ -14,7 +14,7 @@ Mechanised here:
   §5.1: visitors cannot comment);
 * :class:`CurationPolicy` — which role may do what;
 * :class:`CuratedRepository` — the workflow object binding a
-  :class:`~repro.repository.store.RepositoryStore` to the policy:
+  :class:`~repro.repository.backends.StorageBackend` to the policy:
   submitting drafts, commenting, requesting/recording reviews, approving
   to version 1.0, and controlled edits that bump versions.
 
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from repro.core.errors import CurationError, PermissionDenied
+from repro.repository.backends import StorageBackend
 from repro.repository.entry import Comment, ExampleEntry
 from repro.repository.service import RepositoryService
-from repro.repository.store import RepositoryStore
 from repro.repository.validation import require_valid
 from repro.repository.versioning import Version
 
@@ -91,7 +91,7 @@ class CuratedRepository:
     editing history in place ("we do not wish to have uncontrolled editing
     of the example itself").
 
-    Any :class:`RepositoryStore`/backend passed in is wrapped in a
+    Any :class:`StorageBackend` passed in is wrapped in a
     :class:`~repro.repository.service.RepositoryService`, so curated
     writes emit change events (keeping e.g. an attached search index
     fresh); ``self.store`` is always the service.  Reads always reach
@@ -100,7 +100,7 @@ class CuratedRepository:
     in step.
     """
 
-    def __init__(self, store: RepositoryStore,
+    def __init__(self, store: StorageBackend,
                  policy: CurationPolicy | None = None) -> None:
         if isinstance(store, RepositoryService):
             self.store = store

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from repro.core.errors import BxError
+from repro.repository.backends import StorageBackend
 from repro.repository.entry import ExampleEntry
 from repro.repository.query import (
     Q,
@@ -46,7 +47,6 @@ from repro.repository.query import (
     evaluate_plan,
     tokenize,
 )
-from repro.repository.store import RepositoryStore
 from repro.repository.template import EntryType
 
 __all__ = ["SearchHit", "SearchIndex", "tokenize"]
@@ -66,7 +66,7 @@ class SearchIndex:
     # Building.
     # ------------------------------------------------------------------
 
-    def build(self, store: RepositoryStore) -> "SearchIndex":
+    def build(self, store: StorageBackend) -> "SearchIndex":
         """(Re)build the index from the latest version of every entry.
 
         Goes through the store's batch ``get_many`` (part of the

@@ -12,7 +12,8 @@ constraint (no new dependencies) holds:
         ▼
     RepositoryServer (ThreadingHTTPServer: one thread per connection)
         ▼
-    RepositoryService (the RepositoryAPI facade: RW lock, events)
+    RepositoryService (the RepositoryAPI facade: RW lock, group commit,
+                       events)
         ▼
     StorageBackend (memory / file / sqlite / sharded / replicated)
 
@@ -80,7 +81,8 @@ round-trip to the storage contract.
 
 Concurrency: ``ThreadingHTTPServer`` gives every connection its own
 handler thread; the service's writer-preference ReadWriteLock admits
-all readers concurrently and serialises writers, exactly as for
+all readers concurrently, and writes that arrive while another commits
+queue behind it and commit together as one group, exactly as for
 in-process threads.  The server adds no locking of its own.
 """
 
@@ -537,6 +539,10 @@ class _Handler(BaseHTTPRequestHandler):
                     handler = getattr(self, f"_handle_{name}")
                     with deadline_scope(deadline):
                         handler(query_string=split.query, **operands)
+                except (BrokenPipeError, ConnectionResetError):
+                    # The peer hung up while the response was going
+                    # out; a second response would only fail again.
+                    self.close_connection = True
                 except Exception as error:  # noqa: BLE001 - wire boundary
                     if isinstance(error, DeadlineExceeded):
                         self.server.metrics.count_deadline_rejected()
@@ -1163,7 +1169,7 @@ class RepositoryServer:
     unwrapped to the sync facade it already fronts (handler threads are
     plain threads; the async variant serves in-process awaiters, this
     class serves the network — both over the *same* service object, one
-    lock, one cache).
+    lock, one write queue).
 
     ``port=0`` binds an ephemeral port; read :attr:`port`/:attr:`url`
     after :meth:`start`.  ``stop()`` tears the listener down and

@@ -18,7 +18,16 @@ facade adds, on top of any
   requests out further) while each write is exclusive, so backend
   write, token bump and event dispatch form one atomic step.  The lock
   is writer-preference and writer-reentrant: subscribers called during
-  a write may read back through the service.
+  a write may read back through the service;
+* **group commit** — concurrent writers coalesce.  Each write joins a
+  FIFO of pending writes and takes the write lock; whichever thread
+  holds the lock (the *leader*) commits everything queued, up to
+  :data:`MAX_GROUP_WRITES`, through one backend
+  :meth:`~StorageBackend.write_group` — one transaction, one fsync.
+  Every write's result or error is settled only after its group
+  commits, so a *follower* that gets the lock next simply returns or
+  raises its own outcome.  HTTP handler threads, plain threads and the
+  async adapter all share this one path.
 
 The facade keeps **no snapshot cache** of its own: every read goes to
 the backend, whose own caches (the SQLite decode memo keyed by the
@@ -27,15 +36,16 @@ a snapshot the backend itself would not return.  So two services over
 one durable store — in one process or several — always agree, and
 ``replace_latest`` through either is visible through both.
 
-The service implements the full storage interface itself, so everything
-that accepts a ``RepositoryStore`` (the compatibility name for
-:class:`StorageBackend`) accepts a service too — including another
-service, though stacking them buys nothing.
+The service implements the full :class:`StorageBackend` interface
+itself, so everything that accepts a backend accepts a service too —
+including another service, though stacking them buys nothing.
 """
 
 from __future__ import annotations
 
+import contextvars
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +73,7 @@ from repro.repository.versioning import Version
 
 __all__ = [
     "API_METHODS",
+    "MAX_GROUP_WRITES",
     "RepositoryAPI",
     "RepositoryEvent",
     "RepositoryService",
@@ -156,6 +167,33 @@ def _noop() -> None:
 #: Event kinds, matching the three write operations.
 EVENT_KINDS = ("add", "add_version", "replace_latest")
 
+#: The most queued writes one leader commits as one group.  It bounds
+#: how long a single group holds the write lock (readers wait behind
+#: it); writes beyond it go in the next group.
+MAX_GROUP_WRITES = 128
+
+
+class PendingWrite:
+    """One queued facade write and, once its group commits, its outcome.
+
+    ``kind`` names the facade method (``add`` / ``add_version`` /
+    ``replace_latest`` / ``add_many``).  ``context`` is the submitter's
+    :mod:`contextvars` context, so the write runs under the submitter's
+    ambient deadline on whichever thread leads its group.  The leader
+    fills ``result`` or ``error`` and sets ``done`` last, once the group
+    has committed, so an op seen ``done`` carries its final outcome.
+    """
+
+    __slots__ = ("kind", "payload", "context", "done", "result", "error")
+
+    def __init__(self, kind: str, payload: object) -> None:
+        self.kind = kind
+        self.payload = payload
+        self.context = contextvars.copy_context()
+        self.done = False
+        self.result: object = None
+        self.error: BaseException | None = None
+
 
 @dataclass(frozen=True)
 class RepositoryEvent:
@@ -182,6 +220,9 @@ class RepositoryService(StorageBackend):
                  index_path: str | Path | None = None) -> None:
         self.backend = backend if backend is not None else MemoryBackend()
         self._rwlock = ReadWriteLock()
+        #: Writes waiting for a leader, in submission order.
+        self._pending: deque[PendingWrite] = deque()
+        self._pending_mutex = Mutex()
         self._subscribers: list[Callable[[RepositoryEvent], None]] = []
         self._subscribers_mutex = Mutex()
         self._search_index = None  # lazily built, then kept in sync
@@ -236,47 +277,132 @@ class RepositoryService(StorageBackend):
             return self.backend.get_many(requests)
 
     # ------------------------------------------------------------------
-    # Writes (exclusive; token bump, then events).
+    # Writes (queued, then committed in groups under the write lock).
     # ------------------------------------------------------------------
 
     def add(self, entry: ExampleEntry) -> None:
-        with self._rwlock.write_locked():
-            self.backend.add(entry)
-            self._after_write("add", entry)
+        self._write("add", entry)
 
     def add_version(self, entry: ExampleEntry) -> None:
-        with self._rwlock.write_locked():
-            self.backend.add_version(entry)
-            self._after_write("add_version", entry)
+        self._write("add_version", entry)
 
     def replace_latest(self, entry: ExampleEntry) -> None:
-        with self._rwlock.write_locked():
-            self.backend.replace_latest(entry)
-            self._after_write("replace_latest", entry)
+        self._write("replace_latest", entry)
 
     def add_many(self, entries: Iterable[ExampleEntry]) -> int:
-        batch = list(entries)
-        with self._rwlock.write_locked():
+        return self._write("add_many", list(entries))  # type: ignore[return-value]
+
+    def _write(self, kind: str, payload: object) -> object:
+        if self._rwlock.owns_write():
+            # A subscriber callback or an explicit write_group() body:
+            # this thread is already inside a commit unit, so it applies
+            # its own write and leaves other threads' writes queued.
+            return self._apply(kind, payload)
+        return self.commit_write(self.enqueue_write(kind, payload))
+
+    def enqueue_write(self, kind: str, payload: object) -> PendingWrite:
+        """Queue one write without waiting for the write lock.
+
+        Queue order is commit order.  The caller must then hand the
+        returned record to :meth:`commit_write`, which is what the async
+        adapter does on its writer thread after queueing on the event
+        loop.
+        """
+        op = PendingWrite(kind, payload)
+        with self._pending_mutex:
+            self._pending.append(op)
+        return op
+
+    def commit_write(self, op: PendingWrite) -> object:
+        """Wait until ``op``'s group has committed; return or raise its
+        own outcome.
+
+        A follower waits for the write lock only until some leader has
+        committed ``op``.  If it gets the lock first, it leads: it
+        commits queued groups until ``op`` is settled.
+        """
+        try:
+            leading = not op.done and self._rwlock.acquire_write(
+                give_up=lambda: op.done)
+        except RuntimeError:
+            # This thread holds a read lock, so no leader can run until
+            # it lets go: withdraw the write before anyone applies it.
+            with self._pending_mutex:
+                self._pending.remove(op)
+            raise
+        if leading:
             try:
-                count = self.backend.add_many(batch)
-            except Exception:  # noqa: BLE001 - re-raised below after announcing the stored prefix
-                # A non-transactional backend may have stored a prefix
-                # of the batch before failing; subscribers must still
-                # hear about what actually landed —
-                # once per identifier whose stored latest is a batch
-                # entry.
-                announced: set[str] = set()
-                for entry in batch:
-                    if (entry.identifier not in announced
-                            and self.backend.has(entry.identifier)
-                            and self.backend.get(entry.identifier)
-                            == entry):
-                        announced.add(entry.identifier)
-                        self._after_write("add", entry)
+                while not op.done:
+                    self._commit_group()
+            finally:
+                self._rwlock.release_write()
+        if op.error is not None:
+            raise op.error
+        return op.result
+
+    def _commit_group(self) -> None:
+        """Leader, under the write lock: commit the head of the queue.
+
+        A lone write commits on its own; several share one backend
+        :meth:`~StorageBackend.write_group`.  A write that fails
+        (duplicate identifier, non-increasing version) fails alone and
+        its groupmates still commit.  If the group itself fails, every
+        write in it that had not failed on its own gets the group's
+        error: on a transactional backend none of them landed.
+        """
+        with self._pending_mutex:
+            count = min(len(self._pending), MAX_GROUP_WRITES)
+            ops = [self._pending.popleft() for _ in range(count)]
+        try:
+            if len(ops) == 1:
+                self._run(ops[0])
+            else:
+                with self.write_group():
+                    for op in ops:
+                        self._run(op)
+        except BaseException as exc:  # noqa: BLE001 - an interrupt is re-raised
+            for op in ops:
+                if op.error is None:
+                    op.result, op.error = None, exc
+            if not isinstance(exc, Exception):
                 raise
+        finally:
+            for op in ops:
+                op.done = True
+
+    def _run(self, op: PendingWrite) -> None:
+        try:
+            op.result = op.context.run(self._apply, op.kind, op.payload)
+        except Exception as exc:  # noqa: BLE001 - raised to its submitter
+            op.error = exc
+
+    def _apply(self, kind: str, payload: object) -> object:
+        """One write on the backend plus its events; the lock is held."""
+        if kind == "add_many":
+            return self._apply_many(payload)  # type: ignore[arg-type]
+        getattr(self.backend, kind)(payload)
+        self._after_write(kind, payload)  # type: ignore[arg-type]
+        return None
+
+    def _apply_many(self, batch: list[ExampleEntry]) -> int:
+        try:
+            count = self.backend.add_many(batch)
+        except Exception:  # noqa: BLE001 - re-raised below after announcing the stored prefix
+            # A non-transactional backend may have stored a prefix of
+            # the batch before failing; subscribers must still hear
+            # about what actually landed — once per identifier whose
+            # stored latest is a batch entry.
+            announced: set[str] = set()
             for entry in batch:
-                self._after_write("add", entry)
-            return count
+                if (entry.identifier not in announced
+                        and self.backend.has(entry.identifier)
+                        and self.backend.get(entry.identifier) == entry):
+                    announced.add(entry.identifier)
+                    self._after_write("add", entry)
+            raise
+        for entry in batch:
+            self._after_write("add", entry)
+        return count
 
     @contextmanager
     def write_group(self):
@@ -297,6 +423,10 @@ class RepositoryService(StorageBackend):
         upserts, token bumps) has already happened — so the facade
         bumps the token once more and drops its search index to
         restore coherence before re-raising.
+
+        Other threads' writes stay queued while the block runs: it
+        never commits them, so a block that raises cannot take them
+        down with it.  Their leader commits them once the block exits.
         """
         self._rwlock.acquire_write()
         try:

@@ -8,7 +8,7 @@ module is that bx, dogfooding the library on its own infrastructure:
 
 * the **source** is the structured :class:`ExampleEntry` (the local,
   markup-independent copy persisted by the
-  :class:`~repro.repository.store.FileStore`);
+  :class:`~repro.repository.backends.FileBackend`);
 * the **view** is the wikidot page text;
 * ``get`` renders (:func:`repro.repository.export.render_wikidot`);
 * ``put`` parses an edited page back (:func:`parse_wikidot`) and **merges**

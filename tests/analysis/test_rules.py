@@ -143,6 +143,20 @@ class AsyncRepositoryService:
         return self.service.get("fine-outside-async")
 '''
 
+ASYNC_ENQUEUE = '''\
+class AsyncRepositoryService:
+    async def add(self, entry):
+        op = self.service.enqueue_write("add", entry)
+        return await self._on_writer(lambda: self.service.commit_write(op))
+'''
+
+ASYNC_COMMIT_ON_LOOP = '''\
+class AsyncRepositoryService:
+    async def add(self, entry):
+        op = self.service.enqueue_write("add", entry)
+        return self.service.commit_write(op)
+'''
+
 
 class TestAsyncPurity:
     def test_fires_on_direct_blocking_calls(self, tmp_path):
@@ -162,6 +176,19 @@ class TestAsyncPurity:
             tmp_path, {"other.py": ASYNC_VIOLATIONS}, "async-purity"
         )
         assert findings == []
+
+    def test_quiet_on_the_write_queue_append(self, tmp_path):
+        findings = scan(
+            tmp_path, {"aservice.py": ASYNC_ENQUEUE}, "async-purity"
+        )
+        assert findings == []
+
+    def test_fires_on_the_blocking_commit_wait(self, tmp_path):
+        findings = scan(
+            tmp_path, {"aservice.py": ASYNC_COMMIT_ON_LOOP}, "async-purity"
+        )
+        assert [f.line for f in findings] == [4]
+        assert "commit_write" in findings[0].message
 
 
 ERRORS_MODULE = '''\

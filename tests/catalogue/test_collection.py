@@ -10,7 +10,7 @@ from repro.catalogue import (
     populate_store,
 )
 from repro.core.laws import CheckConfig
-from repro.repository.store import MemoryStore
+from repro.repository.backends import MemoryBackend
 from repro.repository.template import EntryType
 from repro.repository.validation import validate_entry
 
@@ -70,13 +70,13 @@ class TestClaimVerification:
 
 class TestPopulateStore:
     def test_populates_all(self):
-        store = MemoryStore()
+        store = MemoryBackend()
         added = populate_store(store)
         assert added == len(builtin_catalogue())
         assert "composers" in store.identifiers()
 
     def test_idempotent(self):
-        store = MemoryStore()
+        store = MemoryBackend()
         populate_store(store)
         assert populate_store(store) == 0
         assert store.entry_count() == len(builtin_catalogue())

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.core.laws import CheckConfig
-from repro.repository.store import FileStore, MemoryStore
 
 
 @pytest.fixture
@@ -26,13 +25,3 @@ def quick_config() -> CheckConfig:
 def thorough_config() -> CheckConfig:
     """A heavier configuration for the flagship property experiments."""
     return CheckConfig(trials=300, seed=7)
-
-
-@pytest.fixture
-def memory_store() -> MemoryStore:
-    return MemoryStore()
-
-
-@pytest.fixture
-def file_store(tmp_path) -> FileStore:
-    return FileStore(tmp_path / "repo")

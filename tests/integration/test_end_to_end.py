@@ -6,10 +6,10 @@ from __future__ import annotations
 import pytest
 
 from repro.catalogue import builtin_catalogue, populate_store
+from repro.repository.backends import FileBackend
 from repro.repository.citation import cite_entry
 from repro.repository.curation import CuratedRepository, Role, User
 from repro.repository.search import SearchIndex
-from repro.repository.store import FileStore
 from repro.repository.template import EntryType
 from repro.repository.versioning import Version
 from repro.repository.wiki_sync import WikiSyncLens, normalise_entry
@@ -17,7 +17,7 @@ from repro.repository.wiki_sync import WikiSyncLens, normalise_entry
 
 @pytest.fixture
 def repo(tmp_path) -> CuratedRepository:
-    store = FileStore(tmp_path / "bx-repo")
+    store = FileBackend(tmp_path / "bx-repo")
     populate_store(store)
     return CuratedRepository(store)
 
@@ -86,7 +86,7 @@ class TestLifecycle:
         assert "file tree" in repo.get("dirtree").overview
 
     def test_store_survives_reopen(self, repo, tmp_path):
-        reopened = FileStore(tmp_path / "bx-repo")
+        reopened = FileBackend(tmp_path / "bx-repo")
         assert reopened.identifiers() == repo.store.identifiers()
         assert reopened.get("composers").title == "COMPOSERS"
 

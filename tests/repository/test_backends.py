@@ -31,7 +31,6 @@ from repro.repository.client import HTTPBackend
 from repro.repository.faults import FaultInjector, FlakyBackend
 from repro.repository.server import RepositoryServer
 from repro.repository.service import RepositoryService
-from repro.repository.store import FileStore, MemoryStore, RepositoryStore
 from repro.repository.versioning import Version
 from tests.repository.test_entry import minimal_entry
 
@@ -327,11 +326,6 @@ class TestFileListingCache:
 
 
 class TestCompatibilityShim:
-    def test_store_names_are_backend_classes(self):
-        assert RepositoryStore is StorageBackend
-        assert MemoryStore is MemoryBackend
-        assert FileStore is FileBackend
-
     def test_create_backend_schemes(self, tmp_path):
         assert set(BACKEND_SCHEMES) == {"memory", "file", "sqlite"}
         assert isinstance(create_backend("memory"), MemoryBackend)

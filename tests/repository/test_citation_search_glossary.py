@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import CitationError
+from repro.repository.backends import MemoryBackend
 from repro.repository.citation import (
     REPOSITORY_URL,
     archive_manuscript,
@@ -19,7 +20,6 @@ from repro.repository.glossary import (
     known_property_names,
 )
 from repro.repository.search import SearchIndex, tokenize
-from repro.repository.store import MemoryStore
 from repro.repository.template import EntryType
 from repro.repository.versioning import Version
 from tests.repository.test_entry import minimal_entry
@@ -64,7 +64,7 @@ class TestRepositoryAndArchive:
         assert "@inproceedings" in cite_repository(style="bibtex")
 
     def test_archive_manuscript_collects_contributors(self):
-        store = MemoryStore()
+        store = MemoryBackend()
         store.add(minimal_entry())
         store.add(minimal_entry(title="OTHER", authors=("Zoe",),
                                 reviewers=("Rex",)))
@@ -74,7 +74,7 @@ class TestRepositoryAndArchive:
         assert manuscript["entry_count"] == 2
 
     def test_cite_archive(self):
-        store = MemoryStore()
+        store = MemoryBackend()
         store.add(minimal_entry())
         assert "1 examples" in cite_archive(store)
         assert "@techreport" in cite_archive(store, style="bibtex")
@@ -92,7 +92,7 @@ class TestTokenize:
 class TestSearchIndex:
     @pytest.fixture
     def index(self) -> SearchIndex:
-        store = MemoryStore()
+        store = MemoryBackend()
         store.add(minimal_entry(
             title="COMPOSERS", overview="Musical composers and lists.",
             discussion="Undoability is too strong."))

@@ -9,13 +9,13 @@ from repro.core.errors import (
     PermissionDenied,
     ValidationError,
 )
+from repro.repository.backends import MemoryBackend
 from repro.repository.curation import (
     CuratedRepository,
     CurationPolicy,
     Role,
     User,
 )
-from repro.repository.store import MemoryStore
 from repro.repository.versioning import Version
 from tests.repository.test_entry import minimal_entry
 
@@ -28,7 +28,7 @@ CURATOR = User("Cleo", Role.CURATOR)
 
 @pytest.fixture
 def repo() -> CuratedRepository:
-    return CuratedRepository(MemoryStore())
+    return CuratedRepository(MemoryBackend())
 
 
 @pytest.fixture
@@ -163,7 +163,7 @@ class TestRevision:
 class TestPolicyCustomisation:
     def test_stricter_comment_policy(self):
         repo = CuratedRepository(
-            MemoryStore(), policy=CurationPolicy(comment=Role.REVIEWER))
+            MemoryBackend(), policy=CurationPolicy(comment=Role.REVIEWER))
         repo.submit(ANN, minimal_entry())
         with pytest.raises(PermissionDenied):
             repo.comment(BOB, "demo-example", "2014-03-28", "hi")

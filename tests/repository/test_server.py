@@ -14,8 +14,10 @@ import http.client
 import json
 import os
 import socket
+import struct
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -324,6 +326,40 @@ class TestConcurrency:
         assert errors == []
         assert client.versions("entry-0")[-1] == Version(0, 11)
 
+    def test_concurrent_http_writes_share_one_commit(self, sqlite_served):
+        """Handler threads write through the facade's group commit:
+        writes that arrive while another holds the write lock commit
+        together, one SQLite transaction for all of them."""
+        server, client = sqlite_served
+        service = server.service
+        first = minimal_entry(title="FIRST")
+        holding, release = threading.Event(), threading.Event()
+
+        def block(event):
+            if event.entry == first:
+                holding.set()
+                release.wait(10)
+
+        service.subscribe(block)
+        writers = [threading.Thread(target=client.add, args=(first,))]
+        writers[0].start()
+        assert holding.wait(10)
+        before = service.backend.change_counter()  # not behind the lock
+        for entry in entry_batch(3):
+            writers.append(
+                threading.Thread(target=client.add, args=(entry,)))
+            writers[-1].start()
+        deadline = time.monotonic() + 10
+        while len(service._pending) < 3:
+            assert time.monotonic() < deadline, "writes never queued"
+            time.sleep(0.001)
+        release.set()
+        for writer in writers:
+            writer.join(10)
+        assert not any(writer.is_alive() for writer in writers)
+        assert service.backend.change_counter() - before == 1
+        assert client.entry_count() == 4
+
 
 class TestLifecycle:
     def test_context_manager_serves_and_stops(self):
@@ -512,6 +548,45 @@ def raw_get(port: int, path: str, **headers):
         return response.status, dict(response.headers), response.read()
     finally:
         connection.close()
+
+
+class TestClientHangUp:
+    def test_no_second_response_after_the_client_hangs_up(self, caplog):
+        """Regression: a client that closed before reading its response
+        made the response write fail, which the handler logged as an
+        internal error before writing an error response onto the same
+        dead socket (raising again, with a traceback)."""
+        entered, release = threading.Event(), threading.Event()
+
+        class GatedBackend(MemoryBackend):
+            def get(self, identifier, version=None):
+                entered.set()
+                release.wait(10)
+                return super().get(identifier, version)
+
+        service = RepositoryService(GatedBackend())
+        service.add(minimal_entry())
+        server = RepositoryServer(service, close_service=True).start()
+        try:
+            peer = socket.create_connection(("127.0.0.1", server.port))
+            # Linger 0: close() resets the connection at once, so the
+            # server's response write is certain to fail.
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            peer.sendall(b"GET /entries/demo-example HTTP/1.1\r\n"
+                         b"Host: test\r\n\r\n")
+            assert entered.wait(10)
+            peer.close()
+            release.set()
+            assert server._tracker.wait_idle(10)
+            status, _type, body = fetch(server.url + "/entries/demo-example")
+            assert status == 200
+            assert json.loads(body)["entry"]["title"] == "DEMO EXAMPLE"
+        finally:
+            release.set()
+            server.stop()
+        assert not [record for record in caplog.records
+                    if "internal error" in record.getMessage()]
 
 
 class TestConditionalReads:

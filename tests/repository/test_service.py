@@ -3,18 +3,34 @@ incremental search — over every backend."""
 
 from __future__ import annotations
 
+import sqlite3
+import sys
+import threading
+import time
+from contextlib import contextmanager
+
 import pytest
 
-from repro.core.errors import DuplicateEntry, EntryNotFound
+from repro.core.errors import DuplicateEntry, EntryNotFound, StorageError
 from repro.repository.backends import (
     FileBackend,
     MemoryBackend,
     SQLiteBackend,
+    StorageBackend,
 )
+from repro.repository.concurrency import ReadWriteLock
 from repro.repository.curation import CuratedRepository, Role, User
+from repro.repository.resilience import (
+    Deadline,
+    current_deadline,
+    deadline_scope,
+)
 from repro.repository.search import SearchIndex
-from repro.repository.service import RepositoryEvent, RepositoryService
-from repro.repository.store import RepositoryStore
+from repro.repository.service import (
+    MAX_GROUP_WRITES,
+    RepositoryEvent,
+    RepositoryService,
+)
 from repro.repository.versioning import Version
 from tests.repository.test_entry import minimal_entry
 
@@ -37,8 +53,8 @@ def entry_batch(count: int):
 
 
 class TestFacadeBasics:
-    def test_is_a_repository_store(self):
-        assert issubclass(RepositoryService, RepositoryStore)
+    def test_is_a_storage_backend(self):
+        assert issubclass(RepositoryService, StorageBackend)
 
     def test_default_backend_is_memory(self):
         service = RepositoryService()
@@ -286,6 +302,337 @@ class TestEvents:
         unsubscribe()
         service.add(minimal_entry(title="ENTRY 1"))
         assert len(seen) == 1
+
+
+WAIT = 10.0  # generous upper bound for anything that should be instant
+
+
+def wait_until(condition) -> None:
+    deadline = time.monotonic() + WAIT
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def hold_write_lock(service, first):
+    """Write ``first`` on a thread whose event blocks, so that thread
+    holds the write lock until the returned event is set."""
+    holding, release = threading.Event(), threading.Event()
+
+    def block(event):
+        if event.entry == first and not holding.is_set():
+            holding.set()
+            release.wait(WAIT)
+
+    service.subscribe(block)
+    writer = threading.Thread(target=service.add, args=(first,))
+    writer.start()
+    assert holding.wait(WAIT)
+    return release, writer
+
+
+def queue_writes(service, calls):
+    """Start one thread per call, each only once the previous thread's
+    write is queued, so queue order is list order.  Returns the threads
+    and a list each fills with ``("ok", result)`` or ``("error", exc)``."""
+    outcomes: list = [None] * len(calls)
+    threads = []
+    for index, call in enumerate(calls):
+        def run(index=index, call=call):
+            try:
+                outcomes[index] = ("ok", call())
+            except Exception as error:  # noqa: BLE001 - asserted on
+                outcomes[index] = ("error", error)
+        thread = threading.Thread(target=run)
+        thread.start()
+        threads.append(thread)
+        wait_until(lambda: len(service._pending) == index + 1)
+    return threads, outcomes
+
+
+def join_all(threads) -> None:
+    for thread in threads:
+        thread.join(WAIT)
+    assert not any(thread.is_alive() for thread in threads), "deadlock"
+
+
+class TestGroupCommit:
+    """Leader/follower group commit: writes queued behind the write
+    lock commit together, and each writer gets its own outcome."""
+
+    def test_queued_writers_share_one_transaction(self, tmp_path):
+        backend = SQLiteBackend(tmp_path / "repo.db")
+        service = RepositoryService(backend)
+        service.add(minimal_entry(title="TAKEN"))
+        release, leader = hold_write_lock(
+            service, minimal_entry(title="FIRST"))
+        before = backend.change_counter()
+        threads, outcomes = queue_writes(service, [
+            lambda: service.add_many(entry_batch(1)),
+            lambda: service.add_many(
+                [minimal_entry(title=f"PAIR {i}") for i in range(2)]),
+            lambda: service.add(minimal_entry(title="TAKEN")),
+            lambda: service.add_many(
+                [minimal_entry(title=f"TRIO {i}") for i in range(3)]),
+        ])
+        release.set()
+        join_all(threads + [leader])
+        assert backend.change_counter() - before == 1  # one commit
+        assert outcomes[0] == ("ok", 1)
+        assert outcomes[1] == ("ok", 2)
+        assert outcomes[2][0] == "error"
+        assert isinstance(outcomes[2][1], DuplicateEntry)
+        assert outcomes[3] == ("ok", 3)
+        assert service.entry_count() == 8  # the duplicate failed alone
+        service.close()
+
+    def test_events_fire_once_per_entry_in_queue_order(self):
+        service = RepositoryService(MemoryBackend())
+        seen: list[RepositoryEvent] = []
+        service.subscribe(seen.append)
+        first = minimal_entry(title="FIRST")
+        release, leader = hold_write_lock(service, first)
+        threads, _outcomes = queue_writes(service, [
+            lambda: service.add(minimal_entry(title="B")),
+            lambda: service.add_many(
+                [minimal_entry(title="C"), minimal_entry(title="D")]),
+            lambda: service.add(minimal_entry(title="E")),
+        ])
+        release.set()
+        join_all(threads + [leader])
+        assert [event.identifier for event in seen] == \
+            ["first", "b", "c", "d", "e"]
+        assert [event.kind for event in seen] == ["add"] * 5
+
+    def test_an_acknowledged_write_is_durable(self, tmp_path):
+        path = tmp_path / "repo.db"
+        backend = SQLiteBackend(path)
+        service = RepositoryService(backend)
+        release, leader = hold_write_lock(
+            service, minimal_entry(title="FIRST"))
+        before = backend.change_counter()
+
+        def add_then_probe(entry):
+            service.add(entry)
+            # A fresh connection sees only what has committed.
+            with sqlite3.connect(path) as fresh:
+                row = fresh.execute(
+                    "SELECT 1 FROM entries WHERE identifier = ?",
+                    (entry.identifier,)).fetchone()
+            return row is not None
+
+        threads, outcomes = queue_writes(service, [
+            lambda entry=entry: add_then_probe(entry)
+            for entry in entry_batch(4)
+        ])
+        release.set()
+        join_all(threads + [leader])
+        assert outcomes == [("ok", True)] * 4
+        assert backend.change_counter() - before == 1
+        service.close()
+
+    def test_each_write_runs_under_its_own_callers_deadline(self):
+        """Whichever thread leads, a write runs in its submitter's
+        context, so it sees its own caller's ambient deadline."""
+        service = RepositoryService(MemoryBackend())
+        seen: dict[str, object] = {}
+        service.subscribe(lambda event: seen.setdefault(
+            event.identifier, current_deadline()))
+        release, leader = hold_write_lock(
+            service, minimal_entry(title="FIRST"))
+        deadlines = [Deadline.after(60), Deadline.after(120)]
+
+        def add_under(deadline, title):
+            with deadline_scope(deadline):
+                service.add(minimal_entry(title=title))
+
+        threads, outcomes = queue_writes(service, [
+            lambda: add_under(deadlines[0], "X"),
+            lambda: add_under(deadlines[1], "Y"),
+        ])
+        release.set()
+        join_all(threads + [leader])
+        assert outcomes == [("ok", None)] * 2
+        assert seen["x"] is deadlines[0]
+        assert seen["y"] is deadlines[1]
+
+    def test_a_subscriber_write_applies_only_its_own(self):
+        """A write from inside an event callback re-enters the write
+        lock: it applies itself and leaves other threads' writes
+        queued for their own leader."""
+        service = RepositoryService(MemoryBackend())
+        first = minimal_entry(title="FIRST")
+        nested = minimal_entry(title="NESTED")
+        in_callback = threading.Event()
+        still_queued: list[int] = []
+
+        def on_event(event):
+            if event.entry == first:
+                in_callback.set()
+                wait_until(lambda: len(service._pending) == 1)
+                service.add(nested)
+                still_queued.append(len(service._pending))
+
+        service.subscribe(on_event)
+        seen: list[RepositoryEvent] = []
+        service.subscribe(seen.append)
+        leader = threading.Thread(target=service.add, args=(first,))
+        leader.start()
+        assert in_callback.wait(WAIT)
+        other = threading.Thread(
+            target=service.add, args=(minimal_entry(title="OTHER"),))
+        other.start()
+        join_all([leader, other])
+        assert still_queued == [1]
+        assert [event.identifier for event in seen] == \
+            ["nested", "first", "other"]
+
+    def test_a_failed_explicit_group_spares_queued_writers(self, tmp_path):
+        """An explicit write_group() that raises rolls back its own
+        writes only: another thread's write queued meanwhile is neither
+        lost nor acknowledged and then rolled back."""
+        backend = SQLiteBackend(tmp_path / "repo.db")
+        service = RepositoryService(backend)
+        with pytest.raises(RuntimeError, match="abort"):
+            with service.write_group():
+                threads, outcomes = queue_writes(service, [
+                    lambda: service.add(minimal_entry(title="QUEUED")),
+                ])
+                service.add(minimal_entry(title="GHOST"))
+                raise RuntimeError("abort the group")
+        join_all(threads)
+        assert outcomes == [("ok", None)]
+        reopened = SQLiteBackend(tmp_path / "repo.db")
+        assert reopened.identifiers() == ["queued"]
+        reopened.close()
+        service.close()
+
+    def test_a_failed_group_commit_fails_every_write_it_took_down(
+            self, tmp_path):
+        class FailingCommit(SQLiteBackend):
+            @contextmanager
+            def write_group(self):
+                with super().write_group():
+                    yield self
+                    raise sqlite3.OperationalError("disk I/O error")
+
+        service = RepositoryService(FailingCommit(tmp_path / "repo.db"))
+        service.add(minimal_entry(title="TAKEN"))
+        release, leader = hold_write_lock(
+            service, minimal_entry(title="FIRST"))
+        threads, outcomes = queue_writes(service, [
+            lambda: service.add(minimal_entry(title="LOST")),
+            lambda: service.add(minimal_entry(title="TAKEN")),
+        ])
+        release.set()
+        join_all(threads + [leader])
+        assert isinstance(outcomes[0][1], sqlite3.OperationalError)
+        assert isinstance(outcomes[1][1], DuplicateEntry)  # its own error
+        assert not service.has("lost")
+        service.close()
+
+    def test_stress_every_acknowledged_write_lands_once(self, tmp_path):
+        """More writer threads than cores, a tiny switch interval: every
+        acknowledged write is stored and announced exactly once, every
+        rejected one is not, and contended version bumps lose nothing."""
+        backend = SQLiteBackend(tmp_path / "repo.db")
+        service = RepositoryService(backend)
+        service.add(minimal_entry(title="SHARED"))
+        events: list[RepositoryEvent] = []
+        service.subscribe(events.append)
+        workers, per_worker = 8, 12
+        bumps = [0] * workers
+        errors: list[BaseException] = []
+
+        def writer(worker):
+            def run():
+                try:
+                    write(worker)
+                except BaseException as error:  # noqa: BLE001 - re-raised
+                    errors.append(error)
+            return run
+
+        def write(worker):
+            for index in range(per_worker):
+                title = f"W{worker} E{index}"
+                if index % 3 == 0:
+                    service.add_many([minimal_entry(title=title)])
+                else:
+                    service.add(minimal_entry(title=title))
+                with pytest.raises(DuplicateEntry):
+                    service.add(minimal_entry(title="SHARED"))
+                latest = service.versions("shared")[-1]
+                try:
+                    service.add_version(minimal_entry(
+                        title="SHARED",
+                        version=Version(0, latest.minor + 1)))
+                except StorageError:
+                    continue  # lost the race for that version
+                bumps[worker] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer(worker))
+                       for worker in range(workers)]
+            for thread in threads:
+                thread.start()
+            join_all(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        if errors:
+            raise errors[0]
+        total_bumps = sum(bumps)
+        assert service.entry_count() == 1 + workers * per_worker
+        assert service.versions("shared") == \
+            [Version(0, minor) for minor in range(1, total_bumps + 2)]
+        assert len(events) == workers * per_worker + total_bumps
+        assert len({(e.identifier, e.entry.version) for e in events}) \
+            == len(events)
+        service.close()
+
+    def test_one_leader_commits_in_bounded_groups(self, tmp_path):
+        backend = SQLiteBackend(tmp_path / "repo.db")
+        service = RepositoryService(backend)
+        before = backend.change_counter()
+        ops = [service.enqueue_write("add", entry)
+               for entry in entry_batch(MAX_GROUP_WRITES + 2)]
+        assert service.commit_write(ops[-1]) is None
+        assert all(op.done and op.error is None for op in ops)
+        assert backend.change_counter() - before == 2
+        assert service.entry_count() == MAX_GROUP_WRITES + 2
+        service.close()
+
+    def test_a_follower_stops_waiting_once_its_write_is_done(self):
+        """A follower's wait for the write lock ends as soon as a leader
+        has committed its write, even while someone holds the lock."""
+        lock = ReadWriteLock()
+        holding, release = threading.Event(), threading.Event()
+
+        def hold():
+            with lock.write_locked():
+                holding.set()
+                release.wait(WAIT)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert holding.wait(WAIT)
+        try:
+            assert lock.acquire_write(give_up=lambda: True) is False
+        finally:
+            release.set()
+            join_all([holder])
+        # A free lock is simply taken: there is nothing to wait out.
+        assert lock.acquire_write(give_up=lambda: True) is True
+        lock.release_write()
+
+    def test_a_reader_cannot_write_and_leaves_nothing_queued(self):
+        service = RepositoryService(MemoryBackend())
+        with service._rwlock.read_locked():
+            with pytest.raises(RuntimeError):
+                service.add(minimal_entry())
+        assert not service._pending
+        assert not service.has("demo-example")
 
 
 class TestIncrementalSearch:

@@ -1,4 +1,5 @@
-"""E11: versioned storage with stable identifiers (repro.repository.store)."""
+"""E11: versioned storage with stable identifiers (the memory and file
+backends)."""
 
 from __future__ import annotations
 
@@ -7,12 +8,16 @@ import json
 import pytest
 
 from repro.core.errors import DuplicateEntry, EntryNotFound, StorageError
+from repro.repository.backends import (
+    FileBackend,
+    MemoryBackend,
+    StorageBackend,
+)
 from repro.repository.service import (
     API_METHODS,
     RepositoryAPI,
     RepositoryService,
 )
-from repro.repository.store import FileStore, MemoryStore, RepositoryStore
 from repro.repository.versioning import Version
 from tests.repository.test_entry import minimal_entry
 
@@ -20,8 +25,8 @@ from tests.repository.test_entry import minimal_entry
 @pytest.fixture(params=["memory", "file"])
 def store(request, tmp_path):
     if request.param == "memory":
-        return MemoryStore()
-    return FileStore(tmp_path / "repo")
+        return MemoryBackend()
+    return FileBackend(tmp_path / "repo")
 
 
 class TestStoreInterface:
@@ -83,31 +88,30 @@ class TestStoreInterface:
 
 
 class TestRepositoryAPIProtocol:
-    """The compat shims carry the full RepositoryAPI surface.
+    """The storage interface carries the full RepositoryAPI surface.
 
-    ``RepositoryStore``/``MemoryStore``/``FileStore`` are the historical
-    names out-of-tree code subclasses; if the protocol extraction (or a
-    later refactor of the base class) dropped a method, these names
-    would silently stop honouring the service contract.  API_METHODS is
-    the single list both the protocol and this test check against."""
+    If the protocol extraction (or a later refactor of the base class)
+    dropped a method, every backend would silently stop honouring the
+    service contract.  API_METHODS is the single list both the protocol
+    and this test check against."""
 
     def test_api_methods_mirror_the_protocol_exactly(self):
         declared = {name for name in vars(RepositoryAPI)
                     if not name.startswith("_")}
         assert declared == set(API_METHODS)
 
-    def test_store_shims_carry_every_api_method(self, tmp_path):
-        instances = [MemoryStore(), FileStore(tmp_path / "repo")]
+    def test_backends_carry_every_api_method(self, tmp_path):
+        instances = [MemoryBackend(), FileBackend(tmp_path / "repo")]
         for instance in instances:
             for name in API_METHODS:
                 assert callable(getattr(instance, name)), \
                     f"{type(instance).__name__}.{name} missing"
             assert isinstance(instance, RepositoryAPI)
 
-    def test_repository_store_interface_declares_the_surface(self):
+    def test_storage_backend_declares_the_surface(self):
         for name in API_METHODS:
-            assert hasattr(RepositoryStore, name), \
-                f"RepositoryStore.{name} missing"
+            assert hasattr(StorageBackend, name), \
+                f"StorageBackend.{name} missing"
 
     def test_service_facade_satisfies_the_protocol(self):
         service = RepositoryService()
@@ -115,10 +119,10 @@ class TestRepositoryAPIProtocol:
         for name in API_METHODS:
             assert callable(getattr(service, name))
 
-    def test_shim_query_goes_through_execute_query(self):
-        """The hoisted query() convenience reaches the shim classes:
-        the single retrieval surface works on a bare store too."""
-        store = MemoryStore()
+    def test_backend_query_goes_through_execute_query(self):
+        """The hoisted query() convenience reaches every backend: the
+        single retrieval surface works on a bare store too."""
+        store = MemoryBackend()
         store.add(minimal_entry())
         result = store.query("demo")
         assert result.identifiers == ["demo-example"]
@@ -127,7 +131,7 @@ class TestRepositoryAPIProtocol:
 
 class TestFileStoreSpecifics:
     def test_layout_on_disk(self, tmp_path):
-        store = FileStore(tmp_path / "repo")
+        store = FileBackend(tmp_path / "repo")
         store.add(minimal_entry())
         path = tmp_path / "repo" / "entries" / "demo-example" / "0.1.json"
         assert path.is_file()
@@ -135,19 +139,19 @@ class TestFileStoreSpecifics:
         assert data["title"] == "DEMO EXAMPLE"
 
     def test_reopen_preserves_contents(self, tmp_path):
-        FileStore(tmp_path / "repo").add(minimal_entry())
-        reopened = FileStore(tmp_path / "repo")
+        FileBackend(tmp_path / "repo").add(minimal_entry())
+        reopened = FileBackend(tmp_path / "repo")
         assert reopened.get("demo-example").title == "DEMO EXAMPLE"
 
     def test_no_temp_files_left(self, tmp_path):
-        store = FileStore(tmp_path / "repo")
+        store = FileBackend(tmp_path / "repo")
         store.add(minimal_entry())
         store.add_version(minimal_entry(version=Version(0, 2)))
         leftovers = list((tmp_path / "repo").rglob("*.tmp"))
         assert not leftovers
 
     def test_mismatched_file_contents_detected(self, tmp_path):
-        store = FileStore(tmp_path / "repo")
+        store = FileBackend(tmp_path / "repo")
         store.add(minimal_entry())
         path = tmp_path / "repo" / "entries" / "demo-example" / "0.1.json"
         data = json.loads(path.read_text())
@@ -155,12 +159,12 @@ class TestFileStoreSpecifics:
         path.write_text(json.dumps(data))
         # A fresh store (decode memo empty) must detect the mismatch
         # when it actually parses the tampered file.
-        reopened = FileStore(tmp_path / "repo")
+        reopened = FileBackend(tmp_path / "repo")
         with pytest.raises(StorageError, match="something-else"):
             reopened.get("demo-example")
 
     def test_json_is_stable_sorted(self, tmp_path):
-        store = FileStore(tmp_path / "repo")
+        store = FileBackend(tmp_path / "repo")
         store.add(minimal_entry())
         path = tmp_path / "repo" / "entries" / "demo-example" / "0.1.json"
         first = path.read_text()
