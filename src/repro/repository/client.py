@@ -103,6 +103,7 @@ from repro.repository.codec import (
     NDJSON_TYPE,
     LineMemo,
     decode_entry,
+    entry_from_dict,
 )
 from repro.repository.codec import _KeyedLRU
 from repro.repository.concurrency import Mutex
@@ -221,11 +222,13 @@ def _shed_error(headers, raw: bytes) -> StorageError:
 class _ValidationCache(_KeyedLRU):
     """Conditional-read state: request path -> (etag, entry snapshot).
 
-    The ETag embeds the server's change token, so this needs no
-    invalidation protocol: any write — this client's or anyone
-    else's — changes the token, the next revalidation misses (one full
-    200), and the stale pair is replaced.  Entries are immutable value
-    objects, so handing the cached snapshot back on a 304 is safe.
+    The server's ETag needs no invalidation protocol here.  Over a
+    store that keeps encoded entries (SQLite) it digests the entry's
+    stored bytes, so only a write to *that* entry misses the next
+    revalidation; otherwise it embeds the repository's change token,
+    which any write moves.  Either way a miss is one full 200 that
+    replaces the stale pair.  Entries are immutable value objects, so
+    handing the cached snapshot back on a 304 is safe.
     """
 
     def __init__(self, maxsize: int = 1024) -> None:
@@ -516,7 +519,7 @@ class HTTPBackend(StorageBackend):
         if status == 304 and cached is not None:
             return cached[1]
         payload = self._decode(status, raw)
-        entry = ExampleEntry.from_dict(payload["entry"])
+        entry = entry_from_dict(payload["entry"])
         etag = headers.get("ETag")
         if etag:
             self._validation.put(path, etag, entry)
@@ -565,8 +568,7 @@ class HTTPBackend(StorageBackend):
         payload = self._request(
             "POST", "/batch/get", {"requests": self._wire_requests(requests)}
         )
-        return [ExampleEntry.from_dict(data)
-                for data in payload["entries"]]
+        return [entry_from_dict(data) for data in payload["entries"]]
 
     def iter_many(self,
                   requests: Sequence[GetRequest]) -> Iterator[ExampleEntry]:
@@ -584,7 +586,7 @@ class HTTPBackend(StorageBackend):
             if kind == "payload":
                 # A non-streaming server answered the buffered body.
                 for data in value["entries"]:
-                    yield ExampleEntry.from_dict(data)
+                    yield entry_from_dict(data)
                 return
             entry = self._line_memo.get(value)
             if entry is None:

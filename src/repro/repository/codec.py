@@ -50,6 +50,7 @@ from repro.repository.concurrency import Mutex
 from repro.repository.entry import ExampleEntry
 
 __all__ = [
+    "CANONICAL_PREFIX",
     "CODEC_VERSION",
     "DecodeMemo",
     "EncodeMemo",
@@ -59,6 +60,7 @@ __all__ = [
     "NDJSON_TYPE",
     "decode_entry",
     "encode_entry",
+    "entry_from_dict",
 ]
 
 #: Wire-format version; bump when the payload layout changes shape.
@@ -77,6 +79,10 @@ NDJSON_TYPE = "application/x-ndjson"
 #: The tag key carried inside the payload dict.  Underscore-prefixed so
 #: it can never collide with a template field name.
 _TAG_KEY = "_codec"
+#: How every payload :func:`encode_entry` writes begins: sorted keys put
+#: the underscore-prefixed tag first.  A stored payload with this prefix
+#: is already canonical and can be served as stored.
+CANONICAL_PREFIX = f'{{"{_TAG_KEY}":{CODEC_VERSION},'
 
 
 def encode_entry(entry: ExampleEntry) -> str:
@@ -104,10 +110,21 @@ def decode_entry(payload: str | bytes) -> ExampleEntry:
     if not isinstance(data, dict):
         raise StorageError(
             f"entry payload is not an object: {type(data).__name__}")
+    return entry_from_dict(data)
+
+
+def entry_from_dict(data: dict) -> ExampleEntry:
+    """Hydrate one decoded entry dict, checking its codec tag.
+
+    The one gate every entry dict passes, whether it came from storage
+    or off the wire (an entry body carries the stored payload, tag
+    included).  Pops the tag from ``data``; a tag naming a codec newer
+    than this build raises :class:`~repro.core.errors.StorageError`.
+    """
     tag = data.pop(_TAG_KEY, None)
-    if tag is not None and tag > CODEC_VERSION:
+    if tag is not None and (not isinstance(tag, int) or tag > CODEC_VERSION):
         raise StorageError(
-            f"entry payload uses codec version {tag}; this build "
+            f"entry payload uses codec version {tag!r}; this build "
             f"understands up to {CODEC_VERSION}")
     return ExampleEntry.from_dict(data)
 

@@ -49,10 +49,17 @@ GET     /wiki/{id}                    the entry's wikidot page, as text,
 The wire itself is kept as cheap as the caches behind it:
 
 * **Conditional reads** — ``GET /entries/{id}``, ``GET /wiki/{id}`` and
-  ``GET /stats`` send a weak ``ETag`` (keyed by the service's change
-  token; the wiki endpoint uses the render cache's finer per-identifier
-  validator) and honour ``If-None-Match``: a match answers ``304 Not
-  Modified`` with *zero* fetch, codec or render work on either end.
+  ``GET /stats`` send a weak ``ETag`` and honour ``If-None-Match``: a
+  match answers ``304 Not Modified`` with no body and no codec work on
+  either end.  Entry validators are per entry where the backend keeps
+  the codec's bytes (SQLite): the ETag is a digest of the stored
+  payload, which is also the 200 body, sent as stored.  A write to one
+  entry leaves every other entry's ETag valid, and two servers over one
+  database mint the same tag; a 304 costs one row read and a digest.
+  Other backends key entry ETags by the service's change token, which
+  any write moves; their 304 needs no fetch at all.  The wiki endpoint
+  uses the render cache's per-identifier validator, ``/stats`` the
+  change token.
 * **Compression** — ``Accept-Encoding: gzip`` is negotiated and bodies
   above a threshold are gzipped (small payloads skip the CPU);
   request bodies may arrive with ``Content-Encoding: gzip``.  An
@@ -90,6 +97,7 @@ from __future__ import annotations
 
 import argparse
 import gzip
+import hashlib
 import json
 import logging
 import re
@@ -718,9 +726,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _repository_etag(self, *parts: str) -> str | None:
         """An ETag bound to the service change token, or None.
 
-        Read the token BEFORE fetching what it validates: a write
-        landing in between leaves a stale token on fresh content —
-        one spurious revalidation later, never a false 304.
+        The coarse validator: any write anywhere moves it.  Entry reads
+        use it only when the backend keeps no encoded bytes to digest
+        (see :meth:`_handle_get_entry`).  Read the token BEFORE fetching
+        what it validates: a write landing in between leaves a stale
+        token on fresh content — one spurious revalidation later, never
+        a false 304.
         """
         token = self.server.repository.change_token()
         if token is None:
@@ -742,14 +753,30 @@ class _Handler(BaseHTTPRequestHandler):
         requested = parse_qs(query_string).get("version")
         if requested:
             version = Version.parse(requested[0])
-        etag = self._repository_etag(
-            identifier, requested[0] if requested else "latest")
+        slot = requested[0] if requested else "latest"
+        repository = self.server.repository
+        payload = repository.get_encoded(identifier, version)
+        if payload is not None:
+            # The backend holds the entry's codec bytes: they are both
+            # the body and the validator, so the ETag moves exactly when
+            # this entry's representation does, and every server over
+            # the same store mints the same one.
+            encoded = payload.encode("utf-8")
+            etag = _make_etag(
+                hashlib.blake2b(encoded, digest_size=16).hexdigest(), slot)
+            if self._precondition_hit(etag):
+                self._send_not_modified(etag)
+                return
+            self._send_bytes(200, b'{"entry":' + encoded + b"}",
+                             "application/json", etag=etag)
+            return
+        etag = self._repository_etag(identifier, slot)
         if etag is not None and self._precondition_hit(etag):
-            # The whole point of the conditional read: no fetch, no
-            # to_dict, no dumps — the validator alone answers.
+            # No stored bytes to digest: the change token validates, and
+            # a match answers with no fetch, no to_dict, no dumps.
             self._send_not_modified(etag)
             return
-        entry = self.server.repository.get(identifier, version)
+        entry = repository.get(identifier, version)
         self._send_json(200, {"entry": entry.to_dict()}, etag=etag)
 
     def _handle_versions(self, identifier: str,
@@ -1154,8 +1181,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def log_message(self, format: str, *args: object) -> None:
-        """Access logging goes to the module logger, not stderr."""
-        _log.debug("%s - %s", self.address_string(), format % args)
+        """Access logging goes to the module logger, not stderr.
+
+        Formatted only when DEBUG is on: the line is built per response,
+        and the logger is quiet by default.
+        """
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("%s - %s", self.address_string(), format % args)
 
 
 class RepositoryServer:

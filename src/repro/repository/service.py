@@ -276,6 +276,14 @@ class RepositoryService(StorageBackend):
         with self._rwlock.read_locked():
             return self.backend.get_many(requests)
 
+    def get_encoded(self, identifier: str,
+                    version: Version | None = None) -> str | None:
+        """The backend's stored codec payload, or None if it keeps none
+        (see :meth:`StorageBackend.get_encoded`).  Not part of
+        :data:`API_METHODS`: only the HTTP server's entry route uses it."""
+        with self._rwlock.read_locked():
+            return self.backend.get_encoded(identifier, version)
+
     # ------------------------------------------------------------------
     # Writes (queued, then committed in groups under the write lock).
     # ------------------------------------------------------------------

@@ -14,16 +14,19 @@ import json
 
 import pytest
 
-from repro.core.errors import StorageError
-from repro.repository.backends import FileBackend, SQLiteBackend
+from repro.core.errors import EntryNotFound, StorageError
+from repro.repository.backends import FileBackend, MemoryBackend, SQLiteBackend
 from repro.repository.codec import (
+    CANONICAL_PREFIX,
     CODEC_VERSION,
     DecodeMemo,
     EncodeMemo,
     LineMemo,
     decode_entry,
     encode_entry,
+    entry_from_dict,
 )
+from repro.repository.service import RepositoryService
 from repro.repository.versioning import Version
 from tests.repository.test_entry import minimal_entry
 
@@ -60,6 +63,29 @@ class TestWireFormat:
     def test_non_object_payload_rejected(self):
         with pytest.raises(StorageError, match="not an object"):
             decode_entry("[1, 2, 3]")
+
+    def test_canonical_prefix_opens_every_encoded_entry(self):
+        assert encode_entry(minimal_entry()).startswith(CANONICAL_PREFIX)
+
+
+class TestEntryFromDict:
+    """The gate for entry dicts that arrive already parsed (off the
+    wire): the same tag check :func:`decode_entry` applies."""
+
+    def test_strips_the_tag_and_hydrates(self):
+        data = json.loads(encode_entry(minimal_entry()))
+        assert entry_from_dict(data) == minimal_entry()
+        assert "_codec" not in data
+
+    def test_untagged_dicts_hydrate(self):
+        assert entry_from_dict(minimal_entry().to_dict()) == minimal_entry()
+
+    @pytest.mark.parametrize("tag", [CODEC_VERSION + 1, "1"])
+    def test_newer_or_malformed_tags_are_refused(self, tag):
+        data = minimal_entry().to_dict()
+        data["_codec"] = tag
+        with pytest.raises(StorageError, match="codec version"):
+            entry_from_dict(data)
 
 
 class TestDecodeMemo:
@@ -272,6 +298,49 @@ class TestBackendsThroughTheCodec:
             sqlite_backend.add(minimal_entry())
             sqlite_backend.get("demo-example")
             assert "decode_memo" in sqlite_backend.cache_stats()
+
+    def test_sqlite_get_encoded_is_the_stored_payload(self, tmp_path):
+        with SQLiteBackend(tmp_path / "repo.db") as backend:
+            first = minimal_entry()
+            second = minimal_entry(version=Version(0, 2), overview="Two.")
+            backend.add(first)
+            backend.add_version(second)
+            assert backend.get_encoded("demo-example") == encode_entry(
+                second)
+            assert backend.get_encoded(
+                "demo-example", Version(0, 1)) == encode_entry(first)
+            with pytest.raises(EntryNotFound):
+                backend.get_encoded("missing")
+            with pytest.raises(EntryNotFound):
+                backend.get_encoded("demo-example", Version(0, 9))
+
+    def test_sqlite_get_encoded_keeps_the_decode_check(self, tmp_path):
+        """Bytes are served as stored only after they hydrate: a warm
+        payload is one memo hit, a newer-codec row raises."""
+        path = tmp_path / "repo.db"
+        with SQLiteBackend(path) as backend:
+            backend.add(minimal_entry())
+            hits = backend.cache_stats()["decode_memo"]["hits"]
+            backend.get_encoded("demo-example")
+            assert backend.cache_stats()["decode_memo"]["hits"] == hits + 1
+            data = minimal_entry(title="NEWER").to_dict()
+            data["_codec"] = CODEC_VERSION + 1
+            with backend._lock, backend._conn:
+                backend._conn.execute(
+                    "INSERT INTO entries (identifier, major, minor, "
+                    "payload) VALUES ('newer', 0, 1, ?)",
+                    (json.dumps(data, sort_keys=True),))
+            with pytest.raises(StorageError, match="codec version"):
+                backend.get_encoded("newer")
+
+    def test_backends_without_stored_bytes_return_none(self, tmp_path):
+        backend = FileBackend(tmp_path / "repo")
+        backend.add(minimal_entry())
+        assert backend.get_encoded("demo-example") is None
+        service = RepositoryService(MemoryBackend())
+        service.add(minimal_entry())
+        assert service.get_encoded("demo-example") is None
+        service.close()
 
     def test_composite_cache_stats_merge_children(self, tmp_path):
         from repro.repository.backends import (

@@ -10,10 +10,13 @@ endpoint, concurrent handler threads, and lifecycle.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import http.client
 import json
+import logging
 import os
 import socket
+import sqlite3
 import struct
 import sys
 import threading
@@ -27,8 +30,12 @@ from repro.core.errors import EntryNotFound, StorageError
 from repro.repository.aservice import AsyncRepositoryService
 from repro.repository.backends import MemoryBackend, SQLiteBackend
 from repro.repository.client import HTTPBackend
-from repro.repository.codec import encode_entry
-from repro.repository.server import STREAM_PAGE_SIZE, RepositoryServer
+from repro.repository.codec import CODEC_VERSION, encode_entry
+from repro.repository.server import (
+    STREAM_PAGE_SIZE,
+    RepositoryServer,
+    _Handler,
+)
 from repro.repository.service import RepositoryService
 from repro.repository.versioning import Version
 from tests.repository.test_entry import minimal_entry
@@ -735,6 +742,128 @@ class TestServersSharingOneDatabase:
                 server.stop()
 
 
+def insert_raw_row(db_path, identifier: str, payload: str) -> None:
+    """Store one snapshot row behind the backend's back, as an older
+    build (or a newer one) would have written it."""
+    connection = sqlite3.connect(db_path)
+    try:
+        with connection:
+            connection.execute(
+                "INSERT INTO entries (identifier, major, minor, payload) "
+                "VALUES (?, 0, 1, ?)", (identifier, payload))
+    finally:
+        connection.close()
+
+
+class TestPerEntryValidators:
+    """Over SQLite an entry's ETag digests its stored bytes: it moves
+    when that entry is written and survives writes to any other."""
+
+    def test_an_unrelated_add_leaves_the_etag_valid(self, sqlite_served):
+        server, client = sqlite_served
+        client.add(minimal_entry())
+        first = client.get("demo-example")
+        _s, before, _b = raw_get(server.port, "/entries/demo-example")
+        client.add(minimal_entry(title="OTHER EXAMPLE"))
+        status, after, body = raw_get(
+            server.port, "/entries/demo-example",
+            **{"If-None-Match": before["ETag"]})
+        assert status == 304
+        assert body == b""
+        assert after["ETag"] == before["ETag"]
+        # The client's cached snapshot revalidates the same way.
+        assert client.get("demo-example") is first
+        assert server.metrics.snapshot()["conditional"]["not_modified"] == 2
+
+    @pytest.mark.parametrize("write", ["replace_latest", "add_version"])
+    def test_a_write_to_the_entry_moves_its_etag(self, sqlite_served,
+                                                  write):
+        server, client = sqlite_served
+        client.add(minimal_entry())
+        _s, before, _b = raw_get(server.port, "/entries/demo-example")
+        revised = minimal_entry(
+            overview="Revised.",
+            version=Version(0, 2) if write == "add_version"
+            else Version(0, 1))
+        getattr(client, write)(revised)
+        status, after, body = raw_get(
+            server.port, "/entries/demo-example",
+            **{"If-None-Match": before["ETag"]})
+        assert status == 200
+        assert after["ETag"] != before["ETag"]
+        assert json.loads(body)["entry"]["overview"] == "Revised."
+        assert client.get("demo-example") == revised
+
+    def test_the_etag_is_a_digest_of_the_body_and_the_version_slot(
+            self, sqlite_served):
+        server, client = sqlite_served
+        entry = minimal_entry()
+        client.add(entry)
+        payload = encode_entry(entry).encode("utf-8")
+        digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
+        _s, latest, body = raw_get(server.port, "/entries/demo-example")
+        _s, pinned, _b = raw_get(server.port,
+                                 "/entries/demo-example?version=0.1")
+        assert body == b'{"entry":' + payload + b"}"
+        assert latest["ETag"] == f'W/"{digest}/latest"'
+        assert pinned["ETag"] == f'W/"{digest}/0.1"'
+
+    def test_servers_over_one_database_mint_the_same_etag(self, tmp_path):
+        servers = [
+            RepositoryServer(
+                RepositoryService(SQLiteBackend(tmp_path / "repo.db")),
+                close_service=True).start()
+            for _side in ("a", "b")]
+        client_a = HTTPBackend(servers[0].url)
+        try:
+            client_a.add(minimal_entry())
+            _s, minted_a, _b = raw_get(servers[0].port,
+                                       "/entries/demo-example")
+            _s, minted_b, _b = raw_get(servers[1].port,
+                                       "/entries/demo-example")
+            assert minted_a["ETag"] == minted_b["ETag"]
+            # A write to another entry through A leaves A's tag valid
+            # at B.
+            client_a.add(minimal_entry(title="OTHER EXAMPLE"))
+            status, _h, _b = raw_get(
+                servers[1].port, "/entries/demo-example",
+                **{"If-None-Match": minted_a["ETag"]})
+            assert status == 304
+        finally:
+            client_a.close()
+            for server in servers:
+                server.stop()
+
+    def test_a_legacy_untagged_row_is_served_canonical(
+            self, sqlite_served, tmp_path):
+        server, client = sqlite_served
+        entry = minimal_entry(title="LEGACY EXAMPLE")
+        insert_raw_row(tmp_path / "repo.db", entry.identifier,
+                       json.dumps(entry.to_dict(), indent=2))
+        _s, headers, body = raw_get(server.port, "/entries/legacy-example")
+        canonical = encode_entry(entry).encode("utf-8")
+        assert body == b'{"entry":' + canonical + b"}"
+        digest = hashlib.blake2b(canonical, digest_size=16).hexdigest()
+        assert headers["ETag"] == f'W/"{digest}/latest"'
+        assert client.get("legacy-example") == entry
+
+    def test_a_newer_codec_row_is_a_typed_error(self, sqlite_served,
+                                                tmp_path):
+        server, client = sqlite_served
+        data = minimal_entry().to_dict()
+        data["_codec"] = CODEC_VERSION + 1
+        insert_raw_row(tmp_path / "repo.db", "demo-example",
+                       json.dumps(data, sort_keys=True,
+                                  separators=(",", ":")))
+        status, _h, body = raw_get(server.port, "/entries/demo-example")
+        assert status == 400
+        detail = json.loads(body)["error"]
+        assert detail["type"] == "StorageError"
+        assert "codec version" in detail["message"]
+        with pytest.raises(StorageError, match="codec version"):
+            client.get("demo-example")
+
+
 class TestReadConnections:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="counts open files through /proc")
@@ -1167,6 +1296,28 @@ class TestRetryOnStaleSocket:
             fake.close()
 
 
+class TestClientCodecCheck:
+    def test_an_entry_body_from_a_newer_codec_is_rejected(self):
+        """Entry bodies carry the stored payload and its codec tag; the
+        client refuses a tag newer than it understands instead of
+        silently dropping fields it does not know."""
+        data = minimal_entry().to_dict()
+        data["_codec"] = CODEC_VERSION + 1
+
+        def answer(connection):
+            scripted_response(connection,
+                              json.dumps({"entry": data}).encode("utf-8"))
+
+        fake = ScriptedServer(answer)
+        client = HTTPBackend(fake.url)
+        try:
+            with pytest.raises(StorageError, match="codec version"):
+                client.get("demo-example")
+        finally:
+            client.close()
+            fake.close()
+
+
 class TestObservability:
     def test_stats_exposes_route_counters_and_wire_ratios(self, served):
         server, client = served
@@ -1184,6 +1335,23 @@ class TestObservability:
         assert section["gzip"]["responses"] >= 1
         assert 0 < section["gzip"]["bytes_saved_ratio"] < 1
         assert section["stream"] == {"responses": 1, "lines": 1}
+
+    def test_access_log_is_built_only_when_debug_is_on(self, caplog):
+        class Peer:
+            def address_string(self):
+                self.asked = True
+                return "127.0.0.1"
+
+        peer = Peer()
+        with caplog.at_level(logging.INFO, logger="repro.repository.server"):
+            _Handler.log_message(peer, "%s %s", "GET", "/entries")
+        assert not hasattr(peer, "asked")
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG,
+                             logger="repro.repository.server"):
+            _Handler.log_message(peer, "%s %s", "GET", "/entries")
+        assert peer.asked
+        assert caplog.records[-1].getMessage() == "127.0.0.1 - GET /entries"
 
     def test_stats_carries_the_change_token_and_wire_memo(self, served):
         server, client = served
