@@ -4,7 +4,7 @@ Concurrent writes through :class:`~repro.repository.service.RepositoryService`
 coalesce: whichever writer holds the write lock commits every write
 queued behind it as one group through a single backend transaction
 (``backend.write_group()``), so N concurrent writers pay one durable
-commit per *group* instead of one per write.  The async adapter and the
+commit per *group* instead of one per write.  Plain threads and the
 HTTP server's handler threads reach that same path.  This file measures
 exactly that claim, with the usual honesty rules:
 
@@ -13,14 +13,13 @@ exactly that claim, with the usual honesty rules:
   group commit exists for — under WAL's relaxed ``synchronous=NORMAL``
   commits barely cost anything and coalescing only buys back the
   transaction bookkeeping;
-* writers are real ``asyncio`` coroutines going through the public
-  ``add()`` coroutine, each keeping a bounded window of writes in
-  flight — the shape of a bulk loader or a busy API frontend, not a
-  hand-built fast path;
-* the serialised baseline is the same four writer coroutines calling
-  the bare backend's ``add`` on executor threads — one commit per
-  write, which the baseline asserts — so the measured ratio isolates
-  the group-commit win;
+* writers are plain threads on the facade's public pipelining API:
+  each queues a window of ``WRITE_WINDOW`` writes with
+  ``enqueue_write`` and then waits for them with ``commit_write`` —
+  the shape of a bulk loader, not a hand-built fast path;
+* the serialised baseline is the same four writer threads calling the
+  bare backend's ``add`` — one commit per write, which the baseline
+  asserts — so the measured ratio isolates the group-commit win;
 * :class:`TestWritePathTargets` pins the acceptance floors — coalesced
   4-writer ingest **>= 3x** the serialised write ops/s, and read p50
   *during* ingest within the no-regression bound — plus the sustained
@@ -36,7 +35,6 @@ ride into ``BENCH_PR<N>.json`` via ``benchmarks/trend.py``.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import threading
 import time
@@ -46,20 +44,19 @@ import pytest
 
 from bench_store_backends import make_entries
 from repro.harness.workloads import zipfian_identifiers
-from repro.repository.aservice import AsyncRepositoryService
 from repro.repository.backends import SQLiteBackend
 from repro.repository.client import HTTPBackend
 from repro.repository.server import RepositoryServer
 from repro.repository.service import RepositoryService
 
-#: The ISSUE's acceptance shape: four concurrent writer coroutines.
+#: The acceptance shape: four concurrent writer threads.
 INGEST_WRITERS = 4
 
 #: Writes each writer issues during a measured ingest run.
 PER_WRITER = 250
 
 #: In-flight window per writer (a loader pipelines, it does not
-#: ping-pong one write at a time over the loop).
+#: ping-pong one write at a time).
 WRITE_WINDOW = 32
 
 #: The mixed sustained run: 90% reads / 10% writes, Zipfian targets.
@@ -71,7 +68,7 @@ READ_POPULATION = 400
 
 
 class IngestStack:
-    """One durable-SQLite async service, ready for a measured ingest."""
+    """One durable-SQLite service, ready for a measured ingest."""
 
     def __init__(self, tmp_path, *, preload: int = 0) -> None:
         tmp_path.mkdir(parents=True, exist_ok=True)
@@ -83,18 +80,23 @@ class IngestStack:
         else:
             self.preloaded = []
         self.identifiers = [entry.identifier for entry in self.preloaded]
-        self.service = AsyncRepositoryService(
-            self.backend, max_pending_writes=None)
+        self.service = RepositoryService(self.backend)
 
-    async def ingest(self, entries, writers: int) -> float:
-        """Split ``entries`` across N writer coroutines; returns ops/s."""
-        return await _timed_ingest(self.service.add, entries, writers)
+    def write_share(self, share) -> None:
+        """One pipelining writer: queue ``WRITE_WINDOW`` writes, then
+        wait for each; the first wait can lead the whole window's group."""
+        for start in range(0, len(share), WRITE_WINDOW):
+            ops = [self.service.enqueue_write("add", entry)
+                   for entry in share[start:start + WRITE_WINDOW]]
+            for op in ops:
+                self.service.commit_write(op)
 
     def run_ingest(self, entries, writers: int = INGEST_WRITERS) -> float:
-        return asyncio.run(self.ingest(entries, writers))
+        """Split ``entries`` across N writer threads; returns ops/s."""
+        return _timed_ingest(self.write_share, entries, writers)
 
     def close(self) -> None:
-        asyncio.run(self.service.close())
+        self.service.close()
 
 
 def _shares(entries, writers: int) -> list:
@@ -103,38 +105,48 @@ def _shares(entries, writers: int) -> list:
             for index in range(writers)]
 
 
-async def _timed_ingest(add, entries, writers: int) -> float:
-    """N writer coroutines, each pipelining ``WRITE_WINDOW`` awaited
-    ``add(entry)`` calls at a time over its share; returns ops/s."""
-    async def writer(share) -> None:
-        for start in range(0, len(share), WRITE_WINDOW):
-            window = share[start:start + WRITE_WINDOW]
-            await asyncio.gather(*[add(entry) for entry in window])
+def _timed_ingest(write_share, entries, writers: int) -> float:
+    """N writer threads, released together by a barrier, each running
+    ``write_share`` over its share of ``entries``; returns ops/s."""
+    barrier = threading.Barrier(writers + 1)
+    errors: list[BaseException] = []
 
+    def run(share) -> None:
+        barrier.wait()
+        try:
+            write_share(share)
+        except BaseException as error:  # re-raised on the caller
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(share,))
+               for share in _shares(entries, writers)]
+    for thread in threads:
+        thread.start()
+    barrier.wait()
     started = time.perf_counter()
-    await asyncio.gather(
-        *[writer(share) for share in _shares(entries, writers)])
-    return len(entries) / (time.perf_counter() - started)
+    for thread in threads:
+        thread.join()
+    elapsed = time.perf_counter() - started
+    if errors:
+        raise errors[0]
+    return len(entries) / elapsed
 
 
 def bare_backend_ingest(tmp_path, entries,
                         writers: int = INGEST_WRITERS) -> tuple[float, int]:
-    """The serialised baseline: the same N writer coroutines, each
-    write the bare durable backend's ``add`` on an executor thread, one
-    commit per write.  Returns (ops/s, commits)."""
+    """The serialised baseline: the same N writer threads, each calling
+    the bare durable backend's ``add``, one commit per write.  Returns
+    (ops/s, commits)."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     backend = SQLiteBackend(tmp_path / "bare.db", durability="full")
+
+    def write_share(share) -> None:
+        for entry in share:
+            backend.add(entry)
+
     try:
         before = backend.change_counter()
-        with ThreadPoolExecutor(max_workers=writers) as pool:
-            async def run() -> float:
-                loop = asyncio.get_running_loop()
-                return await _timed_ingest(
-                    lambda entry: loop.run_in_executor(
-                        pool, backend.add, entry),
-                    entries, writers)
-
-            rate = asyncio.run(run())
+        rate = _timed_ingest(write_share, entries, writers)
         return rate, backend.change_counter() - before
     finally:
         backend.close()
@@ -149,22 +161,17 @@ def http_ingest(tmp_path, entries,
     server = RepositoryServer(RepositoryService(backend),
                               close_service=True).start()
     client = HTTPBackend(server.url)
+
+    def write_share(share) -> None:
+        for entry in share:
+            client.add(entry)
+
     try:
         before = backend.change_counter()
-        barrier = threading.Barrier(writers)
-
-        def write(share) -> None:
-            barrier.wait()
-            for entry in share:
-                client.add(entry)
-
-        started = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=writers) as pool:
-            list(pool.map(write, _shares(entries, writers)))
-        elapsed = time.perf_counter() - started
+        rate = _timed_ingest(write_share, entries, writers)
         commits = backend.change_counter() - before
         assert backend.entry_count() == len(entries)
-        return len(entries) / elapsed, commits
+        return rate, commits
     finally:
         client.close()
         server.stop()
@@ -175,13 +182,13 @@ def _percentile(samples: list[float], fraction: float) -> float:
     return ordered[min(len(ordered) - 1, int(len(ordered) * fraction))]
 
 
-async def _timed_reads(service: AsyncRepositoryService,
-                       stream: list[str]) -> list[float]:
+def _timed_reads(service: RepositoryService,
+                 stream: list[str]) -> list[float]:
     """Sequential point reads, each timed — the latency a client sees."""
     samples: list[float] = []
     for identifier in stream:
         started = time.perf_counter()
-        await service.get(identifier)
+        service.get(identifier)
         samples.append(time.perf_counter() - started)
     return samples
 
@@ -247,7 +254,7 @@ def test_mixed_90_10_zipfian_throughput(benchmark, tmp_path):
     workers = 4
     per_worker = MIX_OPS // workers
 
-    async def worker(seed: int) -> int:
+    def worker(seed: int) -> int:
         rng = random.Random(seed)
         reads = zipfian_identifiers(per_worker, stack.identifiers,
                                     seed=seed)
@@ -255,24 +262,23 @@ def test_mixed_90_10_zipfian_throughput(benchmark, tmp_path):
         done = 0
         for index in range(per_worker):
             if rng.random() < MIX_READ_SHARE:
-                await stack.service.get(reads[index])
+                stack.service.get(reads[index])
             else:
-                await stack.service.add(next(writes))
+                stack.service.add(next(writes))
             done += 1
         return done
 
-    async def run_mix() -> float:
+    def run_mix() -> float:
         started = time.perf_counter()
-        counts = await asyncio.gather(
-            *[worker(seed) for seed in range(workers)])
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(worker, range(workers)))
         elapsed = time.perf_counter() - started
         assert sum(counts) == workers * per_worker
         return sum(counts) / elapsed
 
     try:
         before = stack.backend.change_counter()
-        rate = benchmark.pedantic(
-            lambda: asyncio.run(run_mix()), rounds=1)
+        rate = benchmark.pedantic(run_mix, rounds=1)
         commits = stack.backend.change_counter() - before
     finally:
         stack.close()
@@ -341,22 +347,22 @@ class TestWritePathTargets:
         )[READ_POPULATION:]
         reads = 200
 
-        async def measure() -> tuple[float, float]:
-            idle = await _timed_reads(
+        def measure() -> tuple[float, float]:
+            idle = _timed_reads(
                 stack.service, zipfian_identifiers(
                     reads, stack.identifiers, seed=11))
-            ingest = asyncio.ensure_future(
-                stack.ingest(entries, INGEST_WRITERS))
-            # Let the burst actually start before sampling under it.
-            await asyncio.sleep(0.01)
-            under = await _timed_reads(
-                stack.service, zipfian_identifiers(
-                    reads, stack.identifiers, seed=13))
-            await ingest
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                ingest = pool.submit(stack.run_ingest, entries)
+                # Let the burst actually start before sampling under it.
+                time.sleep(0.01)
+                under = _timed_reads(
+                    stack.service, zipfian_identifiers(
+                        reads, stack.identifiers, seed=13))
+                ingest.result()
             return _percentile(idle, 0.5), _percentile(under, 0.5)
 
         try:
-            idle_p50, ingest_p50 = asyncio.run(measure())
+            idle_p50, ingest_p50 = measure()
         finally:
             stack.close()
         bound = max(10 * idle_p50, 0.050)

@@ -14,20 +14,18 @@ Boots the PR-5 serving stack end to end, in one process:
    but over the wire — writing, querying and reading back;
 4. `GET /wiki/{id}` served from the event-driven render cache:
    a second fetch is a cache hit;
-5. the async facade (`AsyncRepositoryService`) fanning concurrent
-   reads out over the *same* service the HTTP handlers used — and,
-   as the owner of the shutdown, closing everything at the end.
+5. a thread pool fanning concurrent reads out over the *same*
+   service the HTTP handlers used, then closing it at the end.
 """
 
 from __future__ import annotations
 
-import asyncio
 import tempfile
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.catalogue import populate_store
-from repro.repository.aservice import AsyncRepositoryService
 from repro.repository.backends import SQLiteBackend
 from repro.repository.client import HTTPBackend
 from repro.repository.query import Q
@@ -78,20 +76,17 @@ def main() -> None:
 
         client.close()
 
-    # 5. Async fan-out over the same service (one lock, one cache).
-    #    The async context manager owns shutdown: on exit it saves the
-    #    index (when configured), closes the backend and drains its
-    #    executors — so it runs last.
-    async def fan_out() -> None:
-        async with AsyncRepositoryService(service) as aservice:
-            identifiers = (await aservice.identifiers())[:6]
-            entries = await asyncio.gather(
-                *(aservice.get(identifier) for identifier in identifiers))
-            print("async gather: fetched "
-                  f"{[entry.identifier for entry in entries]}")
-            print("entries served:", await aservice.entry_count())
-
-    asyncio.run(fan_out())
+    # 5. Thread fan-out over the same service (one lock, one write
+    #    queue): the facade's read lock admits every reader at once.
+    #    The pool has finished before close() snapshots the index
+    #    (when configured) and closes the backend, so close runs last.
+    identifiers = service.identifiers()[:6]
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        entries = list(pool.map(service.get, identifiers))
+    print("thread fan-out: fetched "
+          f"{[entry.identifier for entry in entries]}")
+    print("entries served:", service.entry_count())
+    service.close()
     print("stack shut down cleanly")
 
 

@@ -1,9 +1,10 @@
 """Static analysis for the repro stack: ``python -m repro.analysis``.
 
 An AST-based analyzer (stdlib only) that machine-checks the invariants
-this codebase otherwise keeps in prose: lock discipline, async purity,
-the typed exception taxonomy, codec boundaries, wire-protocol
-completeness, and harness determinism.  See ARCHITECTURE.md's
+this codebase otherwise keeps in prose: lock discipline, the typed
+exception taxonomy, codec boundaries, wire-protocol completeness,
+retry and transaction discipline, and harness determinism.  See
+ARCHITECTURE.md's
 "Static analysis" section for the rule catalogue and the baseline
 workflow.
 """

@@ -1,8 +1,8 @@
 """Rule engine for the repro static analyzer.
 
 The analyzer machine-checks invariants that previously lived only in
-prose (ARCHITECTURE.md, code comments): lock discipline, async purity,
-the exception taxonomy, codec boundaries, wire-protocol completeness,
+prose (ARCHITECTURE.md, code comments): lock discipline, the
+exception taxonomy, codec boundaries, wire-protocol completeness,
 and harness determinism.  Everything here is stdlib-only (``ast``).
 
 Structure:
@@ -443,7 +443,7 @@ def walk_shallow(root: ast.AST) -> Iterator[ast.AST]:
 
     Code inside a nested ``def``/``lambda`` runs later (often on an
     executor thread or after a lock is released), so rules about "while
-    the lock is held" or "inside this async body" must not see it.
+    the lock is held" or "inside this except handler" must not see it.
     """
     stack = list(ast.iter_child_nodes(root))
     while stack:

@@ -7,7 +7,6 @@ registry (each module's ``@rule`` decorator runs at import time).
 from __future__ import annotations
 
 from repro.analysis.rules import (  # noqa: F401  (imported for registration)
-    asyncpurity,
     codecjson,
     determinism,
     exceptions,
@@ -18,7 +17,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
 )
 
 __all__ = [
-    "asyncpurity",
     "codecjson",
     "determinism",
     "exceptions",

@@ -1,12 +1,12 @@
 """Rule 5 — protocol/route drift.
 
 ``service.API_METHODS`` is the wire contract: the conformance suites
-assume every name appears on the sync facade, the protocol class, the
-async facade, and the HTTP client, and (where it crosses the wire) has
-a dispatch route on the server.  A half-wired endpoint — added to the
-service but not the client, or routed but with no handler — survives
-unit tests and dies in production.  This rule cross-checks all five
-layers from the AST alone.
+assume every name appears on the protocol class, the sync facade and
+the HTTP client, and (where it crosses the wire) has a dispatch route
+on the server.  A half-wired endpoint — added to the service but not
+the client, or routed but with no handler — survives unit tests and
+dies in production.  This rule cross-checks those three layers and the
+server from the AST alone.
 
 The API-name → server-route mapping is declared in ``_ROUTE_OF`` below;
 adding a name to ``API_METHODS`` without extending the mapping is
@@ -48,11 +48,10 @@ _ROUTE_OF: dict[str, str | None] = {
     "close": None,
 }
 
-#: The four API layers: (file the class lives in, class name).
+#: The three API layers: (file the class lives in, class name).
 _LAYERS = (
     ("service.py", "RepositoryAPI"),
     ("service.py", "RepositoryService"),
-    ("aservice.py", "AsyncRepositoryService"),
     ("client.py", "HTTPBackend"),
 )
 
@@ -69,7 +68,7 @@ class _ClassInfo:
 
 @rule("protocol-drift")
 def check(project: Project) -> Found:
-    """every service.API_METHODS name exists on all four API layers and
+    """every service.API_METHODS name exists on all three API layers and
     has a live dispatch route + handler in server.py."""
     methods = _api_methods(project)
     if methods is None:

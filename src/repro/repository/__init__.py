@@ -101,7 +101,6 @@ from repro.repository.service import (
     RepositoryEvent,
     RepositoryService,
 )
-from repro.repository.aservice import AsyncRepositoryService
 from repro.repository.client import HTTPBackend
 from repro.repository.server import RepositoryServer
 from repro.repository.template import (
@@ -153,8 +152,8 @@ __all__ = [
     "RetryBudget", "RetryPolicy", "CircuitBreaker", "HealthProbe",
     # service facade
     "RepositoryService", "RepositoryEvent", "RepositoryAPI", "API_METHODS",
-    # the serving layer: async facade + HTTP server/client
-    "AsyncRepositoryService", "RepositoryServer", "HTTPBackend",
+    # the serving layer: HTTP server/client
+    "RepositoryServer", "HTTPBackend",
     # the read path: codec + render cache
     "encode_entry", "decode_entry", "DecodeMemo", "RenderCache",
     # the unified query API

@@ -291,7 +291,7 @@ class StorageBackend(ABC):
 
         A concrete convenience over :meth:`execute_query`, shared by
         every layer of the stack (backends, the service facade, the
-        async variant, the HTTP client) — part of the
+        HTTP client) — part of the
         :class:`~repro.repository.service.RepositoryAPI` contract, so
         it composes the plan here and lets each layer's
         ``execute_query`` decide where the work runs (SQL pushdown,

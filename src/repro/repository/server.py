@@ -169,6 +169,11 @@ _ROUTES = {
 #: Entries per streamed NDJSON page: one get_many call, one chunk.
 STREAM_PAGE_SIZE = 256
 
+#: Seconds between the accept loop's shutdown checks: ``stop()`` waits
+#: at most this long for ``serve_forever`` to notice it (the stdlib
+#: default is 0.5 s).
+_POLL_INTERVAL = 0.05
+
 
 def _wire_error(status: int, message: str) -> StorageError:
     """A StorageError pinned to a specific HTTP status.
@@ -552,15 +557,17 @@ class _Handler(BaseHTTPRequestHandler):
                     # out; a second response would only fail again.
                     self.close_connection = True
                 except Exception as error:  # noqa: BLE001 - wire boundary
+                    status = _error_status(error)
                     if isinstance(error, DeadlineExceeded):
                         self.server.metrics.count_deadline_rejected()
-                    if _error_status(error) >= 500 and not isinstance(
-                            error, DeadlineExceeded):
+                    if status == 500:
+                        # Only an untyped failure is a server bug; a
+                        # typed 503/504 is an expected answer.
                         _log.exception("internal error on %s %s",
                                        method, split.path)
                     self._consume_body()
                     self._send_json(
-                        _error_status(error), _error_payload(error),
+                        status, _error_payload(error),
                         retry_after=getattr(error, "retry_after", None))
                 else:
                     # A body the handler had no use for (e.g. a GET
@@ -1195,13 +1202,9 @@ class RepositoryServer:
 
     Wraps any :class:`~repro.repository.service.RepositoryAPI`
     implementation — a bare :class:`StorageBackend` is wrapped in a
-    :class:`RepositoryService` first (the facade's lock is what makes
-    concurrent handler threads safe), and an
-    :class:`~repro.repository.aservice.AsyncRepositoryService` is
-    unwrapped to the sync facade it already fronts (handler threads are
-    plain threads; the async variant serves in-process awaiters, this
-    class serves the network — both over the *same* service object, one
-    lock, one write queue).
+    :class:`RepositoryService` first (the facade's lock and write queue
+    are what make concurrent handler threads safe, and what coalesce
+    their writes into group commits).
 
     ``port=0`` binds an ephemeral port; read :attr:`port`/:attr:`url`
     after :meth:`start`.  ``stop()`` tears the listener down and
@@ -1219,11 +1222,7 @@ class RepositoryServer:
         max_inflight: int | None = 64,
         shed_retry_after: float = 1.0,
     ) -> None:
-        # Unwrap the async facade; wrap a bare backend.
-        sync = getattr(service, "service", None)
-        if isinstance(sync, RepositoryService):
-            service = sync
-        elif isinstance(service, StorageBackend) and not isinstance(
+        if isinstance(service, StorageBackend) and not isinstance(
             service, RepositoryService
         ):
             service = RepositoryService(service)
@@ -1283,6 +1282,7 @@ class RepositoryServer:
         self._httpd = httpd
         self._thread = threading.Thread(
             target=httpd.serve_forever,
+            args=(_POLL_INTERVAL,),
             name=f"repro-http-{httpd.server_address[1]}",
             daemon=True,
         )

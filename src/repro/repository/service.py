@@ -26,8 +26,11 @@ facade adds, on top of any
   :meth:`~StorageBackend.write_group` — one transaction, one fsync.
   Every write's result or error is settled only after its group
   commits, so a *follower* that gets the lock next simply returns or
-  raises its own outcome.  HTTP handler threads, plain threads and the
-  async adapter all share this one path.
+  raises its own outcome.  HTTP handler threads and plain threads all
+  share this one path.  A single thread can also keep a window of
+  writes in flight with the pipelining API, :meth:`enqueue_write`
+  then :meth:`commit_write`: its first commit can lead the whole
+  window as one group.
 
 The facade keeps **no snapshot cache** of its own: every read goes to
 the backend, whose own caches (the SQLite decode memo keyed by the
@@ -80,9 +83,9 @@ __all__ = [
 ]
 
 #: Every method of the :class:`RepositoryAPI` contract, by name — the
-#: single list the protocol-coverage tests (and any new variant of the
-#: facade) check themselves against, so a refactor of one layer cannot
-#: silently drop a method from another.
+#: single list the protocol-coverage tests and the analyzer's
+#: protocol-drift rule check every layer against, so a refactor of one
+#: layer cannot silently drop a method from another.
 API_METHODS = (
     # reads
     "identifiers", "versions", "versions_many", "has", "entry_count",
@@ -99,18 +102,15 @@ API_METHODS = (
 
 @runtime_checkable
 class RepositoryAPI(Protocol):
-    """The read/write/query surface every serving variant shares.
+    """The read/write/query surface every serving layer shares.
 
     One explicit contract extracted from :class:`RepositoryService`, so
-    the sync facade, the async variant
-    (:class:`~repro.repository.aservice.AsyncRepositoryService`), the
-    HTTP server (:mod:`repro.repository.server`) and the HTTP client
-    backend (:class:`~repro.repository.client.HTTPBackend`) all expose
-    the *same* operations — a consumer written against this protocol
-    runs unchanged against any of them.  Every
+    the facade, the HTTP server (:mod:`repro.repository.server`) and the
+    HTTP client backend (:class:`~repro.repository.client.HTTPBackend`)
+    all expose the *same* operations — a consumer written against this
+    protocol runs unchanged against any of them.  Every
     :class:`~repro.repository.backends.StorageBackend` satisfies it
-    structurally too (the async variant satisfies it with coroutine
-    methods of the same names and signatures).
+    structurally too.
 
     :data:`API_METHODS` lists the member names; the protocol is
     ``runtime_checkable`` so ``isinstance(obj, RepositoryAPI)`` verifies
@@ -311,10 +311,14 @@ class RepositoryService(StorageBackend):
     def enqueue_write(self, kind: str, payload: object) -> PendingWrite:
         """Queue one write without waiting for the write lock.
 
-        Queue order is commit order.  The caller must then hand the
-        returned record to :meth:`commit_write`, which is what the async
-        adapter does on its writer thread after queueing on the event
-        loop.
+        The first half of the pipelining API.  ``kind`` names a facade
+        write method (``add``, ``add_version``, ``replace_latest`` or
+        ``add_many``; ``add_many`` takes a list).  Queue order is commit
+        order.  The caller must hand every returned record to
+        :meth:`commit_write`.  A thread that queues a window of writes
+        and then commits them in order can lead the whole window as one
+        group on its first commit, so one writer thread pays one
+        transaction per window instead of one per write.
         """
         op = PendingWrite(kind, payload)
         with self._pending_mutex:
@@ -325,9 +329,11 @@ class RepositoryService(StorageBackend):
         """Wait until ``op``'s group has committed; return or raise its
         own outcome.
 
+        The second half of the pipelining API (see :meth:`enqueue_write`).
         A follower waits for the write lock only until some leader has
         committed ``op``.  If it gets the lock first, it leads: it
-        commits queued groups until ``op`` is settled.
+        commits queued groups until ``op`` is settled.  A write that is
+        already settled returns at once.
         """
         try:
             leading = not op.done and self._rwlock.acquire_write(

@@ -48,19 +48,20 @@ class TestFindings:
 
     def test_fingerprint_tracks_rule_path_and_content(self):
         base = finding().fingerprint
-        assert finding(rule="async-purity").fingerprint != base
+        assert finding(rule="codec-discipline").fingerprint != base
         assert finding(path="src/y.py").fingerprint != base
         assert finding(source="other = 1").fingerprint != base
 
-    def test_registry_has_the_six_shipped_rules(self):
+    def test_registry_has_the_seven_shipped_rules(self):
         names = {rule.name for rule in all_rules()}
         assert names >= {
             "lock-discipline",
-            "async-purity",
             "exception-taxonomy",
             "codec-discipline",
             "protocol-drift",
             "harness-determinism",
+            "retry-discipline",
+            "txn-discipline",
         }
 
     def test_syntax_errors_become_findings(self, tmp_path):

@@ -110,87 +110,6 @@ class TestLockDiscipline:
         assert findings == []
 
 
-ASYNC_VIOLATIONS = '''\
-import time
-
-class AsyncRepositoryService:
-    async def get(self, identifier):
-        return self.service.get(identifier)
-
-    async def nap(self):
-        time.sleep(0.1)
-
-    async def close(self):
-        self._writer.shutdown(wait=True)
-
-    async def read_file(self, path):
-        with open(path) as handle:
-            return handle.read()
-'''
-
-ASYNC_SANCTIONED = '''\
-class AsyncRepositoryService:
-    async def get(self, identifier):
-        return await self._read(lambda: self.service.get(identifier))
-
-    async def close(self):
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._readers.shutdown)
-        await loop.run_in_executor(
-            None, lambda: self._writer.shutdown(wait=True))
-
-    def sync_helper(self):
-        return self.service.get("fine-outside-async")
-'''
-
-ASYNC_ENQUEUE = '''\
-class AsyncRepositoryService:
-    async def add(self, entry):
-        op = self.service.enqueue_write("add", entry)
-        return await self._on_writer(lambda: self.service.commit_write(op))
-'''
-
-ASYNC_COMMIT_ON_LOOP = '''\
-class AsyncRepositoryService:
-    async def add(self, entry):
-        op = self.service.enqueue_write("add", entry)
-        return self.service.commit_write(op)
-'''
-
-
-class TestAsyncPurity:
-    def test_fires_on_direct_blocking_calls(self, tmp_path):
-        findings = scan(
-            tmp_path, {"aservice.py": ASYNC_VIOLATIONS}, "async-purity"
-        )
-        assert [f.line for f in findings] == [5, 8, 11, 14]
-
-    def test_quiet_on_executor_submission(self, tmp_path):
-        findings = scan(
-            tmp_path, {"aservice.py": ASYNC_SANCTIONED}, "async-purity"
-        )
-        assert findings == []
-
-    def test_quiet_outside_aservice(self, tmp_path):
-        findings = scan(
-            tmp_path, {"other.py": ASYNC_VIOLATIONS}, "async-purity"
-        )
-        assert findings == []
-
-    def test_quiet_on_the_write_queue_append(self, tmp_path):
-        findings = scan(
-            tmp_path, {"aservice.py": ASYNC_ENQUEUE}, "async-purity"
-        )
-        assert findings == []
-
-    def test_fires_on_the_blocking_commit_wait(self, tmp_path):
-        findings = scan(
-            tmp_path, {"aservice.py": ASYNC_COMMIT_ON_LOOP}, "async-purity"
-        )
-        assert [f.line for f in findings] == [4]
-        assert "commit_write" in findings[0].message
-
-
 ERRORS_MODULE = '''\
 class BxError(Exception):
     pass
@@ -416,7 +335,6 @@ class TestHarnessDeterminism:
 def copy_real_layers(tmp_path) -> dict[str, Path]:
     sources = {
         "service.py": REPO_SRC / "repository" / "service.py",
-        "aservice.py": REPO_SRC / "repository" / "aservice.py",
         "client.py": REPO_SRC / "repository" / "client.py",
         "server.py": REPO_SRC / "repository" / "server.py",
         "backends/base.py": REPO_SRC / "repository" / "backends" / "base.py",
@@ -441,19 +359,25 @@ class TestProtocolDrift:
         assert drift_findings(tmp_path) == []
 
     def test_fires_when_a_layer_loses_an_api_method(self, tmp_path):
-        """The acceptance scenario: drop an API_METHODS name from one
-        layer and the rule must fail."""
+        """The acceptance scenario: drop API_METHODS names from one
+        layer and the rule must fail.  The client loses one method of
+        its own (cache_stats) and, cut off from StorageBackend, the one
+        it inherits (query)."""
         copies = copy_real_layers(tmp_path)
-        doctored = copies["aservice.py"].read_text(encoding="utf-8")
-        assert "async def cache_stats" in doctored
-        copies["aservice.py"].write_text(
-            doctored.replace("async def cache_stats", "async def cache_statz"),
+        doctored = copies["client.py"].read_text(encoding="utf-8")
+        assert "class HTTPBackend(StorageBackend):" in doctored
+        assert "    def cache_stats(" in doctored
+        copies["client.py"].write_text(
+            doctored.replace(
+                "class HTTPBackend(StorageBackend):", "class HTTPBackend:"
+            ).replace("    def cache_stats(", "    def cache_statz("),
             encoding="utf-8",
         )
         findings = drift_findings(tmp_path)
-        assert len(findings) == 1
-        assert "cache_stats" in findings[0].message
-        assert "AsyncRepositoryService" in findings[0].message
+        assert len(findings) == 2
+        assert all("HTTPBackend" in f.message for f in findings)
+        assert "'cache_stats'" in findings[0].message + findings[1].message
+        assert "'query'" in findings[0].message + findings[1].message
 
     def test_fires_when_a_route_is_unwired(self, tmp_path):
         copies = copy_real_layers(tmp_path)

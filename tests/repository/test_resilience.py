@@ -4,7 +4,6 @@ load shedding, repair-before-rejoin reintegration)."""
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
@@ -35,7 +34,6 @@ from repro.repository import (
     deadline_scope,
     shard_index,
 )
-from repro.repository.aservice import AsyncRepositoryService
 from tests.repository.test_entry import minimal_entry
 
 
@@ -724,76 +722,3 @@ class TestServerAdmission:
         finally:
             server.stop()
             service.close()
-
-
-# ----------------------------------------------------------------------
-# Async admission control.
-# ----------------------------------------------------------------------
-
-class TestAsyncAdmission:
-    def test_writer_watermark_sheds(self):
-        async def scenario():
-            async with AsyncRepositoryService(
-                    MemoryBackend(),
-                    max_pending_writes=1,
-                    shed_retry_after=0.75) as aservice:
-                release = threading.Event()
-                started = threading.Event()
-                entry = minimal_entry()
-
-                def blocking_add():
-                    started.set()
-                    release.wait(5.0)
-                    return None
-
-                loop = asyncio.get_running_loop()
-                blocker = loop.run_in_executor(
-                    aservice._writer, blocking_add)
-                await asyncio.get_running_loop().run_in_executor(
-                    None, started.wait, 5.0)
-                # The single writer is busy; one pending write fills
-                # the watermark, the next is shed.
-                pending = asyncio.ensure_future(aservice.add(entry))
-                await asyncio.sleep(0.05)
-                with pytest.raises(BackendUnavailableError) as excinfo:
-                    await aservice.add(minimal_entry(title="SHED ME"))
-                assert excinfo.value.retry_after == pytest.approx(0.75)
-                stats = aservice.admission_stats()
-                assert stats["shed_total"] >= 1
-                release.set()
-                await blocker
-                await pending
-                assert await aservice.has(entry.identifier)
-
-        asyncio.run(scenario())
-
-    def test_drain_refuses_new_work_and_resume_reopens(self):
-        async def scenario():
-            async with AsyncRepositoryService(MemoryBackend()) as aservice:
-                entry = minimal_entry()
-                await aservice.add(entry)
-                assert await aservice.drain(timeout=5.0)
-                assert aservice.admission_stats()["draining"] is True
-                with pytest.raises(BackendUnavailableError,
-                                   match="draining"):
-                    await aservice.get(entry.identifier)
-                aservice.resume()
-                assert await aservice.get(entry.identifier) == entry
-
-        asyncio.run(scenario())
-
-    def test_drain_waits_for_inflight_work(self):
-        async def scenario():
-            async with AsyncRepositoryService(MemoryBackend()) as aservice:
-                await aservice.add_many(
-                    [minimal_entry(title=f"E {i}") for i in range(20)])
-                reads = [asyncio.ensure_future(aservice.identifiers())
-                         for _ in range(8)]
-                # One loop tick: the reads pass admission and park in
-                # the executor before the drain flag flips.
-                await asyncio.sleep(0)
-                assert await aservice.drain(timeout=5.0)
-                for read in reads:
-                    assert len(await read) == 20  # admitted work finished
-
-        asyncio.run(scenario())

@@ -26,8 +26,7 @@ import urllib.request
 
 import pytest
 
-from repro.core.errors import EntryNotFound, StorageError
-from repro.repository.aservice import AsyncRepositoryService
+from repro.core.errors import CircuitOpenError, EntryNotFound, StorageError
 from repro.repository.backends import MemoryBackend, SQLiteBackend
 from repro.repository.client import HTTPBackend
 from repro.repository.codec import CODEC_VERSION, encode_entry
@@ -384,6 +383,19 @@ class TestLifecycle:
         fresh.close()
         service.close()
 
+    def test_stop_returns_promptly(self):
+        """stop() waits one short accept-loop poll, not the stdlib's
+        0.5 s default: five start/stop cycles finish within a second."""
+        service = RepositoryService(MemoryBackend())
+        server = RepositoryServer(service)
+        started = time.perf_counter()
+        for _ in range(5):
+            server.start()
+            server.stop()
+        elapsed = time.perf_counter() - started
+        service.close()
+        assert elapsed < 1.0, f"5 start/stop cycles took {elapsed:.2f}s"
+
     def test_routed_get_with_unread_body_keeps_connection_usable(
             self, served):
         """A body sent with a routed GET is drained after the reply,
@@ -527,12 +539,6 @@ class TestLifecycle:
     def test_bare_backend_is_wrapped_in_a_service(self):
         server = RepositoryServer(MemoryBackend())
         assert isinstance(server.service, RepositoryService)
-
-    def test_async_facade_is_unwrapped_to_its_sync_service(self):
-        service = RepositoryService(MemoryBackend())
-        aservice = AsyncRepositoryService(service)
-        server = RepositoryServer(aservice)
-        assert server.service is service
 
     def test_closed_client_refuses_requests(self, served):
         _server, client = served
@@ -1352,6 +1358,34 @@ class TestObservability:
             _Handler.log_message(peer, "%s %s", "GET", "/entries")
         assert peer.asked
         assert caplog.records[-1].getMessage() == "127.0.0.1 - GET /entries"
+
+    def test_only_an_untyped_failure_logs_an_internal_error(self, caplog):
+        """A typed 503 (here a breaker that is open) is an expected
+        answer with a Retry-After, not a server bug: no traceback.  An
+        untyped exception is a 500 and still logs one."""
+        class FailingBackend(MemoryBackend):
+            def get(self, identifier, version=None):
+                if identifier == "breaker":
+                    raise CircuitOpenError("breaker is open", retry_after=2.0)
+                raise RuntimeError("unexpected bug")
+
+        def internal_errors():
+            return [record for record in caplog.records
+                    if "internal error" in record.getMessage()]
+
+        service = RepositoryService(FailingBackend())
+        with RepositoryServer(service, close_service=True) as server:
+            with caplog.at_level(logging.ERROR,
+                                 logger="repro.repository.server"):
+                status, headers, _body = raw_get(server.port,
+                                                 "/entries/breaker")
+                assert status == 503
+                assert headers["Retry-After"] == "2"
+                assert internal_errors() == []
+                status, _headers, _body = raw_get(server.port,
+                                                  "/entries/other")
+                assert status == 500
+                assert len(internal_errors()) == 1
 
     def test_stats_carries_the_change_token_and_wire_memo(self, served):
         server, client = served

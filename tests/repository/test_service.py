@@ -246,6 +246,60 @@ class TestBatching:
         assert [e.identifier for e in results] == \
             ["entry-0", "entry-1", "entry-2"]
 
+    def test_get_many_is_one_atomic_batch(self, service):
+        """A bulk read runs under one read lock: a racing multi-entry
+        write lands before or after the whole batch, never between two
+        halves of it (no torn snapshot)."""
+        batch = entry_batch(10)
+        service.add_many(batch)
+        identifiers = [entry.identifier for entry in batch]
+        generations = 40
+        writer_done = threading.Event()
+        seen: set[str] = set()
+        torn: list[list[str]] = []
+
+        def write() -> None:
+            try:
+                for generation in range(1, generations + 1):
+                    with service.write_group():
+                        for index in range(len(batch)):
+                            service.replace_latest(minimal_entry(
+                                title=f"ENTRY {index}",
+                                overview=f"Generation {generation}."))
+            finally:
+                writer_done.set()
+
+        def read() -> None:
+            while not writer_done.is_set():
+                overviews = [entry.overview
+                             for entry in service.get_many(identifiers)]
+                seen.update(overviews)
+                if len(set(overviews)) != 1:
+                    torn.append(overviews)
+
+        reader = threading.Thread(target=read)
+        writer = threading.Thread(target=write)
+        reader.start()
+        writer.start()
+        join_all([writer, reader])
+        assert torn == []
+        final = service.get_many(identifiers)
+        assert {entry.overview for entry in final} == \
+            {f"Generation {generations}."}
+        assert seen  # the reader ran while the writer did
+
+    def test_add_many_is_all_or_nothing_on_sqlite(self):
+        """One add_many through the facade is one write: on a
+        transactional backend a duplicate anywhere in the batch stores
+        nothing."""
+        service = RepositoryService(SQLiteBackend())
+        entries = entry_batch(20)
+        entries[12] = entries[3]  # duplicate inside the batch
+        with pytest.raises(DuplicateEntry):
+            service.add_many(entries)
+        assert service.entry_count() == 0
+        service.close()
+
     def test_versions_many(self, service):
         service.add_many(entry_batch(2))
         service.add_version(minimal_entry(title="ENTRY 0",
