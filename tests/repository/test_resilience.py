@@ -712,6 +712,34 @@ class TestServerAdmission:
             server.stop()
             service.close()
 
+    def test_a_draining_server_sheds_and_a_restart_serves_again(self):
+        service = RepositoryService(MemoryBackend())
+        entry = minimal_entry()
+        service.add(entry)
+        server = RepositoryServer(service, shed_retry_after=0.25).start()
+        client = HTTPBackend(server.url,
+                             retry_policy=RetryPolicy(max_attempts=1))
+        try:
+            server._tracker.begin_drain()  # what stop() does first
+            with pytest.raises(BackendUnavailableError,
+                               match="draining") as excinfo:
+                client.get(entry.identifier)
+            assert excinfo.value.retry_after == pytest.approx(0.25)
+            admission = server.metrics.snapshot()["admission"]
+            assert admission["shed_draining"] >= 1
+            assert admission["shed_overload"] == 0
+            server.stop()
+            server.start()
+            restarted = HTTPBackend(server.url)
+            try:
+                assert restarted.get(entry.identifier) == entry
+            finally:
+                restarted.close()
+        finally:
+            client.close()
+            server.stop()
+            service.close()
+
     def test_set_max_inflight_retunes_live(self):
         service = RepositoryService(MemoryBackend())
         server = RepositoryServer(service, max_inflight=64).start()

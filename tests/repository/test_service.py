@@ -7,6 +7,7 @@ import sqlite3
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
@@ -687,6 +688,223 @@ class TestGroupCommit:
                 service.add(minimal_entry())
         assert not service._pending
         assert not service.has("demo-example")
+
+
+def commit_all(service, ops) -> list:
+    """Commit a window in queue order; each slot holds
+    ``("ok", result)`` or ``("error", exc)``."""
+    outcomes = []
+    for op in ops:
+        try:
+            outcomes.append(("ok", service.commit_write(op)))
+        except Exception as error:  # noqa: BLE001 - asserted on
+            outcomes.append(("error", error))
+    return outcomes
+
+
+class TestPipelining:
+    """The public pipelining API: one thread queues a window of writes
+    with ``enqueue_write`` and then hands each to ``commit_write``."""
+
+    def test_a_window_commits_on_its_first_commit(self, service):
+        ops = [service.enqueue_write("add", entry)
+               for entry in entry_batch(8)]
+        assert not any(op.done for op in ops)
+        assert service.commit_write(ops[0]) is None
+        # The first commit led the whole queue: every later record is
+        # already settled, and committing it returns at once.
+        assert all(op.done and op.error is None for op in ops)
+        assert commit_all(service, ops[1:]) == [("ok", None)] * 7
+        assert service.entry_count() == 8
+
+    def test_a_window_is_one_transaction_on_sqlite(self, tmp_path):
+        backend = SQLiteBackend(tmp_path / "repo.db")
+        service = RepositoryService(backend)
+        before = backend.change_counter()
+        ops = [service.enqueue_write("add", entry)
+               for entry in entry_batch(32)]
+        commit_all(service, ops)
+        assert backend.change_counter() - before == 1
+        assert service.entry_count() == 32
+        service.close()
+
+    def test_each_write_gets_its_own_result(self, service):
+        service.add(minimal_entry(title="ENTRY 0"))
+        ops = [
+            service.enqueue_write("add", minimal_entry(title="SOLO")),
+            service.enqueue_write("add_many", [
+                minimal_entry(title=f"PAIR {i}") for i in range(2)]),
+            service.enqueue_write("add_version", minimal_entry(
+                title="ENTRY 0", version=Version(0, 2))),
+            service.enqueue_write("replace_latest", minimal_entry(
+                title="ENTRY 0", version=Version(0, 2),
+                overview="Fixed.")),
+        ]
+        assert commit_all(service, ops) == \
+            [("ok", None), ("ok", 2), ("ok", None), ("ok", None)]
+        assert service.get("entry-0").overview == "Fixed."
+        assert service.versions("entry-0") == \
+            [Version(0, 1), Version(0, 2)]
+
+    def test_a_failing_write_fails_alone_in_its_window(self, service):
+        service.add(minimal_entry(title="ENTRY 0"))
+        batch = entry_batch(12)[1:]  # ENTRY 1..11
+        ops = [service.enqueue_write("add", minimal_entry(title="ENTRY 0"))]
+        ops += [service.enqueue_write("add", entry) for entry in batch]
+        outcomes = commit_all(service, ops)
+        assert outcomes[0][0] == "error"
+        assert isinstance(outcomes[0][1], DuplicateEntry)
+        assert outcomes[1:] == [("ok", None)] * len(batch)
+        assert service.entry_count() == 12  # everyone else landed
+
+    def test_queue_order_is_commit_order(self, service):
+        """Dependent writes in one window land in the order they were
+        queued: each version builds on the one before it."""
+        ops = [service.enqueue_write("add", minimal_entry())]
+        ops += [service.enqueue_write(
+                    "add_version", minimal_entry(version=Version(0, minor)))
+                for minor in range(2, 10)]
+        assert all(kind == "ok" for kind, _ in commit_all(service, ops))
+        assert service.versions("demo-example") == \
+            [Version(0, minor) for minor in range(1, 10)]
+
+    def test_events_fire_per_entry_in_queue_order(self):
+        service = RepositoryService(MemoryBackend())
+        seen: list[RepositoryEvent] = []
+        service.subscribe(seen.append)
+        entries = entry_batch(24)
+        commit_all(service, [service.enqueue_write("add", entry)
+                             for entry in entries])
+        assert [event.kind for event in seen] == ["add"] * len(entries)
+        assert [event.identifier for event in seen] == \
+            [entry.identifier for entry in entries]
+
+    def test_a_committed_write_is_durable(self, tmp_path):
+        """commit_write returns only after the group transaction: a
+        separate connection to the same file sees every write."""
+        path = tmp_path / "repo.db"
+        service = RepositoryService(SQLiteBackend(path))
+        entries = entry_batch(16)
+        ops = [service.enqueue_write("add", entry) for entry in entries]
+        probe = SQLiteBackend(path)
+        try:
+            for op, entry in zip(ops, entries, strict=True):
+                service.commit_write(op)
+                assert probe.has(entry.identifier)
+        finally:
+            probe.close()
+            service.close()
+
+    def test_add_many_in_a_window_is_all_or_nothing_on_sqlite(self):
+        service = RepositoryService(SQLiteBackend())
+        batch = entry_batch(6)
+        batch[4] = batch[1]  # duplicate inside the batch
+        ops = [
+            service.enqueue_write("add", minimal_entry(title="BEFORE")),
+            service.enqueue_write("add_many", batch),
+            service.enqueue_write("add", minimal_entry(title="AFTER")),
+        ]
+        outcomes = commit_all(service, ops)
+        assert outcomes[0] == ("ok", None)
+        assert outcomes[1][0] == "error"
+        assert isinstance(outcomes[1][1], DuplicateEntry)
+        assert outcomes[2] == ("ok", None)
+        assert service.identifiers() == ["after", "before"]
+        service.close()
+
+    def test_windows_from_many_threads_share_one_commit(self, tmp_path):
+        """Four writer threads queue their windows before any of them
+        commits: the first committer leads all of them as one group."""
+        backend = SQLiteBackend(tmp_path / "repo.db")
+        service = RepositoryService(backend)
+        workers, window = 4, 16
+        queued = threading.Barrier(workers, timeout=WAIT)
+        failures: list[BaseException] = []
+
+        def write(worker: int) -> None:
+            try:
+                ops = [service.enqueue_write("add", minimal_entry(
+                           title=f"W{worker} E{index}"))
+                       for index in range(window)]
+                queued.wait()
+                for op in ops:
+                    service.commit_write(op)
+            except BaseException as error:  # noqa: BLE001 - asserted on
+                failures.append(error)
+
+        before = backend.change_counter()
+        threads = [threading.Thread(target=write, args=(worker,))
+                   for worker in range(workers)]
+        for thread in threads:
+            thread.start()
+        join_all(threads)
+        assert failures == []
+        assert backend.change_counter() - before == 1
+        assert service.entry_count() == workers * window
+        service.close()
+
+    def test_a_reader_cannot_commit_and_its_write_is_withdrawn(self):
+        service = RepositoryService(MemoryBackend())
+        op = service.enqueue_write("add", minimal_entry())
+        with service._rwlock.read_locked():
+            with pytest.raises(RuntimeError):
+                service.commit_write(op)
+        assert not service._pending
+        assert not op.done
+        assert not service.has("demo-example")
+
+
+class TestThreadedReads:
+    """Reads from many threads: the read lock admits them together."""
+
+    def test_readers_are_inside_the_backend_together(self, service):
+        service.add_many(entry_batch(4))
+        readers = 4
+        inside = threading.Barrier(readers, timeout=WAIT)
+        original = service.backend.get
+        seen_threads: set[int] = set()
+
+        def tracked_get(identifier, version=None):
+            # Only passes once all four reads are in here at once.
+            seen_threads.add(threading.get_ident())
+            inside.wait()
+            return original(identifier, version)
+
+        service.backend.get = tracked_get
+        try:
+            with ThreadPoolExecutor(max_workers=readers) as pool:
+                entries = list(pool.map(
+                    service.get, [f"entry-{i}" for i in range(readers)]))
+        finally:
+            service.backend.get = original
+        assert [entry.identifier for entry in entries] == \
+            [f"entry-{i}" for i in range(readers)]
+        assert len(seen_threads) == readers
+
+    def test_a_thread_pool_fan_out_matches_serial_reads(self, service):
+        service.add_many(entry_batch(12))
+        service.add_version(minimal_entry(title="ENTRY 3",
+                                          version=Version(0, 2)))
+        identifiers = service.identifiers()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            fanned = list(pool.map(service.get, identifiers))
+            histories = list(pool.map(service.versions, identifiers))
+        assert fanned == [service.get(i) for i in identifiers]
+        assert histories == [service.versions(i) for i in identifiers]
+
+    def test_concurrent_queries_match_a_serial_query(self, service):
+        service.add_many(entry_batch(6))
+        service.add(minimal_entry(title="ZYGOTE",
+                                  overview="A distinctive cell."))
+        expected = service.query("zygote distinctive", limit=3)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(
+                lambda _: service.query("zygote distinctive", limit=3),
+                range(8)))
+        for result in results:
+            assert result.identifiers == expected.identifiers
+            assert result.total == expected.total
+            assert result.facets == expected.facets
 
 
 class TestIncrementalSearch:
