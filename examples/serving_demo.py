@@ -78,8 +78,8 @@ def main() -> None:
 
     # 5. Thread fan-out over the same service (one lock, one write
     #    queue): the facade's read lock admits every reader at once.
-    #    The pool has finished before close() snapshots the index
-    #    (when configured) and closes the backend, so close runs last.
+    #    The pool has finished before close() closes the backend, so
+    #    close runs last.
     identifiers = service.identifiers()[:6]
     with ThreadPoolExecutor(max_workers=3) as pool:
         entries = list(pool.map(service.get, identifiers))

@@ -17,11 +17,8 @@ from typing import Iterator
 from repro.analysis.engine import ParsedFile, Project, dotted_name, rule
 
 #: Modules allowed to touch ``json`` directly: the codec itself plus the
-#: wire and snapshot layers that serialise non-entry payloads (request
-#: envelopes, index snapshots, render snapshots).
-_ALLOWED_FILES = frozenset(
-    {"codec.py", "server.py", "client.py", "search.py", "render_cache.py"}
-)
+#: wire layers that serialise non-entry payloads (request envelopes).
+_ALLOWED_FILES = frozenset({"codec.py", "server.py", "client.py"})
 _JSON_CALLS = frozenset({"json.dumps", "json.loads", "json.dump", "json.load"})
 
 Found = Iterator[tuple[ParsedFile, int, str]]

@@ -39,7 +39,6 @@ from typing import Iterable, Iterator, Sequence, Union
 from repro.core.errors import EntryNotFound
 from repro.repository.entry import ExampleEntry
 from repro.repository.query import (
-    CorpusIndex,
     Query,
     QueryPlan,
     QueryResult,
@@ -48,6 +47,7 @@ from repro.repository.query import (
     evaluate_plan,
     plan as build_plan,
 )
+from repro.repository.search import SearchIndex
 from repro.repository.versioning import Version
 
 __all__ = ["StorageBackend", "GetRequest", "merge_cache_stats"]
@@ -205,17 +205,16 @@ class StorageBackend(ABC):
     #: corpus in Python — SQLite compiles the plan to SQL; composites
     #: inherit the capability from their children.  The service facade
     #: pushes plans down when this is True and otherwise evaluates them
-    #: over its own (persistent, incrementally maintained) index.
+    #: over its own incrementally maintained index.
     supports_native_query = False
 
     def change_counter(self) -> int | None:
         """A persisted counter that increases on every write, or None.
 
-        The search-index snapshot is stamped with this value so a later
-        process can tell whether the snapshot still reflects the
-        backend (see :meth:`SearchIndex.load`).  Backends that cannot
-        provide a durable counter return None, which disables snapshot
-        reuse but nothing else.
+        The default :meth:`change_token` derives from it, and the
+        server reports it as ``GET /counter``; because it is persisted,
+        a write by another process moves it too.  Backends that cannot
+        provide a durable counter return None.
         """
         return None
 
@@ -254,23 +253,22 @@ class StorageBackend(ABC):
         children — which is how fan-out scoring stays equal to
         single-store scoring.
         """
-        index = CorpusIndex(self.get_many(self.identifiers()))
-        return corpus_stats(index, terms)
+        return corpus_stats(SearchIndex().build(self), terms)
 
     def execute_query(
         self, plan: QueryPlan, stats: QueryStats | None = None
     ) -> QueryResult:
         """Execute one query plan; every backend answers identically.
 
-        The default builds a throwaway in-Python index over the latest
+        The default builds a throwaway
+        :class:`~repro.repository.search.SearchIndex` over the latest
         snapshots and runs the shared evaluator — always correct, never
         fast.  Backends with a cheaper native path (SQL pushdown,
         sharded fan-out, replica routing) override this and set
         :attr:`supports_native_query`; ``stats`` lets a composite
         impose corpus-global ranking statistics on its children.
         """
-        index = CorpusIndex(self.get_many(self.identifiers()))
-        return evaluate_plan(index, plan, stats)
+        return evaluate_plan(SearchIndex().build(self), plan, stats)
 
     def query(
         self,

@@ -250,8 +250,9 @@ class FileBackend(StorageBackend):
 
         Lives in ``<root>/change-counter``, so a *later* process
         opening the same directory sees what earlier (serialised)
-        writers did — which is what lets an index snapshot detect that
-        the tree moved on.  Deliberately re-read from disk on every
+        writers did — which is what lets the change token derived from
+        it (and ``GET /counter``) move on a foreign write.  Deliberately
+        re-read from disk on every
         call (never cached in memory): the counter is also the
         invalidation channel for the listing cache and decode memo, so
         a foreign ``FileBackend`` writing to the same root stays
@@ -285,10 +286,10 @@ class FileBackend(StorageBackend):
             return
         # The counter bumps on *both* sides of the snapshot rename.
         # Before: a crash between bump and rename leaves an advanced
-        # counter and no new content, so a stamped index snapshot
-        # merely rebuilds spuriously — the opposite order would leave
-        # new content under an old counter, a stale snapshot trusted
-        # as fresh.  After: a reader racing the rename can have read
+        # counter and no new content, so a change token merely moves
+        # spuriously (one extra revalidation) — the opposite order
+        # would leave new content under an old counter, and an ETag
+        # minted from it would confirm stale bytes as fresh.  After: a reader racing the rename can have read
         # the first-bumped counter and then the *pre-rename* state —
         # old bytes on a replace_latest, or the entry's absence on an
         # add — and cached it (decode memo, listing cache) under that

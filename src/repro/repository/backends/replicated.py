@@ -423,7 +423,8 @@ class ReplicatedBackend(StorageBackend):
 
         Replica counters track replica writes and are not comparable,
         so no failover here: if the primary is down the counter is
-        simply unavailable and index snapshots fall back to a rebuild.
+        simply unavailable, and the change token it derives falls back
+        to the service facade's in-process token.
         """
         try:
             return self.primary.change_counter()

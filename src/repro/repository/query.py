@@ -529,33 +529,6 @@ def score_entry(positive_terms: Sequence[str], stats: QueryStats,
     return score
 
 
-class CorpusIndex:
-    """The minimal searchable view the evaluator needs.
-
-    ``SearchIndex`` implements the same three methods over its live
-    postings; this class builds a throwaway one from raw entries for
-    backends with no index of their own.
-    """
-
-    def __init__(self, entries: Iterable[ExampleEntry]) -> None:
-        self._entries: dict[str, ExampleEntry] = {}
-        self._postings: dict[str, dict[str, float]] = {}
-        for entry in entries:
-            identifier = entry.identifier
-            self._entries[identifier] = entry
-            for term, weight in entry_terms(entry).items():
-                self._postings.setdefault(term, {})[identifier] = weight
-
-    def document_count(self) -> int:
-        return len(self._entries)
-
-    def latest_entries(self) -> Mapping[str, ExampleEntry]:
-        return self._entries
-
-    def term_postings(self, term: str) -> Mapping[str, float]:
-        return self._postings.get(term, {})
-
-
 def corpus_stats(index, terms: Sequence[str]) -> QueryStats:
     """Document count and per-term document frequency from an index."""
     frequency = {term: len(index.term_postings(term))
@@ -568,10 +541,10 @@ def evaluate_plan(index, query_plan: QueryPlan,
     """Execute a plan over any index-shaped object, deterministically.
 
     ``index`` needs ``document_count()``, ``latest_entries()`` and
-    ``term_postings(term)`` — satisfied by both
-    :class:`~repro.repository.search.SearchIndex` and
-    :class:`CorpusIndex`.  ``stats`` defaults to this index's own
-    corpus statistics; the sharded fan-out passes global ones instead.
+    ``term_postings(term)`` — the shape of
+    :class:`~repro.repository.search.SearchIndex`, the one index class.
+    ``stats`` defaults to this index's own corpus statistics; the
+    sharded fan-out passes global ones instead.
     """
     positive_terms = collect_positive_terms(query_plan.where)
     if stats is None:

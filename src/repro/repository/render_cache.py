@@ -14,13 +14,8 @@ two renderings per entry — the wikidot page
 the written identifier** on every add / add_version / replace_latest.
 A warm call therefore renders only what changed since the last call.
 
-Persistence uses the same fail-safe scheme as the PR-3 index
-snapshots: ``save()`` stamps the snapshot with the backend's durable
-``change_counter()`` *read before the state is captured*, and a later
-process restores it only when the stamp still equals the live counter.
-The counter only ever increases, so a racing write can at worst cause
-a spurious discard — never a stale page trusted as fresh.  Backends
-with no durable counter (``MemoryBackend``) never persist.
+The cache always starts cold: pages render on first request and stay
+until a write event evicts them.
 
 Thread safety: events fire under the service's write lock while pages
 are requested by reader threads, so all cache state sits behind one
@@ -33,9 +28,7 @@ write wins, the cache stays coherent.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.repository.concurrency import Mutex
 from repro.repository.export import render_markdown, render_wikidot
@@ -43,23 +36,19 @@ from repro.repository.query import plan
 
 __all__ = ["RenderCache"]
 
-#: Snapshot format version; bump when the on-disk layout changes.
-_SNAPSHOT_FORMAT = 1
-
 
 class RenderCache:
     """Wiki pages and Markdown fragments, cached per written entry."""
 
-    def __init__(self, service, *, path: str | Path | None = None) -> None:
+    def __init__(self, service) -> None:
         self.service = service
-        self.path = Path(path) if path else None
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self._mutex = Mutex()
         #: identifier -> rendered text of its latest version (staleness
-        #: is governed by events and the persisted counter stamp, never
-        #: by comparing versions — replace_latest keeps the version).
+        #: is governed by events, never by comparing versions —
+        #: replace_latest keeps the version).
         self._wiki: dict[str, str] = {}
         self._markdown: dict[str, str] = {}
         #: Event clock: bumped per event; per-identifier eviction times
@@ -72,8 +61,6 @@ class RenderCache:
         #: a stale page from the previous serving period.
         self._epoch = f"{time.time_ns():x}"
         self._unsubscribe = service.subscribe(self._on_event)
-        if self.path is not None:
-            self._restore()
 
     # ------------------------------------------------------------------
     # Event subscription: exact per-identifier eviction.
@@ -190,79 +177,6 @@ class RenderCache:
             cache[identifier] = text
 
     # ------------------------------------------------------------------
-    # Persistence (counter-stamped, fail-safe — like index snapshots).
-    # ------------------------------------------------------------------
-
-    def save(self) -> bool:
-        """Snapshot the cache to :attr:`path`; True if saved.
-
-        The stamp is read *before* the state is captured, so a write
-        racing this save leaves a snapshot stamped older than the
-        backend — discarded on restore, never trusted stale.  No path,
-        or a backend with no durable counter: nothing saved.
-        """
-        if self.path is None:
-            return False
-        counter = self.service.change_counter()
-        if counter is None:
-            return False
-        with self._mutex:
-            payload = {
-                "format": _SNAPSHOT_FORMAT,
-                "change_counter": counter,
-                "wiki": dict(sorted(self._wiki.items())),
-                "markdown": dict(sorted(self._markdown.items())),
-            }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        temp = self.path.with_name(self.path.name + ".tmp")
-        with temp.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.write("\n")
-        temp.replace(self.path)
-        return True
-
-    def _restore(self) -> None:
-        """Adopt a persisted snapshot — only if its stamp still matches.
-
-        Any mismatch (missing/corrupt file, unknown format, a write
-        since the snapshot) silently starts cold; a stale page can
-        never be served.  The event subscription is already live, so a
-        write racing this restore (between the counter read and the
-        install) is detected by the clock check at the bottom and the
-        snapshot is dropped — cold start again, never a stale install
-        over a fresher eviction.
-        """
-        with self._mutex:
-            clock = self._clock
-        counter = self.service.change_counter()
-        if counter is None:
-            return
-        try:
-            with self.path.open(encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return
-        if not isinstance(payload, dict):
-            return
-        if payload.get("format") != _SNAPSHOT_FORMAT:
-            return
-        if payload.get("change_counter") != counter:
-            return
-        wiki = payload.get("wiki")
-        markdown = payload.get("markdown")
-        if not (isinstance(wiki, dict) and isinstance(markdown, dict)):
-            return
-        if not all(isinstance(text, str)
-                   for pages in (wiki, markdown)
-                   for text in pages.values()):
-            return
-        with self._mutex:
-            if self._clock != clock:
-                return  # a write raced the restore; start cold
-            self._wiki = wiki
-            self._markdown = markdown
-
-    # ------------------------------------------------------------------
     # Introspection / lifecycle.
     # ------------------------------------------------------------------
 
@@ -278,6 +192,5 @@ class RenderCache:
             }
 
     def close(self) -> None:
-        """Persist (when configured) and detach from the service."""
-        self.save()
+        """Detach from the service."""
         self._unsubscribe()

@@ -20,24 +20,16 @@ When the store is a :class:`~repro.repository.service.RepositoryService`,
 :meth:`SearchIndex.sync_with` builds once and then subscribes to the
 service's change events, so each add/add_version/replace_latest costs one
 incremental :meth:`SearchIndex.add_entry` instead of a full rebuild.
-
-The index is also **persistent**: :meth:`SearchIndex.save` snapshots the
-postings and entries to one JSON file, stamped with the storage
-backend's change counter, and :meth:`SearchIndex.load` restores it —
-but only if the stamp still matches the backend, so a snapshot can
-never serve stale results.  A service constructed with ``index_path=``
-does both automatically, which is what stops the index being rebuilt
-(one full scan + tokenisation of every entry) in every new process.
+A backend with no native query path evaluates each plan over a
+throwaway ``SearchIndex().build(backend)``
+(:meth:`StorageBackend.execute_query`), so there is one in-memory index
+shape.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.core.errors import BxError
-from repro.repository.backends import StorageBackend
 from repro.repository.entry import ExampleEntry
 from repro.repository.query import (
     Q,
@@ -49,10 +41,10 @@ from repro.repository.query import (
 )
 from repro.repository.template import EntryType
 
-__all__ = ["SearchHit", "SearchIndex", "tokenize"]
+if TYPE_CHECKING:
+    from repro.repository.backends import StorageBackend
 
-#: Snapshot format version; bump when the on-disk layout changes.
-_SNAPSHOT_FORMAT = 1
+__all__ = ["SearchHit", "SearchIndex", "tokenize"]
 
 
 class SearchIndex:
@@ -117,75 +109,6 @@ class SearchIndex:
 
     def term_postings(self, term: str) -> Mapping[str, float]:
         return self._postings.get(term, {})
-
-    # ------------------------------------------------------------------
-    # Persistence: snapshot keyed by the backend's change counter.
-    # ------------------------------------------------------------------
-
-    def save(self, path: str | Path, *, change_counter: int) -> None:
-        """Snapshot the index to ``path``, stamped with the counter.
-
-        The stamp must be the owning backend's
-        :meth:`~repro.repository.backends.StorageBackend.change_counter`
-        *at a moment when the index is in sync with the backend* (the
-        service saves under its write lock for exactly this reason).
-        The write is atomic (temp file + rename).
-        """
-        payload = {
-            "format": _SNAPSHOT_FORMAT,
-            "change_counter": change_counter,
-            "entries": [entry.to_dict()
-                        for _identifier, entry in sorted(
-                            self._entries.items())],
-            "postings": {term: postings
-                         for term, postings in sorted(
-                             self._postings.items())},
-        }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temp = path.with_name(path.name + ".tmp")
-        with temp.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.write("\n")
-        temp.replace(path)
-
-    @classmethod
-    def load(cls, path: str | Path, *,
-             expected_change_counter: int) -> "SearchIndex | None":
-        """Restore a snapshot, or return None when it cannot be trusted.
-
-        None (caller should rebuild) when the file is missing or
-        unreadable, the format is unknown, or the stored change counter
-        differs from ``expected_change_counter`` — i.e. the backend has
-        been written since the snapshot was taken.
-        """
-        path = Path(path)
-        try:
-            with path.open(encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("format") != _SNAPSHOT_FORMAT:
-            return None
-        if payload.get("change_counter") != expected_change_counter:
-            return None
-        try:
-            index = cls()
-            for data in payload["entries"]:
-                entry = ExampleEntry.from_dict(data)
-                index._entries[entry.identifier] = entry
-            index._postings = {
-                term: {identifier: float(weight)
-                       for identifier, weight in postings.items()}
-                for term, postings in payload["postings"].items()}
-        except (BxError, KeyError, TypeError, ValueError, AttributeError):
-            # Malformed snapshot shapes (missing keys, junk weights,
-            # entries that fail validation) mean "rebuild"; anything
-            # else is a real bug and now propagates.
-            return None
-        return index
 
     # ------------------------------------------------------------------
     # Querying.

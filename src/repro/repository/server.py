@@ -524,6 +524,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _routed_dispatch(self, method: str) -> None:
         split = urlsplit(self.path)
         self._body_consumed = False
+        self._response_started = False
         # Error replies must stay sendable even when the *negotiation*
         # is what failed, so the default is pinned before anything can
         # raise and the real negotiation runs inside the try.
@@ -558,6 +559,18 @@ class _Handler(BaseHTTPRequestHandler):
                     self.close_connection = True
                 except Exception as error:  # noqa: BLE001 - wire boundary
                     status = _error_status(error)
+                    if self._response_started:
+                        # The status line is already out: a second
+                        # response would land inside the first one's
+                        # body, so end the connection instead.  A
+                        # socket failure (timeout, abort) is the
+                        # peer's; only an untyped bug logs.
+                        self.close_connection = True
+                        if status == 500 and not isinstance(
+                                error, (ConnectionError, TimeoutError)):
+                            _log.exception("internal error on %s %s",
+                                           method, split.path)
+                        return
                     if isinstance(error, DeadlineExceeded):
                         self.server.metrics.count_deadline_rejected()
                     if status == 500:
@@ -1186,6 +1199,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def send_response_only(self, code: int,
+                           message: str | None = None) -> None:
+        # Every status line goes through here: from now on a failure
+        # must close the connection, not send a second response.
+        self._response_started = True
+        super().send_response_only(code, message)
 
     def log_message(self, format: str, *args: object) -> None:
         """Access logging goes to the module logger, not stderr.

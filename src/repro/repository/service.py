@@ -51,7 +51,6 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Callable,
     Iterable,
@@ -72,6 +71,7 @@ from repro.repository.query import (
     corpus_stats,
     evaluate_plan,
 )
+from repro.repository.search import SearchIndex
 from repro.repository.versioning import Version
 
 __all__ = [
@@ -216,8 +216,7 @@ class RepositoryEvent:
 class RepositoryService(StorageBackend):
     """Batching, event-emitting facade over a storage backend."""
 
-    def __init__(self, backend: StorageBackend | None = None, *,
-                 index_path: str | Path | None = None) -> None:
+    def __init__(self, backend: StorageBackend | None = None) -> None:
         self.backend = backend if backend is not None else MemoryBackend()
         self._rwlock = ReadWriteLock()
         #: Writes waiting for a leader, in submission order.
@@ -227,11 +226,6 @@ class RepositoryService(StorageBackend):
         self._subscribers_mutex = Mutex()
         self._search_index = None  # lazily built, then kept in sync
         self._search_unsubscribe: Callable[[], None] = _noop
-        #: Where the search index snapshots itself (None: in-memory
-        #: only).  With a path set, ``enable_search`` restores the
-        #: snapshot instead of rebuilding — provided its stamped change
-        #: counter still matches the backend — and ``close`` re-saves.
-        self.index_path = Path(index_path) if index_path else None
         #: The in-process half of :meth:`change_token`: a per-instance
         #: epoch (so tokens from a previous process can never validate
         #: against this one) plus a write sequence bumped under the
@@ -554,59 +548,22 @@ class RepositoryService(StorageBackend):
         fresh.
 
         Returns the :class:`~repro.repository.search.SearchIndex`, which
-        may also be queried directly for structured filters.  When the
-        service has an :attr:`index_path` and a snapshot is on disk
-        whose stamped change counter still matches the backend, the
-        index is *restored* instead of rebuilt — no batch ``get_many``,
-        no re-tokenisation.  Any write since the snapshot (the counters
-        differ) forces the rebuild.
+        may also be queried directly for structured filters.  The first
+        call builds it from the backend (one batch ``get_many``); from
+        then on each write event upserts exactly the written entry.
 
         Runs under the *write* lock: the index lifecycle shares the one
         service lock (no separate mutex to order against), writers are
-        excluded for the whole restore-or-build-then-subscribe step so
-        no write can land between the two and go permanently unindexed,
-        and the build's own reads re-enter via writer reentrancy.
+        excluded for the whole build-then-subscribe step so no write
+        can land between the two and go permanently unindexed, and the
+        build's own reads re-enter via writer reentrancy.
         """
         with self._rwlock.write_locked():
             if self._search_index is None:
-                from repro.repository.search import SearchIndex
-                index = self._load_index_snapshot(SearchIndex)
-                if index is not None:
-                    self._search_unsubscribe = self.subscribe(
-                        lambda event: index.add_entry(event.entry))
-                else:
-                    index = SearchIndex()
-                    self._search_unsubscribe = index.sync_with(self)
+                index = SearchIndex()
+                self._search_unsubscribe = index.sync_with(self)
                 self._search_index = index
             return self._search_index
-
-    def _load_index_snapshot(self, index_class):
-        if self.index_path is None:
-            return None
-        counter = self.backend.change_counter()
-        if counter is None:
-            return None
-        return index_class.load(self.index_path,
-                                expected_change_counter=counter)
-
-    def save_index(self) -> bool:
-        """Snapshot the live index to :attr:`index_path`; True if saved.
-
-        Runs under the write lock so the saved postings and the change
-        counter stamped on them are a consistent pair.  A service with
-        no live index, no ``index_path``, or a backend that cannot
-        provide a change counter saves nothing and returns False.
-        ``close`` calls this automatically.
-        """
-        with self._rwlock.write_locked():
-            index = self._search_index
-            if index is None or self.index_path is None:
-                return False
-            counter = self.backend.change_counter()
-            if counter is None:
-                return False
-            index.save(self.index_path, change_counter=counter)
-            return True
 
     def disable_search(self) -> None:
         """Detach and drop the search index (a later search rebuilds)."""
@@ -660,7 +617,6 @@ class RepositoryService(StorageBackend):
         self._write_seq += 1
 
     def close(self) -> None:
-        """Snapshot the index (when configured) and close the backend."""
-        self.save_index()
+        """Close the backend."""
         self.backend.close()
 

@@ -1,5 +1,5 @@
 """The unified query API: AST, evaluator semantics, IDF ranking,
-persistent index snapshots, and the consumers wired through it."""
+the lazily built index, and the consumers wired through it."""
 
 from __future__ import annotations
 
@@ -318,89 +318,12 @@ class TestIdfRanking:
         assert [hit.identifier for hit in hits] == ["rare", "common"]
 
 
-class TestSearchIndexPersistence:
-    def build_index(self, entries) -> SearchIndex:
-        service = corpus_service(entries)
-        return service.enable_search()
-
-    def test_save_load_roundtrip(self, tmp_path):
-        entries = [minimal_entry(title=f"ENTRY {index}",
-                                 overview=f"Unique token tok{index}.")
-                   for index in range(4)]
-        index = self.build_index(entries)
-        snapshot = tmp_path / "index.json"
-        index.save(snapshot, change_counter=17)
-
-        loaded = SearchIndex.load(snapshot, expected_change_counter=17)
-        assert loaded is not None
-        assert len(loaded) == 4
-        assert [hit.identifier for hit in loaded.search("tok2")] == \
-            ["entry-2"]
-        assert loaded.latest_entries() == index.latest_entries()
-
-    def test_stale_counter_rejected(self, tmp_path):
-        index = self.build_index([minimal_entry()])
-        snapshot = tmp_path / "index.json"
-        index.save(snapshot, change_counter=3)
-        assert SearchIndex.load(snapshot,
-                                expected_change_counter=4) is None
-
-    def test_missing_or_corrupt_snapshot_rejected(self, tmp_path):
-        assert SearchIndex.load(tmp_path / "nope.json",
-                                expected_change_counter=0) is None
-        bad = tmp_path / "bad.json"
-        bad.write_text("{ not json")
-        assert SearchIndex.load(bad, expected_change_counter=0) is None
-        wrong_format = tmp_path / "fmt.json"
-        wrong_format.write_text(json.dumps({"format": 99,
-                                            "change_counter": 0}))
-        assert SearchIndex.load(wrong_format,
-                                expected_change_counter=0) is None
-
-    def test_malformed_hydration_means_rebuild(self, tmp_path):
-        """Right format and counter, junk contents: entries that fail
-        validation and postings with non-numeric weights both mean
-        "rebuild", not a crash."""
-        index = self.build_index([minimal_entry()])
-        snapshot = tmp_path / "index.json"
-        index.save(snapshot, change_counter=0)
-        payload = json.loads(snapshot.read_text())
-
-        junk_entries = dict(payload, entries=[{"title": "NO SUCH SHAPE"}])
-        snapshot.write_text(json.dumps(junk_entries))
-        assert SearchIndex.load(snapshot,
-                                expected_change_counter=0) is None
-
-        junk_postings = dict(payload,
-                             postings={"tok": {"demo-example": "heavy"}})
-        snapshot.write_text(json.dumps(junk_postings))
-        assert SearchIndex.load(snapshot,
-                                expected_change_counter=0) is None
-
-    def test_unexpected_hydration_crash_propagates(self, tmp_path,
-                                                   monkeypatch):
-        """Behaviour change with the narrowed catch: load() used to
-        swallow *every* exception as "rebuild", hiding real bugs.  An
-        exception outside the malformed-snapshot set now surfaces."""
-        from repro.repository.entry import ExampleEntry
-
-        index = self.build_index([minimal_entry()])
-        snapshot = tmp_path / "index.json"
-        index.save(snapshot, change_counter=0)
-
-        def boom(data):
-            raise RuntimeError("hydration bug, not a bad snapshot")
-
-        monkeypatch.setattr(ExampleEntry, "from_dict", boom)
-        with pytest.raises(RuntimeError):
-            SearchIndex.load(snapshot, expected_change_counter=0)
-
-
 class TestChangeCounters:
     def test_memory_has_no_durable_counter(self):
         """A fresh process's fresh MemoryBackend restarts any counter,
-        so an ephemeral count could falsely validate an old snapshot —
-        the only safe answer is None (no snapshot reuse)."""
+        so an ephemeral count could falsely validate an old change
+        token — the only safe answer is None (the facade then mints
+        its own per-instance token)."""
         backend = MemoryBackend()
         backend.add(minimal_entry())
         assert backend.change_counter() is None
@@ -441,90 +364,6 @@ class TestChangeCounters:
             assert db.change_counter() == counter
 
 
-class TestPersistentServiceIndex:
-    """The acceptance bit: no rebuild across process restarts."""
-
-    def entries(self):
-        return [minimal_entry(title=f"ENTRY {index}",
-                              overview=f"Unique token tok{index}.")
-                for index in range(5)]
-
-    def test_snapshot_restored_without_rebuild(self, tmp_path, monkeypatch):
-        snapshot = tmp_path / "index.json"
-        first = RepositoryService(FileBackend(tmp_path / "repo"),
-                                  index_path=snapshot)
-        first.add_many(self.entries())
-        first.enable_search()
-        first.close()  # saves the snapshot
-        assert snapshot.is_file()
-
-        # "New process": same durable backend, fresh service.  A
-        # rebuild would call SearchIndex.build — forbid it outright.
-        second = RepositoryService(FileBackend(tmp_path / "repo"),
-                                   index_path=snapshot)
-        monkeypatch.setattr(
-            SearchIndex, "build",
-            lambda self, store: pytest.fail("index was rebuilt"))
-        index = second.enable_search()
-        assert len(index) == 5
-        assert second.query("tok3").identifiers == ["entry-3"]
-
-    def test_restored_index_still_tracks_writes(self, tmp_path):
-        snapshot = tmp_path / "index.json"
-        first = RepositoryService(FileBackend(tmp_path / "repo"),
-                                  index_path=snapshot)
-        first.add_many(self.entries())
-        first.enable_search()
-        first.close()
-
-        second = RepositoryService(FileBackend(tmp_path / "repo"),
-                                   index_path=snapshot)
-        second.enable_search()
-        second.add(minimal_entry(title="LATECOMER",
-                                 overview="token tokx"))
-        assert second.query("tokx").identifiers == ["latecomer"]
-
-    def test_stale_snapshot_forces_rebuild(self, tmp_path):
-        snapshot = tmp_path / "index.json"
-        first = RepositoryService(FileBackend(tmp_path / "repo"),
-                                  index_path=snapshot)
-        first.add_many(self.entries())
-        first.enable_search()
-        first.close()
-
-        # A write lands behind the snapshot's back (other process).
-        behind = FileBackend(tmp_path / "repo")
-        behind.add(minimal_entry(title="SNEAKED",
-                                 overview="token toky"))
-
-        second = RepositoryService(FileBackend(tmp_path / "repo"),
-                                   index_path=snapshot)
-        index = second.enable_search()
-        assert len(index) == 6  # rebuilt, not restored
-        assert second.query("toky").identifiers == ["sneaked"]
-
-    def test_save_index_reports_what_it_did(self, tmp_path):
-        service = RepositoryService(FileBackend(tmp_path / "a"))
-        assert not service.save_index()  # no path configured
-        with_path = RepositoryService(
-            FileBackend(tmp_path / "b"), index_path=tmp_path / "index.json")
-        assert not with_path.save_index()  # no live index yet
-        with_path.add(minimal_entry())
-        with_path.enable_search()
-        assert with_path.save_index()
-
-    def test_memory_backends_never_save_snapshots(self, tmp_path):
-        """No durable counter -> no snapshot file (it could never be
-        validated by a later process)."""
-        service = RepositoryService(
-            MemoryBackend(), index_path=tmp_path / "index.json")
-        service.add(minimal_entry())
-        service.enable_search()
-        assert not service.save_index()
-        service.close()
-        assert not (tmp_path / "index.json").exists()
-
-
 class TestLazyEnable:
     def test_query_lazily_enables_index_on_plain_backends(self):
         service = RepositoryService(MemoryBackend())
@@ -539,6 +378,88 @@ class TestLazyEnable:
         assert service.query("demo").total == 1
         assert service.search_index is None  # SQL did the work
         service.close()
+
+
+
+def open_durable(kind: str, tmp_path):
+    if kind == "file":
+        return FileBackend(tmp_path / "repo")
+    return SQLiteBackend(tmp_path / "repo.db")
+
+
+class TestColdStart:
+    """Nothing about the index outlives a service: a new one answers
+    from what the backend holds, so it is never stale after a restart
+    or a write it did not see."""
+
+    @pytest.mark.parametrize("kind", ["file", "sqlite"])
+    def test_new_service_sees_a_foreign_write(self, kind, tmp_path):
+        first = RepositoryService(open_durable(kind, tmp_path))
+        first.add_many([minimal_entry(title=f"ENTRY {index}",
+                                      overview=f"Unique token tok{index}.")
+                        for index in range(3)])
+        assert first.query("tok1").identifiers == ["entry-1"]
+        first.close()
+
+        behind = open_durable(kind, tmp_path)
+        behind.add(minimal_entry(title="SNEAKED", overview="token toky"))
+        behind.close()
+
+        second = RepositoryService(open_durable(kind, tmp_path))
+        assert second.query("toky").identifiers == ["sneaked"]
+        assert second.query().total == 4
+        second.close()
+
+    def test_disabled_index_rebuilds_from_the_backend(self, tmp_path):
+        service = RepositoryService(FileBackend(tmp_path / "repo"))
+        service.add(minimal_entry())
+        assert service.query().total == 1
+        FileBackend(tmp_path / "repo").add(
+            minimal_entry(title="SNEAKED", overview="token toky"))
+        service.disable_search()
+        assert service.query("toky").identifiers == ["sneaked"]
+        assert len(service.search_index) == 2
+
+
+class TestOneIndexShape:
+    """A backend without native query evaluates over a throwaway
+    ``SearchIndex().build(self)``; the facade over its live one, kept
+    up by events.  After any mix of writes both answer identically."""
+
+    PLANS = {
+        "text": plan(Q.text("patched tok1 model")),
+        "filter": plan(Q.reviewed() | Q.text("tok2"), sort="identifier"),
+        "page": plan(None, sort="identifier", offset=1, limit=2),
+    }
+
+    @pytest.fixture()
+    def written(self):
+        backend = MemoryBackend()
+        service = RepositoryService(backend)
+        service.enable_search()
+        service.add_many([minimal_entry(title=f"ENTRY {index}",
+                                        overview=f"Unique token tok{index}.")
+                          for index in range(4)])
+        service.add_version(minimal_entry(title="ENTRY 1",
+                                          version=Version(1, 0),
+                                          reviewers=("Rex",)))
+        service.replace_latest(minimal_entry(title="ENTRY 2",
+                                             overview="Patched model."))
+        return backend, service
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_live_and_throwaway_index_agree(self, written, name):
+        backend, service = written
+        query_plan = self.PLANS[name]
+        assert service.search_index is not None
+        assert service.execute_query(query_plan) == \
+            backend.execute_query(query_plan)
+
+    def test_query_stats_agree(self, written):
+        backend, service = written
+        terms = ["patched", "tok1", "model", "absent"]
+        assert service.query_stats(terms) == backend.query_stats(terms)
+        assert backend.query_stats(terms).document_count == 4
 
 
 class TestConsumersThroughQuery:

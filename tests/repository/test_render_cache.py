@@ -1,15 +1,7 @@
-"""The event-driven render cache: exact invalidation, fail-safe
-persistence, and byte-identical output through the cached consumers.
-
-Mirrors the index-snapshot tests (``TestPersistentServiceIndex``): the
-render cache uses the same change-counter stamping scheme, so the same
-three properties are pinned — restored without re-rendering, stale
-snapshots discarded, memory backends never persisted.
-"""
+"""The event-driven render cache: exact invalidation, per-instance
+validators, and byte-identical output through the cached consumers."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -201,73 +193,38 @@ class TestInvalidation:
         assert "Unseen." not in cache.wiki_page("entry-0")  # stale by design
 
 
-class TestPersistence:
-    """Counter-stamped snapshots, exactly like the search index's."""
+class TestColdStart:
+    """Pages never outlive their cache: a new cache over a reopened
+    store renders what the backend holds, a write behind its back
+    included."""
 
-    def durable_service(self, tmp_path):
-        service = RepositoryService(FileBackend(tmp_path / "repo"))
-        if not service.identifiers():
-            service.add_many(entry_batch(3))
-        return service
+    @pytest.mark.parametrize("kind", ["file", "sqlite"])
+    def test_new_cache_renders_a_foreign_write(self, kind, tmp_path):
+        def open_backend():
+            if kind == "file":
+                return FileBackend(tmp_path / "repo")
+            return SQLiteBackend(tmp_path / "repo.db")
 
-    def test_snapshot_restored_without_rerendering(self, tmp_path,
-                                                   monkeypatch):
-        snapshot = tmp_path / "render.json"
-        first = self.durable_service(tmp_path)
-        cache = RenderCache(first, path=snapshot)
-        expected = cache.wiki_pages()
-        cache.close()  # saves
-        assert snapshot.is_file()
-
-        # "New process": fresh service, fresh cache — rendering again
-        # would defeat the snapshot, so forbid it outright.
-        second = RepositoryService(FileBackend(tmp_path / "repo"))
-        restored = RenderCache(second, path=snapshot)
-        from repro.repository import render_cache as module
-        monkeypatch.setattr(
-            module, "render_wikidot",
-            lambda entry: pytest.fail("page was re-rendered"))
-        assert restored.wiki_pages() == expected
-
-    def test_stale_snapshot_discarded_on_counter_mismatch(self,
-                                                          tmp_path):
-        snapshot = tmp_path / "render.json"
-        first = self.durable_service(tmp_path)
-        cache = RenderCache(first, path=snapshot)
+        first = RepositoryService(open_backend())
+        first.add_many(entry_batch(3))
+        cache = RenderCache(first)
         cache.wiki_pages()
         cache.close()
+        first.close()
 
-        # A write lands behind the snapshot's back (other process).
-        behind = FileBackend(tmp_path / "repo")
+        behind = open_backend()
         behind.replace_latest(minimal_entry(title="ENTRY 0",
                                             overview="Sneaked."))
+        behind.close()
 
-        second = RepositoryService(FileBackend(tmp_path / "repo"))
-        restored = RenderCache(second, path=snapshot)
-        assert restored.cache_stats()["wiki_pages"] == 0  # started cold
-        assert "Sneaked." in restored.wiki_page("entry-0")
-
-    def test_corrupt_or_wrong_format_snapshot_discarded(self, tmp_path):
-        service = self.durable_service(tmp_path)
-        bad = tmp_path / "render.json"
-        bad.write_text("{ not json")
-        assert RenderCache(service,
-                           path=bad).cache_stats()["wiki_pages"] == 0
-        counter = service.change_counter()
-        bad.write_text(json.dumps({"format": 99,
-                                   "change_counter": counter,
-                                   "wiki": {}, "markdown": {}}))
-        assert RenderCache(service,
-                           path=bad).cache_stats()["wiki_pages"] == 0
-
-    def test_memory_backends_never_persist(self, tmp_path):
-        service = RepositoryService(MemoryBackend())
-        service.add_many(entry_batch(2))
-        cache = RenderCache(service, path=tmp_path / "render.json")
-        cache.wiki_pages()
-        assert not cache.save()  # no durable counter -> no snapshot
-        cache.close()
-        assert not (tmp_path / "render.json").exists()
+        second = RepositoryService(open_backend())
+        fresh = RenderCache(second)
+        assert fresh.cache_stats()["wiki_pages"] == 0
+        assert "Sneaked." in fresh.wiki_page("entry-0")
+        assert fresh.wiki_pages() == {
+            entry.identifier: render_wikidot(entry)
+            for entry in second.get_many(second.identifiers())}
+        second.close()
 
 
 class TestInstrumentation:

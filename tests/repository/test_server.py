@@ -602,6 +602,101 @@ class TestClientHangUp:
                     if "internal error" in record.getMessage()]
 
 
+def read_until_closed(peer: socket.socket) -> tuple[bytes, bool]:
+    """Everything the server sends, and whether it then closed."""
+    received = b""
+    try:
+        while chunk := peer.recv(65536):
+            received += chunk
+    except TimeoutError:
+        return received, False
+    return received, True
+
+
+class TestFailureAfterHeaders:
+    """A failure after the status line went out must not write a second
+    response into the first one's body: the server sends nothing more
+    and closes the connection."""
+
+    @staticmethod
+    def fail_after_headers(monkeypatch, error):
+        def handle_has(self, identifier, query_string=""):
+            self._send_json(200, {"has": False})
+            raise error
+        monkeypatch.setattr(_Handler, "_handle_has", handle_has)
+
+    @pytest.mark.parametrize("error, logged", [
+        (TimeoutError("timed out"), False),
+        (ConnectionAbortedError("aborted"), False),
+        (EntryNotFound("gone"), False),
+        (RuntimeError("handler bug"), True),
+    ], ids=["timeout", "aborted", "typed", "untyped"])
+    def test_exactly_one_response_then_close(self, served, monkeypatch,
+                                             caplog, error, logged):
+        server, _client = served
+        self.fail_after_headers(monkeypatch, error)
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=2) as peer:
+            peer.sendall(b"GET /entries/demo-example/has HTTP/1.1\r\n"
+                         b"Host: test\r\n\r\n")
+            received, closed = read_until_closed(peer)
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert received.startswith(b"HTTP/1.1 200 ")
+        assert received.endswith(b'{"has": false}')
+        assert closed
+        internal = [record for record in caplog.records
+                    if "internal error" in record.getMessage()]
+        assert bool(internal) == logged
+
+    def test_failure_before_headers_still_gets_its_error_response(
+            self, served, monkeypatch):
+        server, _client = served
+
+        def handle_has(self, identifier, query_string=""):
+            raise EntryNotFound("gone")
+        monkeypatch.setattr(_Handler, "_handle_has", handle_has)
+        status, _type, body = fetch(server.url + "/entries/x/has")
+        assert status == 404
+        assert json.loads(body)["error"]["type"] == "EntryNotFound"
+
+
+class TestRestart:
+    """A restarted server starts with cold caches, so it is never stale:
+    not after a write through the previous server, and not after a
+    write that reached the database while no server was running."""
+
+    @pytest.mark.parametrize("writer", ["served", "foreign"])
+    def test_restarted_server_serves_the_written_wiki_page(self, tmp_path,
+                                                           writer):
+        path = tmp_path / "repo.db"
+        patched = minimal_entry(title="ENTRY 0", overview="Patched.")
+        first = RepositoryServer(RepositoryService(SQLiteBackend(path)),
+                                 close_service=True).start()
+        try:
+            client = HTTPBackend(first.url)
+            client.add_many(entry_batch(2))
+            _status, before, _body = raw_get(first.port, "/wiki/entry-0")
+            if writer == "served":
+                client.replace_latest(patched)
+            client.close()
+        finally:
+            first.stop()
+        if writer == "foreign":
+            with SQLiteBackend(path) as backend:
+                backend.replace_latest(patched)
+
+        second = RepositoryServer(RepositoryService(SQLiteBackend(path)),
+                                  close_service=True).start()
+        try:
+            status, _headers, body = raw_get(
+                second.port, "/wiki/entry-0",
+                **{"If-None-Match": before["ETag"]})
+        finally:
+            second.stop()
+        assert status == 200
+        assert "Patched." in body.decode("utf-8")
+
+
 class TestConditionalReads:
     def test_200_carries_a_weak_etag(self, served):
         server, client = served
