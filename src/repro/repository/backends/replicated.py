@@ -12,7 +12,8 @@ Failure model:
 
 * **primary write failure** — the operation fails; nothing is mirrored.
 * **replica write failure** — the operation still succeeds; the failure
-  is counted (``replica_write_failures``) and left for repair.
+  is counted (``replica_write_failures``) and left for repair.  One
+  attempt per op, in both modes: there is no retry.
 * **primary read failure** — reads fail over to the replicas in order.
   Only *infrastructure* failures fail over (a closed connection, an
   OSError, a typed :class:`~repro.core.errors.BackendUnavailableError`);
@@ -39,24 +40,24 @@ when the two disagree at the same version.  A replica history that is
 lacks) cannot be repaired through the append-only interface; it is
 reported as a conflict instead of silently rewritten.
 
-Streaming (async) replication — ``ReplicatedBackend(mode="async")``
-acknowledges a write as soon as the primary commits and enqueues the
-mirror op onto a bounded **per-replica trailing log**, drained in order
-by a background applier thread:
+Every mirror op goes through a bounded **per-replica trailing log**,
+applied in order by :meth:`_apply_replica_op`, the only replica write.
+``mode`` decides who drains it: in ``"sync"`` mode the writer, inline,
+before the write returns (``replication_lag()`` is 0 except while a
+write is in flight); in ``"async"`` mode a background applier, once the
+primary has acknowledged the write (``replication_lag()`` is then the
+acknowledged-but-unapplied depth, surfaced in :meth:`resilience_stats`).
 
-* ``replication_lag()`` is the per-replica log depth (acknowledged but
-  not yet applied), surfaced in :meth:`resilience_stats`;
-* **backpressure, never drop**: when a log reaches ``max_lag`` the
-  writer falls back to draining that replica's log inline —
-  synchronously, in order — so an applier that stalls degrades the
-  write path to sync mirroring instead of silently losing ops;
+* **backpressure, never drop**: a writer that finds the log at
+  ``max_lag`` drains it inline, so a stalled applier degrades writes to
+  sync mirroring instead of losing ops;
 * an applier failure (or :meth:`kill_applier`, the fault seam) leaves
   the log trailing; :meth:`anti_entropy` is the **documented backstop**
-  — it supersedes and clears the trailing log, reconciles the replica
-  from the primary, and the repair-before-rejoin invariant holds
-  exactly as in sync mode.  :meth:`wait_for_replication` blocks until
-  the lag drains, which is what consistency checks must do before
-  comparing replicas against an oracle.
+  — it supersedes and clears the log and reconciles the replica from
+  the primary, so repair-before-rejoin holds in both modes.
+  :meth:`wait_for_replication` blocks until the lag drains, which is
+  what consistency checks must do before comparing replicas against an
+  oracle.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from repro.repository.backends.base import (
 from repro.repository.concurrency import Mutex
 from repro.repository.entry import ExampleEntry
 from repro.repository.query import QueryPlan, QueryResult, QueryStats
-from repro.repository.resilience import CircuitBreaker, HealthProbe, RetryPolicy
+from repro.repository.resilience import CircuitBreaker, HealthProbe
 from repro.repository.versioning import Version
 
 __all__ = ["AntiEntropyReport", "ReplicatedBackend"]
@@ -185,9 +186,8 @@ class ReplicatedBackend(StorageBackend):
             raise StorageError(f"unknown replication mode {mode!r}")
         if max_lag <= 0:
             raise StorageError("max_lag must be positive")
-        #: Streaming replication state.  Built in both modes (a sync
-        #: backend just keeps empty logs) so the introspection and
-        #: repair paths never need mode checks.
+        #: Mirror state.  The trailing logs are used in both modes: a
+        #: sync writer drains its own op before returning.
         self._mode = mode
         self.max_lag = max_lag
         self.backpressure_syncs = 0
@@ -197,12 +197,10 @@ class ReplicatedBackend(StorageBackend):
             threading.Condition(Mutex()) for _ in self.replicas
         )
         #: One per replica: serialises whoever is applying log ops to
-        #: it (the applier thread, a backpressured writer, a repair).
+        #: it (a sync writer, the applier thread, a backpressured
+        #: writer, a repair).
         self._apply_mutexes = tuple(Mutex() for _ in self.replicas)
         self._appliers: list[_ReplicaApplier | None] = [None] * len(self.replicas)
-        self._applier_retry = RetryPolicy(
-            max_attempts=2, base_delay=0.01, max_delay=0.1
-        )
         self._primary_breaker = CircuitBreaker(
             failure_threshold=failure_threshold,
             reset_timeout=reset_timeout,
@@ -236,21 +234,20 @@ class ReplicatedBackend(StorageBackend):
     def set_replication_mode(self, mode: str) -> None:
         """Switch mirroring disciplines at runtime.
 
-        Switching to sync first drains every trailing log inline (in
-        order) and stops the appliers, so the switch itself can never
-        drop an acknowledged mirror op; switching to async starts an
-        applier per replica.
+        Switching to sync stops the appliers and drains every trailing
+        log inline, in order, so the switch never drops an acknowledged
+        mirror op and a write racing it queues behind the ops already
+        logged; switching to async starts an applier per replica.
         """
         if mode not in _MODES:
             raise StorageError(f"unknown replication mode {mode!r}")
         if mode == self._mode:
             return
+        self._mode = mode  # from here, sync writers drain their own ops
         if mode == "async":
-            self._mode = "async"
             self.start_appliers()
-            return
-        self._mode = "sync"  # new mirror ops go synchronously from here
-        self._stop_appliers(drain=True)
+        else:
+            self._stop_appliers()
 
     def start_appliers(self) -> list[int]:
         """(Re)start a drainer for every replica missing a live one.
@@ -293,7 +290,8 @@ class ReplicatedBackend(StorageBackend):
     def replication_lag(self) -> list[int]:
         """Per-replica trailing-log depth: acknowledged, not yet applied.
 
-        All zeros in sync mode (and in a drained async backend).
+        All zeros in sync mode, except while a write is in flight, and
+        in a drained async backend.
         """
         return [len(log) for log in self._logs]
 
@@ -315,7 +313,8 @@ class ReplicatedBackend(StorageBackend):
                     cond.wait(min(remaining, 0.05))
         return True
 
-    def _stop_appliers(self, drain: bool) -> None:
+    def _stop_appliers(self) -> None:
+        """Stop every applier, then drain what its log still holds."""
         for applier in self._appliers:
             if applier is not None:
                 applier.stop()
@@ -323,20 +322,19 @@ class ReplicatedBackend(StorageBackend):
             if applier is not None:
                 applier.join(timeout=1.0)
                 self._appliers[index] = None
-            if drain:
-                self._drain_log(index)
+            self._drain_log(index)
 
     def _drain_log(
         self, index: int, stop: threading.Event | None = None
     ) -> None:
         """Apply one replica's queued ops in order until its log empties.
 
-        Shared by the applier thread, backpressured writers and the
-        mode switch; the per-replica apply mutex serialises them.  An
-        op stays at the head of the log while it is being applied (so
-        ``replication_lag``/``wait_for_replication`` never undercount)
-        and is popped after, whatever the outcome — a failed op is
-        counted and left for anti-entropy, never retried forever.
+        Shared by sync writers, the applier thread, backpressured
+        writers and the mode switch; the per-replica apply mutex
+        serialises them.  An op stays at the head of the log while it
+        is being applied (so ``replication_lag``/``wait_for_replication``
+        never undercount) and is popped after, whatever the outcome — a
+        failed op is counted and left for anti-entropy, never retried.
         """
         cond = self._log_conds[index]
         log = self._logs[index]
@@ -357,26 +355,25 @@ class ReplicatedBackend(StorageBackend):
     def _apply_replica_op(
         self, index: int, operation: Callable[[StorageBackend], object]
     ) -> None:
-        """One trailing-log op against one replica, breaker-accounted.
+        """The only replica write: one attempt, a failure left for repair.
 
-        Never raises: transient failures get one quick retry (the
-        resilience layer's jittered policy), then the op counts as a
-        replica write failure and is left for :meth:`anti_entropy`.
+        The breaker was claimed at enqueue; this refuses only while it
+        reads open, which keeps drains fast against a dead replica.
         """
         breaker = self._replica_breakers[index]
-        if not breaker.allow():
+        if breaker.state == CircuitBreaker.OPEN:
             self.replica_write_failures += 1
             return
-        replica = self.replicas[index]
         try:
-            self._applier_retry.call(lambda: operation(replica))
+            operation(self.replicas[index])
         except Exception as error:  # noqa: BLE001 - repaired by anti_entropy
             self.replica_write_failures += 1
             if _is_outage(error):
                 breaker.record_failure()
         else:
             breaker.record_success()
-            self.async_applied += 1
+            if self._mode == "async":
+                self.async_applied += 1
 
     # ------------------------------------------------------------------
     # Reads: primary, then failover.
@@ -461,20 +458,20 @@ class ReplicatedBackend(StorageBackend):
     # ------------------------------------------------------------------
 
     def add(self, entry: ExampleEntry) -> None:
-        self._write(lambda: self.primary.add(entry))
+        self._write(lambda primary: primary.add(entry))
         self._mirror(lambda replica: replica.add(entry))
 
     def add_version(self, entry: ExampleEntry) -> None:
-        self._write(lambda: self.primary.add_version(entry))
+        self._write(lambda primary: primary.add_version(entry))
         self._mirror(lambda replica: replica.add_version(entry))
 
     def replace_latest(self, entry: ExampleEntry) -> None:
-        self._write(lambda: self.primary.replace_latest(entry))
+        self._write(lambda primary: primary.replace_latest(entry))
         self._mirror(lambda replica: replica.replace_latest(entry))
 
     def add_many(self, entries: Iterable[ExampleEntry]) -> int:
         batch = list(entries)
-        count = self._write(lambda: self.primary.add_many(batch))
+        count = self._write(lambda primary: primary.add_many(batch))
         self._mirror(lambda replica: replica.add_many(batch))
         return count
 
@@ -673,7 +670,7 @@ class ReplicatedBackend(StorageBackend):
         # Stop appliers and flush what remains of the trailing logs
         # (breaker-bounded: a dead replica fails fast, not per-op)
         # before the copies close underneath them.
-        self._stop_appliers(drain=True)
+        self._stop_appliers()
         self.primary.close()
         for replica in self.replicas:
             replica.close()
@@ -754,54 +751,21 @@ class ReplicatedBackend(StorageBackend):
             retry_after=self._primary_breaker.reset_timeout,
         )
 
-    def _write(self, operation: Callable[[], _T]) -> _T:
+    def _write(self, operation: Callable[[StorageBackend], _T]) -> _T:
         """A primary write under the breaker: a dead primary fails fast."""
         self._primary_breaker.guard()
-        try:
-            result = operation()
-        except Exception as error:
-            if _is_outage(error):
-                self._primary_breaker.record_failure()
-            elif not isinstance(error, DeadlineExceeded):
-                self._primary_breaker.record_success()
-            raise
-        self._primary_breaker.record_success()
-        return result
+        return self._observed(self._primary_breaker, self.primary, operation)
 
     def _mirror(self, operation: Callable[[StorageBackend], object]) -> None:
-        if self._mode == "async":
-            self._mirror_async(operation)
-            return
-        for index, replica in enumerate(self.replicas):
-            breaker = self._replica_breakers[index]
-            if not breaker.allow():
-                # Do not hammer a dead replica with writes it will only
-                # reject; the missed write is anti-entropy's to repair.
-                self.replica_write_failures += 1
-                continue
-            try:
-                operation(replica)
-            except Exception as error:  # noqa: BLE001 - repaired by anti_entropy
-                self.replica_write_failures += 1
-                if _is_outage(error):
-                    breaker.record_failure()
-            else:
-                breaker.record_success()
+        """Append one mirror op to each replica's log, then drain it
+        inline in sync mode or when backpressured (async at ``max_lag``).
 
-    def _mirror_async(
-        self, operation: Callable[[StorageBackend], object]
-    ) -> None:
-        """Enqueue one mirror op per replica; backpressure, never drop.
-
-        A replica whose breaker is open is skipped (as in sync mode —
-        anti-entropy repairs it before rejoin).  A log at ``max_lag``
-        means the applier is not keeping up: the op still enqueues (so
-        order is preserved) and the *writer* drains the log inline —
-        the degraded path is synchronous mirroring, never a lost op.
+        An open breaker skips the replica (counted, left for repair).
+        The mode is read after the append, so a write racing a switch
+        to sync is drained behind every op queued before it.
         """
         for index in range(len(self.replicas)):
-            breaker = self._replica_breakers[index]
-            if not breaker.allow():
+            if not self._replica_breakers[index].allow():
                 self.replica_write_failures += 1
                 continue
             cond = self._log_conds[index]
@@ -809,6 +773,8 @@ class ReplicatedBackend(StorageBackend):
                 full = len(self._logs[index]) >= self.max_lag
                 self._logs[index].append(operation)
                 cond.notify_all()
-            if full:
+            if self._mode == "sync":
+                self._drain_log(index)
+            elif full:
                 self.backpressure_syncs += 1
                 self._drain_log(index)

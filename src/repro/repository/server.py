@@ -348,6 +348,7 @@ class _ServerMetrics:
         self._shed_overload = 0
         self._shed_draining = 0
         self._deadline_rejected = 0
+        self._client_aborted = 0
 
     def count_shed(self, *, draining: bool) -> None:
         with self._mutex:
@@ -359,6 +360,10 @@ class _ServerMetrics:
     def count_deadline_rejected(self) -> None:
         with self._mutex:
             self._deadline_rejected += 1
+
+    def count_client_aborted(self) -> None:
+        with self._mutex:
+            self._client_aborted += 1
 
     def count_route(self, name: str) -> None:
         with self._mutex:
@@ -409,6 +414,7 @@ class _ServerMetrics:
                     "shed_draining": self._shed_draining,
                     "deadline_rejected": self._deadline_rejected,
                 },
+                "client_aborted": self._client_aborted,
             }
 
 
@@ -557,6 +563,7 @@ class _Handler(BaseHTTPRequestHandler):
                     # The peer hung up while the response was going
                     # out; a second response would only fail again.
                     self.close_connection = True
+                    self.server.metrics.count_client_aborted()
                 except Exception as error:  # noqa: BLE001 - wire boundary
                     status = _error_status(error)
                     if self._response_started:
@@ -564,10 +571,12 @@ class _Handler(BaseHTTPRequestHandler):
                         # response would land inside the first one's
                         # body, so end the connection instead.  A
                         # socket failure (timeout, abort) is the
-                        # peer's; only an untyped bug logs.
+                        # peer's and counts as client_aborted; only an
+                        # untyped bug logs.
                         self.close_connection = True
-                        if status == 500 and not isinstance(
-                                error, (ConnectionError, TimeoutError)):
+                        if isinstance(error, (ConnectionError, TimeoutError)):
+                            self.server.metrics.count_client_aborted()
+                        elif status == 500:
                             _log.exception("internal error on %s %s",
                                            method, split.path)
                         return
@@ -1043,6 +1052,7 @@ class _Handler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             # The peer hung up mid-stream; nothing left to tell it.
             self.close_connection = True
+            self.server.metrics.count_client_aborted()
             return
         except Exception as error:  # noqa: BLE001 - wire boundary
             if _error_status(error) >= 500:
@@ -1055,6 +1065,7 @@ class _Handler(BaseHTTPRequestHandler):
                 stream.close()
             except OSError:
                 self.close_connection = True
+                self.server.metrics.count_client_aborted()
                 return
 
     def _record_stream(self, stream: _ChunkedStream, count: int,

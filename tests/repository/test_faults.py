@@ -124,24 +124,28 @@ class TestReplicationUnderFaults:
         primary.kill()
         assert replicated.get(entry.identifier) == entry
 
-    def test_replica_crash_is_counted_and_repaired(self):
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_replica_crash_is_counted_and_repaired(self, mode):
         """The file-crash fault end to end at the backend layer: the
         mirror write dies in the pre-rename window, the composite write
-        still succeeds, and anti-entropy repairs the replica."""
+        still succeeds, and anti-entropy repairs the replica.  One
+        failure rule in both modes: the op is tried once, not retried."""
         entry = composers_entry()
         injector = FaultInjector()
         primary = MemoryBackend()
         replica = MemoryBackend()
         flaky_replica = FlakyBackend(replica, injector, "replica")
-        replicated = ReplicatedBackend(primary, [flaky_replica])
+        replicated = ReplicatedBackend(primary, [flaky_replica], mode=mode)
         injector.arm("replica", mode="once")
         replicated.add(entry)  # primary-first: succeeds
+        assert replicated.wait_for_replication()
         assert replicated.replica_write_failures == 1
         assert injector.fired("replica") == 1
         assert not replica.has(entry.identifier)
         report = replicated.anti_entropy()
         assert report.entries_copied == 1
         assert replica.get(entry.identifier) == entry
+        replicated.close()
 
 
 class TestFileBackendCrashHook:

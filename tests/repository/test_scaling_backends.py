@@ -13,11 +13,13 @@ anti-entropy repair.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
 from repro.core.errors import DuplicateEntry, EntryNotFound, StorageError
+from repro.repository import FaultInjector, FlakyBackend
 from repro.repository.backends import (
     FileBackend,
     MemoryBackend,
@@ -137,6 +139,20 @@ class OutageBackend(MemoryBackend):
     def add_version(self, entry):
         self._check()
         super().add_version(entry)
+
+
+class GatedBackend(MemoryBackend):
+    """A memory backend whose ``add`` parks until ``gate`` is set."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def add(self, entry):
+        self.entered.set()
+        self.gate.wait(10)
+        super().add(entry)
 
 
 class SpyBackend(MemoryBackend):
@@ -382,6 +398,62 @@ class TestAntiEntropy:
         assert report.entries_copied == 6
         assert_same_contents(primary, backend.replicas[0])
         backend.close()
+
+
+class TestOneMirrorPath:
+    """Both modes mirror through the trailing log: same order, same
+    breaker claim, same failure rule."""
+
+    def test_a_switch_to_sync_keeps_replica_order(self):
+        """A write that lands while the switch joins a parked applier
+        queues behind the op the applier is still applying."""
+        replica = GatedBackend()
+        pair = ReplicatedBackend(MemoryBackend(), replica, mode="async")
+        try:
+            pair.add(minimal_entry())
+            assert replica.entered.wait(5)  # the applier is parked in add
+            switch = threading.Thread(
+                target=pair.set_replication_mode, args=("sync",))
+            switch.start()
+            deadline = time.monotonic() + 5
+            while pair.mode != "sync" and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert pair.mode == "sync"
+            release = threading.Timer(0.2, replica.gate.set)
+            release.start()
+            pair.add_version(minimal_entry(version=Version(0, 2)))
+            switch.join(5)
+            release.join(5)
+            assert replica.versions("demo-example") == \
+                pair.primary.versions("demo-example")
+            assert pair.replica_write_failures == 0
+        finally:
+            replica.gate.set()
+            pair.close()
+
+    def test_half_open_trial_in_async_mode_is_dialled_once(self):
+        """The writer claims the half-open trial at enqueue; the applier
+        must then dial it, not refuse it as a second claim."""
+        now = [0.0]
+        injector = FaultInjector()
+        replica = FlakyBackend(MemoryBackend(), injector, "replica")
+        pair = ReplicatedBackend(
+            MemoryBackend(), replica, mode="async", failure_threshold=1,
+            reset_timeout=5.0, clock=lambda: now[0])
+        try:
+            first, second = entry_batch(2)
+            replica.kill()
+            pair.add(first)
+            assert pair.wait_for_replication(5)
+            replica.revive()
+            now[0] += 6.0  # past reset_timeout: the breaker is half-open
+            pair.add(second)
+            assert pair.wait_for_replication(5)
+            stats = pair.resilience_stats()
+            assert stats["replicas"][0]["state"] == "closed"
+            assert stats["replica_write_failures"] == 1
+        finally:
+            pair.close()
 
 
 # ----------------------------------------------------------------------

@@ -592,6 +592,7 @@ class TestClientHangUp:
             peer.close()
             release.set()
             assert server._tracker.wait_idle(10)
+            assert server.metrics.snapshot()["client_aborted"] == 1
             status, _type, body = fetch(server.url + "/entries/demo-example")
             assert status == 200
             assert json.loads(body)["entry"]["title"] == "DEMO EXAMPLE"
@@ -600,6 +601,52 @@ class TestClientHangUp:
             server.stop()
         assert not [record for record in caplog.records
                     if "internal error" in record.getMessage()]
+
+    def test_a_hang_up_mid_stream_is_counted(self, caplog):
+        """A peer that resets between two NDJSON pages: the next page
+        write fails, and the abort is counted instead of logged."""
+        entered, release = threading.Event(), threading.Event()
+
+        class GatedBackend(MemoryBackend):
+            pages = None  # None: not streaming yet
+
+            def versions_many(self, identifiers):
+                if self.pages is not None:
+                    self.pages += 1
+                    if self.pages == 2:  # page one is already out
+                        entered.set()
+                        release.wait(10)
+                return super().versions_many(identifiers)
+
+        backend = GatedBackend()
+        batch = entry_batch(STREAM_PAGE_SIZE + 1)
+        backend.add_many(batch)
+        backend.pages = 0
+        server = RepositoryServer(RepositoryService(backend),
+                                  close_service=True).start()
+        body = json.dumps(
+            {"identifiers": [entry.identifier for entry in batch]}).encode()
+        try:
+            peer = socket.create_connection(("127.0.0.1", server.port))
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            peer.sendall(b"POST /batch/versions HTTP/1.1\r\n"
+                         b"Host: test\r\n"
+                         b"Accept: application/x-ndjson\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body) + body)
+            assert entered.wait(10)
+            peer.close()
+            release.set()
+            assert server._tracker.wait_idle(10)
+            snapshot = server.metrics.snapshot()
+            assert snapshot["client_aborted"] == 1
+            assert snapshot["stream"]["responses"] == 0
+        finally:
+            release.set()
+            server.stop()
+        assert not [record for record in caplog.records
+                    if record.levelno >= logging.ERROR]
 
 
 def read_until_closed(peer: socket.socket) -> tuple[bytes, bool]:
@@ -625,14 +672,15 @@ class TestFailureAfterHeaders:
             raise error
         monkeypatch.setattr(_Handler, "_handle_has", handle_has)
 
-    @pytest.mark.parametrize("error, logged", [
-        (TimeoutError("timed out"), False),
-        (ConnectionAbortedError("aborted"), False),
-        (EntryNotFound("gone"), False),
-        (RuntimeError("handler bug"), True),
+    @pytest.mark.parametrize("error, logged, aborted", [
+        (TimeoutError("timed out"), False, 1),
+        (ConnectionAbortedError("aborted"), False, 1),
+        (EntryNotFound("gone"), False, 0),
+        (RuntimeError("handler bug"), True, 0),
     ], ids=["timeout", "aborted", "typed", "untyped"])
     def test_exactly_one_response_then_close(self, served, monkeypatch,
-                                             caplog, error, logged):
+                                             caplog, error, logged,
+                                             aborted):
         server, _client = served
         self.fail_after_headers(monkeypatch, error)
         with socket.create_connection(("127.0.0.1", server.port),
@@ -647,6 +695,9 @@ class TestFailureAfterHeaders:
         internal = [record for record in caplog.records
                     if "internal error" in record.getMessage()]
         assert bool(internal) == logged
+        # Only a socket failure is the peer's abort; a typed answer is
+        # neither, and a server bug is logged instead.
+        assert server.metrics.snapshot()["client_aborted"] == aborted
 
     def test_failure_before_headers_still_gets_its_error_response(
             self, served, monkeypatch):
