@@ -61,10 +61,11 @@ server's side of the protocol):
   10k-identifier bulk read never buffers the whole corpus here.  Warm
   reads skip decoding entirely through a byte-keyed
   :class:`~repro.repository.codec.LineMemo` (the codec is
-  deterministic, so identical bytes are the same snapshot).  A server
-  that answers plain JSON (no streaming support) is handled by
-  falling back to the buffered decode, and ``stream_batches=False``
-  pins that behaviour for comparison.
+  deterministic, so identical bytes are the same snapshot);
+  ``stream_batches=False`` pins the buffered JSON bodies instead.
+
+Buffered and streamed requests open through one step
+(:meth:`HTTPBackend._open`), so either fails with the same typed error.
 """
 
 from __future__ import annotations
@@ -285,8 +286,9 @@ class HTTPBackend(StorageBackend):
         self._connections_mutex = Mutex()
         self._closed = False
         #: Whether batch reads use the server's chunked NDJSON bodies
-        #: (False pins the PR-5 buffered JSON path — the comparison
+        #: (False pins the buffered JSON bodies — the comparison
         #: baseline, and the escape hatch if a proxy mangles chunking).
+        #: A stream request answered without a stream is an error.
         self.stream_batches = stream_batches
         #: path -> (etag, entry): the conditional-read state for get().
         self._validation = _ValidationCache()
@@ -313,8 +315,9 @@ class HTTPBackend(StorageBackend):
 
     def _connection(self) -> http.client.HTTPConnection:
         connection = getattr(self._local, "connection", None)
-        if (connection is not None
-                and time.monotonic() - self._local.last_used
+        if connection is not None and (
+                connection.sock is None  # a Connection: close answer
+                or time.monotonic() - self._local.last_used
                 > self.idle_reuse_limit):
             # The server has likely closed this idle connection; its
             # FIN only surfaces at response time, too late for a safe
@@ -401,11 +404,19 @@ class HTTPBackend(StorageBackend):
     def _exchange(
         self, method: str, path: str, body: "bytes | None", headers: dict,
     ) -> "tuple[int, http.client.HTTPMessage, bytes]":
-        """One attempt: send, await the response, inflate the body.
+        """One buffered attempt: open, then read the inflated body."""
+        response = self._open(method, path, body, headers)
+        return response.status, response.headers, self._read_body(response)
+
+    def _open(
+        self, method: str, path: str, body: "bytes | None", headers: dict,
+    ) -> http.client.HTTPResponse:
+        """One attempt: send and await the status line, body unread.
 
         The ambient deadline, when one is set, caps the socket timeout
         for this attempt and rides the wire as ``X-Deadline-Ms`` so
         the server (and anything behind it) inherits the same clock.
+        A 503 raises as a shed.
         """
         deadline = current_deadline()
         if deadline is not None:
@@ -429,16 +440,24 @@ class HTTPBackend(StorageBackend):
                 "send", self.base_url, error, deadline) from error
         try:
             response = connection.getresponse()
-            raw = response.read()
         except (OSError, http.client.HTTPException) as error:
             self._drop_connection()
             raise _transport_error(
                 "response", self.base_url, error, deadline) from error
         if response.status == 503:
-            raise _shed_error(response.headers,
-                              self._inflate(response, raw))
-        return (response.status, response.headers,
-                self._inflate(response, raw))
+            raise _shed_error(response.headers, self._read_body(response))
+        return response
+
+    def _read_body(self, response: http.client.HTTPResponse) -> bytes:
+        """Read and inflate a whole body; a failed read (a body cut
+        short, a timeout) is the typed response-phase error."""
+        try:
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            self._drop_connection()
+            raise _transport_error("response", self.base_url, error,
+                                   current_deadline()) from error
+        return self._inflate(response, raw)
 
     @staticmethod
     def _retryable(method: str, error: BaseException) -> bool:
@@ -582,16 +601,11 @@ class HTTPBackend(StorageBackend):
         next request simply opens a fresh one.
         """
         payload = {"requests": self._wire_requests(requests)}
-        for kind, value in self._stream_lines("/batch/get", payload):
-            if kind == "payload":
-                # A non-streaming server answered the buffered body.
-                for data in value["entries"]:
-                    yield entry_from_dict(data)
-                return
-            entry = self._line_memo.get(value)
+        for line in self._stream_lines("/batch/get", payload):
+            entry = self._line_memo.get(line)
             if entry is None:
-                entry = decode_entry(value)
-                self._line_memo.put(value, entry)
+                entry = decode_entry(line)
+                self._line_memo.put(line, entry)
             yield entry
 
     @staticmethod
@@ -608,16 +622,9 @@ class HTTPBackend(StorageBackend):
             self, identifiers: Sequence[str]) -> dict[str, list[Version]]:
         if self.stream_batches:
             listing: dict[str, list[Version]] = {}
-            for kind, value in self._stream_lines(
+            for line in self._stream_lines(
                     "/batch/versions", {"identifiers": list(identifiers)}):
-                if kind == "payload":
-                    listing = value["versions"]
-                    return {
-                        identifier: [Version.parse(text)
-                                     for text in versions]
-                        for identifier, versions in listing.items()
-                    }
-                data = json.loads(value)
+                data = json.loads(line)
                 listing[data["identifier"]] = [
                     Version.parse(text) for text in data["versions"]
                 ]
@@ -630,17 +637,17 @@ class HTTPBackend(StorageBackend):
             for identifier, versions in payload["versions"].items()
         }
 
-    def _stream_lines(self, path: str, payload: dict):
+    def _stream_lines(self, path: str, payload: dict) -> Iterator[bytes]:
         """POST one batch and yield its NDJSON data lines as they land.
 
-        Yields ``("line", bytes)`` per data line; a server that does
-        not stream yields one ``("payload", dict)`` instead (the
-        buffered body, decoded).  The terminating frame protocol makes
-        truncation detectable: a successful stream ends with
-        ``{"_stream": "end", "count": n}`` whose count must match the
-        lines seen; a server-side failure after the headers arrives as
-        ``{"_stream": "error", ...}`` and re-raises exactly like a
-        buffered error response; an EOF with neither is an error.
+        The request opens through :meth:`_open`, like a buffered one;
+        an error status raises its wire error, and any other answer that
+        is not a stream raises :class:`StorageError`.  The terminating
+        frame protocol makes truncation detectable: a successful stream
+        ends with ``{"_stream": "end", "count": n}`` whose count must
+        match the lines seen; a server-side failure after the headers
+        arrives as ``{"_stream": "error", ...}`` and re-raises exactly
+        like a buffered error response; an EOF with neither is an error.
         """
         if self._closed:
             raise StorageError("HTTPBackend is closed")
@@ -649,19 +656,16 @@ class HTTPBackend(StorageBackend):
         # Only the prologue (send + status line) retries; once body
         # chunks may have been consumed a retry could replay lines.
         response = self.retry_policy.call(
-            lambda: self._open_stream(path, body, headers),
+            lambda: self._open("POST", path, body, headers),
             classify=lambda error: self._retryable("POST", error),
         )
-        if response.status >= 400:
-            raw = self._inflate(response, response.read())
-            self._decode(response.status, raw)  # raises the wire error
-            raise StorageError(  # pragma: no cover - decode always raises
-                f"server answered HTTP {response.status}")
-        content_type = response.headers.get("Content-Type", "")
-        if NDJSON_TYPE not in content_type.lower():
-            raw = self._inflate(response, response.read())
-            yield ("payload", self._decode(response.status, raw))
-            return
+        content_type = response.headers.get("Content-Type", "").lower()
+        if response.status >= 400 or NDJSON_TYPE not in content_type:
+            raw = self._read_body(response)
+            if response.status >= 400:
+                self._decode(response.status, raw)  # raises the wire error
+            raise StorageError(f"server answered HTTP {response.status} "
+                               f"without a stream")
         coding = (response.headers.get("Content-Encoding")
                   or "identity").strip().lower()
         inflater = (zlib.decompressobj(16 + zlib.MAX_WBITS)
@@ -700,7 +704,7 @@ class HTTPBackend(StorageBackend):
                                 f"unknown stream frame: {line!r}")
                     else:
                         lines_seen += 1
-                        yield ("line", line)
+                        yield line
                 del buffer[:start]
             # Drain to EOF: the chunked terminator must be consumed or
             # the keep-alive connection stays desynced.
@@ -728,37 +732,6 @@ class HTTPBackend(StorageBackend):
             raise StorageError(
                 f"streamed batch response dropped lines: the end frame "
                 f"counted {end_count}, {lines_seen} arrived")
-
-    def _open_stream(self, path: str, body: "bytes | None",
-                     headers: dict) -> http.client.HTTPResponse:
-        """One streamed-POST attempt: send and await the status line."""
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check(f"POST {path}")
-            headers = dict(headers)
-            headers["X-Deadline-Ms"] = str(
-                max(1, int(deadline.remaining() * 1000)))
-        try:
-            connection = self._connection()
-            connection.sock.settimeout(
-                deadline.cap(self.timeout) if deadline is not None
-                else self.timeout)
-            connection.request("POST", self._prefix + path,
-                               body=body, headers=headers)
-        except (OSError, http.client.HTTPException) as error:
-            self._drop_connection()
-            raise _transport_error(
-                "send", self.base_url, error, deadline) from error
-        try:
-            response = connection.getresponse()
-        except (OSError, http.client.HTTPException) as error:
-            self._drop_connection()
-            raise _transport_error(
-                "response", self.base_url, error, deadline) from error
-        if response.status == 503:
-            raw = self._inflate(response, response.read())
-            raise _shed_error(response.headers, raw)
-        return response
 
     # ------------------------------------------------------------------
     # Queries: executed server-side, results rehydrated.

@@ -18,7 +18,10 @@ facade adds, on top of any
   requests out further) while each write is exclusive, so backend
   write, token bump and event dispatch form one atomic step.  The lock
   is writer-preference and writer-reentrant: subscribers called during
-  a write may read back through the service;
+  a write may read back through the service.  Point reads (``get``,
+  ``get_encoded``) skip it and go straight to the backend, so they
+  never wait behind a write's event dispatch; batch reads, listings,
+  queries and the change token keep it;
 * **group commit** — concurrent writers coalesce.  Each write joins a
   FIFO of pending writes and takes the write lock; whichever thread
   holds the lock (the *leader*) commits everything queued, up to
@@ -260,8 +263,10 @@ class RepositoryService(StorageBackend):
 
     def get(self, identifier: str,
             version: Version | None = None) -> ExampleEntry:
-        with self._rwlock.read_locked():
-            return self.backend.get(identifier, version)
+        # No read lock: a point read needs no snapshot across calls,
+        # and the backend write lands before the token bump, so a
+        # token read first never labels an older entry.
+        return self.backend.get(identifier, version)
 
     def get_many(self,
                  requests: Sequence[GetRequest]) -> list[ExampleEntry]:
@@ -274,9 +279,9 @@ class RepositoryService(StorageBackend):
                     version: Version | None = None) -> str | None:
         """The backend's stored codec payload, or None if it keeps none
         (see :meth:`StorageBackend.get_encoded`).  Not part of
-        :data:`API_METHODS`: only the HTTP server's entry route uses it."""
-        with self._rwlock.read_locked():
-            return self.backend.get_encoded(identifier, version)
+        :data:`API_METHODS`: only the HTTP server's entry route uses it.
+        Lock-free, like :meth:`get`."""
+        return self.backend.get_encoded(identifier, version)
 
     # ------------------------------------------------------------------
     # Writes (queued, then committed in groups under the write lock).

@@ -26,7 +26,12 @@ import urllib.request
 
 import pytest
 
-from repro.core.errors import CircuitOpenError, EntryNotFound, StorageError
+from repro.core.errors import (
+    BackendUnavailableError,
+    CircuitOpenError,
+    EntryNotFound,
+    StorageError,
+)
 from repro.repository.backends import MemoryBackend, SQLiteBackend
 from repro.repository.client import HTTPBackend
 from repro.repository.codec import CODEC_VERSION, encode_entry
@@ -35,6 +40,7 @@ from repro.repository.server import (
     RepositoryServer,
     _Handler,
 )
+from repro.repository.resilience import Deadline, RetryPolicy, deadline_scope
 from repro.repository.service import RepositoryService
 from repro.repository.versioning import Version
 from tests.repository.test_entry import minimal_entry
@@ -1442,6 +1448,114 @@ class TestRetryOnStaleSocket:
         client = HTTPBackend(fake.url)
         try:
             with pytest.raises(StorageError, match="dropped lines"):
+                client.get_many(["demo-example"])
+        finally:
+            client.close()
+            fake.close()
+
+
+class TestOneRequestPath:
+    """Buffered calls and streamed batches open through one step, so a
+    failure raises the same typed error on either path."""
+
+    @staticmethod
+    def cut_short(status: str):
+        def script(connection):
+            # The head promises 100 bytes; 10 arrive, then the close.
+            connection.sendall(
+                f"HTTP/1.1 {status}\r\n"
+                "Content-Type: application/json\r\n"
+                "Content-Length: 100\r\n\r\n".encode("latin-1")
+                + b'{"error": ')
+        return script
+
+    @staticmethod
+    def good_stream(connection):
+        line = encode_entry(minimal_entry()).encode("utf-8")
+        connection.sendall(ndjson_head() + chunk(line + b"\n")
+                           + chunk(b'{"_stream": "end", "count": 1}\n')
+                           + b"0\r\n\r\n")
+
+    @pytest.mark.parametrize("status", ["404 Not Found",
+                                        "503 Service Unavailable"])
+    @pytest.mark.parametrize("call", ["get", "get_many"])
+    def test_a_body_cut_short_is_a_typed_error_on_both_paths(
+            self, call, status):
+        fake = ScriptedServer(self.cut_short(status))
+        client = HTTPBackend(fake.url,
+                             retry_policy=RetryPolicy(max_attempts=1))
+        try:
+            with pytest.raises(BackendUnavailableError):
+                if call == "get":
+                    client.get("demo-example")
+                else:
+                    client.get_many(["demo-example"])
+        finally:
+            client.close()
+            fake.close()
+
+    def test_a_shed_stream_request_retries_then_streams(self):
+        def shed(connection):
+            body = b'{"error": {"type": "BackendUnavailableError"}}'
+            connection.sendall(
+                b"HTTP/1.1 503 Service Unavailable\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Retry-After: 0\r\n"
+                b"Connection: close\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+                + body)
+
+        fake = ScriptedServer(shed, self.good_stream)
+        client = HTTPBackend(fake.url)
+        try:
+            assert client.get_many(["demo-example"]) == [minimal_entry()]
+        finally:
+            client.close()
+            fake.close()
+        assert len(fake.requests) == 2
+
+    def test_a_stream_request_carries_the_ambient_deadline(self):
+        fake = ScriptedServer(self.good_stream)
+        client = HTTPBackend(fake.url)
+        try:
+            with deadline_scope(Deadline.after(5.0)):
+                client.get_many(["demo-example"])
+        finally:
+            client.close()
+            fake.close()
+        (request_line, headers, _), = fake.requests
+        assert request_line.startswith("POST /batch/get ")
+        assert 0 < int(headers["x-deadline-ms"]) <= 5000
+
+    def test_a_connection_close_answer_leaves_the_next_call_working(self):
+        """``http.client`` drops the socket of a ``Connection: close``
+        answer; the next call opens a fresh connection instead of
+        failing on the dead one."""
+        def answer(connection):
+            body = {"entry": minimal_entry().to_dict()}
+            scripted_response(connection, json.dumps(body).encode("utf-8"))
+
+        fake = ScriptedServer(answer, answer)
+        client = HTTPBackend(fake.url,
+                             retry_policy=RetryPolicy(max_attempts=1))
+        try:
+            assert client.get("demo-example") == minimal_entry()
+            assert client.get("demo-example") == minimal_entry()
+        finally:
+            client.close()
+            fake.close()
+        assert len(fake.requests) == 2
+
+    def test_a_plain_json_answer_to_a_stream_request_is_an_error(self):
+        def plain_json(connection):
+            body = json.dumps({"entries": [minimal_entry().to_dict()]})
+            scripted_response(connection, body.encode("utf-8"))
+
+        fake = ScriptedServer(plain_json)
+        client = HTTPBackend(fake.url,
+                             retry_policy=RetryPolicy(max_attempts=1))
+        try:
+            with pytest.raises(StorageError, match="without a stream"):
                 client.get_many(["demo-example"])
         finally:
             client.close()

@@ -907,6 +907,73 @@ class TestThreadedReads:
             assert result.facets == expected.facets
 
 
+class TestLockFreePointReads:
+    """Point reads go to the backend without the facade's read lock."""
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_a_point_read_does_not_wait_for_a_parked_write(
+            self, kind, tmp_path):
+        backend = (MemoryBackend() if kind == "memory"
+                   else SQLiteBackend(tmp_path / "repo.db"))
+        service = RepositoryService(backend)
+        first = minimal_entry()
+        release, writer = hold_write_lock(service, first)
+        got: list = []
+        reader = threading.Thread(
+            target=lambda: got.append(service.get(first.identifier)))
+        try:
+            reader.start()
+            reader.join(WAIT / 5)
+            assert got == [first]  # returned while the write is parked
+        finally:
+            release.set()
+            join_all([writer, reader])
+            service.close()
+
+    def test_a_fresh_token_never_labels_a_stale_entry(self):
+        """Read ``change_token()`` then ``get()``: the entry is at least
+        as new as the token says, so a validator built from the token
+        can never vouch for an older entry (no false 304)."""
+        service = RepositoryService(MemoryBackend())
+        service.add(minimal_entry(overview="Generation 0."))
+        base_seq = int(service.change_token().rsplit(".", 1)[1])
+        generations = 2000
+        writer_done = threading.Event()
+        reads: list[int] = []
+        violations: list[tuple[int, int]] = []
+
+        def write() -> None:
+            try:
+                for generation in range(1, generations + 1):
+                    service.replace_latest(minimal_entry(
+                        overview=f"Generation {generation}."))
+            finally:
+                writer_done.set()
+
+        def read() -> None:
+            while not writer_done.is_set():
+                token = service.change_token()
+                entry = service.get("demo-example")
+                implied = int(token.rsplit(".", 1)[1]) - base_seq
+                actual = int(entry.overview.split()[1].rstrip("."))
+                reads.append(actual)
+                if implied > actual:
+                    violations.append((implied, actual))
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        threads.append(threading.Thread(target=write))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            join_all(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert violations == []
+        assert reads  # the readers ran while the writer did
+
+
 class TestIncrementalSearch:
     def test_query_sees_later_writes(self, service):
         service.add_many(entry_batch(2))
