@@ -25,6 +25,10 @@ change counter (``<root>/change-counter``), which bumps on every write
   version, counter)``, so a snapshot is parsed at most once between
   writes; writes prime it with the entry object they just encoded.
 
+Threads: reads share a readers-writer lock that a write, or a whole
+write group, holds alone, so no read sees a write half done.  Writers
+must still be serialised (``add`` is check-then-act), as the facade is.
+
 Mutating the tree out of band *without* bumping the counter (dropping
 files in by hand) leaves both caches stale until the next counted
 write; mutating it through any ``FileBackend`` — or bumping the
@@ -44,6 +48,7 @@ from typing import Callable, Iterator
 from repro.core.errors import DuplicateEntry, EntryNotFound, StorageError
 from repro.repository.backends.base import StorageBackend, _split_request
 from repro.repository.codec import DecodeMemo, decode_entry, encode_entry
+from repro.repository.concurrency import ReadWriteLock
 from repro.repository.entry import ExampleEntry
 from repro.repository.versioning import Version
 
@@ -59,6 +64,8 @@ class FileBackend(StorageBackend):
         self.entries_dir.mkdir(parents=True, exist_ok=True)
         self._counter_path = self.root / "change-counter"
         self._memo = DecodeMemo()
+        #: Readers share it; a write or a whole group holds it alone.
+        self._rwlock = ReadWriteLock()
         #: Fault-injection seam (see :mod:`repro.repository.faults`):
         #: when set, called with a point name inside the write sequence
         #: — between the leading counter bump and the content rename,
@@ -121,32 +128,36 @@ class FileBackend(StorageBackend):
         return self._listing_map
 
     def identifiers(self) -> list[str]:
-        return sorted(self._listing())
+        with self._rwlock.read_locked():
+            return sorted(self._listing())
 
     def versions(self, identifier: str) -> list[Version]:
-        stored = self._listing().get(identifier)
-        if stored is None:
-            raise EntryNotFound(identifier)
-        return list(stored)
+        with self._rwlock.read_locked():
+            stored = self._listing().get(identifier)
+            if stored is None:
+                raise EntryNotFound(identifier)
+            return list(stored)
 
     def has(self, identifier: str) -> bool:
-        return identifier in self._listing()
+        with self._rwlock.read_locked():
+            return identifier in self._listing()
 
     # ------------------------------------------------------------------
     # Reads (decode-memoised).
     # ------------------------------------------------------------------
 
     def get(self, identifier: str, version: Version | None = None) -> ExampleEntry:
-        counter = self.change_counter()
-        return self._get_at(identifier, version, counter)
+        with self._rwlock.read_locked():
+            return self._get_at(identifier, version, self.change_counter())
 
     def get_many(self, requests) -> list[ExampleEntry]:
         """Resolve many entries with one counter read for the batch."""
-        counter = self.change_counter()
-        return [
-            self._get_at(identifier, version, counter)
-            for identifier, version in map(_split_request, requests)
-        ]
+        with self._rwlock.read_locked():
+            counter = self.change_counter()
+            return [
+                self._get_at(identifier, version, counter)
+                for identifier, version in map(_split_request, requests)
+            ]
 
     def _get_at(
         self, identifier: str, version: Version | None, counter: int
@@ -194,32 +205,33 @@ class FileBackend(StorageBackend):
         if self._group_owner == threading.get_ident():
             yield self
             return
-        previous = self.change_counter()
-        self._bump_counter(previous + 1)
-        if self._listing_map is not None and self._listing_counter == previous:
-            # The bump changed no content; carry the listing forward so
-            # in-group reads (duplicate checks) skip the rescan.
-            self._listing_counter = previous + 1
-        self._group_owner = threading.get_ident()
-        self._group_entries = []
-        self._group_base = previous
-        try:
-            yield self
-        finally:
-            entries, self._group_entries = self._group_entries, []
-            self._group_owner = None
-            counter = previous + 2
-            self._bump_counter(counter)
-            if self._listing_map is not None and (
-                self._listing_counter == previous + 1
-            ):
-                # _write maintained the map per entry; re-stamp it.
-                self._listing_counter = counter
-            else:
-                self._listing_map = None
-            for entry in entries:
-                key = (entry.identifier, str(entry.version), counter)
-                self._memo.put(key, entry)
+        with self._rwlock.write_locked():
+            previous = self.change_counter()
+            self._bump_counter(previous + 1)
+            if self._listing_map is not None and self._listing_counter == previous:
+                # The bump changed no content; carry the listing forward so
+                # in-group reads (duplicate checks) skip the rescan.
+                self._listing_counter = previous + 1
+            self._group_owner = threading.get_ident()
+            self._group_entries = []
+            self._group_base = previous
+            try:
+                yield self
+            finally:
+                entries, self._group_entries = self._group_entries, []
+                self._group_owner = None
+                counter = previous + 2
+                self._bump_counter(counter)
+                if self._listing_map is not None and (
+                    self._listing_counter == previous + 1
+                ):
+                    # _write maintained the map per entry; re-stamp it.
+                    self._listing_counter = counter
+                else:
+                    self._listing_map = None
+                for entry in entries:
+                    key = (entry.identifier, str(entry.version), counter)
+                    self._memo.put(key, entry)
 
     def add(self, entry: ExampleEntry) -> None:
         if self.has(entry.identifier):
@@ -284,42 +296,43 @@ class FileBackend(StorageBackend):
         if self._group_owner == threading.get_ident():
             self._write_in_group(entry)
             return
-        # The counter bumps on *both* sides of the snapshot rename.
-        # Before: a crash between bump and rename leaves an advanced
-        # counter and no new content, so a change token merely moves
-        # spuriously (one extra revalidation) — the opposite order
-        # would leave new content under an old counter, and an ETag
-        # minted from it would confirm stale bytes as fresh.  After: a reader racing the rename can have read
-        # the first-bumped counter and then the *pre-rename* state —
-        # old bytes on a replace_latest, or the entry's absence on an
-        # add — and cached it (decode memo, listing cache) under that
-        # counter; the second bump orphans whatever was cached in the
-        # window.
-        previous = self.change_counter()
-        self._bump_counter(previous + 1)
-        path = self._version_path(entry.identifier, entry.version)
-        temp = path.with_suffix(".json.tmp")
-        temp.write_text(encode_entry(entry) + "\n", encoding="utf-8")
-        if self.fault_hook is not None:
-            # Simulated crash window: counter already bumped, content
-            # not yet renamed in — at worst a ``*.json.tmp`` fragment,
-            # which every read path ignores.
-            self.fault_hook("pre-rename")
-        temp.replace(path)
-        counter = previous + 2
-        self._bump_counter(counter)
-        # Keep the listing cache coherent without a rescan (only when
-        # the cache was current up to this very write).
-        if self._listing_map is not None and self._listing_counter == previous:
-            stored = self._listing_map.setdefault(entry.identifier, [])
-            if entry.version not in stored:
-                bisect.insort(stored, entry.version)
-            self._listing_counter = counter
-        else:
-            self._listing_map = None
-        # The bytes just written came from this very object: prime the
-        # memo so the next read skips the decode entirely.
-        self._memo.put((entry.identifier, str(entry.version), counter), entry)
+        with self._rwlock.write_locked():
+            # The counter bumps on *both* sides of the snapshot rename.
+            # Before: a crash between bump and rename leaves an advanced
+            # counter and no new content, so a change token merely moves
+            # spuriously (one extra revalidation) — the opposite order
+            # would leave new content under an old counter, and an ETag
+            # minted from it would confirm stale bytes as fresh.  After:
+            # a reader through another FileBackend over this root, racing
+            # the rename, can have read the first-bumped counter and then
+            # the *pre-rename* state — old bytes on a replace_latest, or
+            # the entry's absence on an add — and cached it under that
+            # counter; the second bump orphans it.
+            previous = self.change_counter()
+            self._bump_counter(previous + 1)
+            path = self._version_path(entry.identifier, entry.version)
+            temp = path.with_suffix(".json.tmp")
+            temp.write_text(encode_entry(entry) + "\n", encoding="utf-8")
+            if self.fault_hook is not None:
+                # Simulated crash window: counter already bumped, content
+                # not yet renamed in — at worst a ``*.json.tmp`` fragment,
+                # which every read path ignores.
+                self.fault_hook("pre-rename")
+            temp.replace(path)
+            counter = previous + 2
+            self._bump_counter(counter)
+            # Keep the listing cache coherent without a rescan (only when
+            # the cache was current up to this very write).
+            if self._listing_map is not None and self._listing_counter == previous:
+                stored = self._listing_map.setdefault(entry.identifier, [])
+                if entry.version not in stored:
+                    bisect.insort(stored, entry.version)
+                self._listing_counter = counter
+            else:
+                self._listing_map = None
+            # The bytes just written came from this very object: prime the
+            # memo so the next read skips the decode entirely.
+            self._memo.put((entry.identifier, str(entry.version), counter), entry)
 
     def _write_in_group(self, entry: ExampleEntry) -> None:
         """One write inside an open group: rename only, no counter I/O.

@@ -660,10 +660,10 @@ class HTTPBackend(StorageBackend):
             classify=lambda error: self._retryable("POST", error),
         )
         content_type = response.headers.get("Content-Type", "").lower()
-        if response.status >= 400 or NDJSON_TYPE not in content_type:
-            raw = self._read_body(response)
-            if response.status >= 400:
-                self._decode(response.status, raw)  # raises the wire error
+        if response.status >= 400:  # _decode raises the wire error
+            self._decode(response.status, self._read_body(response))
+        if NDJSON_TYPE not in content_type:
+            self._drop_connection()  # its unread body would desync it
             raise StorageError(f"server answered HTTP {response.status} "
                                f"without a stream")
         coding = (response.headers.get("Content-Encoding")

@@ -4,10 +4,10 @@ The facade serves many reader threads (a sharded backend fans reads out
 over a thread pool) while writers must be exclusive: a write updates the
 backend, bumps the change token and notifies subscribers as one atomic
 step, so no locked reader observes the new entry under the old token or
-a search index that has not yet seen the write.  Point reads take no
-lock: they read one backend entry, which the write has already stored
-before it bumps the token.  CPython has no readers-writer lock in the
-standard library, so a small one lives here.
+a search index that has not yet seen the write.  Point reads skip the
+facade's lock; a backend whose reads could see a write half done
+(``FileBackend``) takes its own.  CPython has no readers-writer lock in
+the standard library, so a small one lives here.
 
 :class:`ReadWriteLock` is writer-preference (a waiting writer blocks new
 readers, so writers cannot starve under a steady read load) and

@@ -87,12 +87,12 @@ what lets the unchanged backend conformance suite hold the whole wire
 round-trip to the storage contract.
 
 Concurrency: ``ThreadingHTTPServer`` gives every connection its own
-handler thread.  Entry GETs go to the backend without the service's
-lock, so they never wait behind a write; its writer-preference
-ReadWriteLock admits the other readers concurrently, and writes that
-arrive while another commits queue behind it and commit together as
-one group, exactly as for in-process threads.  The server adds no
-locking of its own.
+handler thread.  The service's writer-preference ReadWriteLock admits
+all readers concurrently, and writes that arrive while another commits
+queue behind it and commit together as one group, exactly as for
+in-process threads.  Only an entry GET served from stored bytes
+(durable SQLite) skips the service's lock and never waits behind a
+write.  The server adds no locking of its own.
 """
 
 from __future__ import annotations

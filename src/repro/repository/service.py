@@ -19,9 +19,10 @@ facade adds, on top of any
   write, token bump and event dispatch form one atomic step.  The lock
   is writer-preference and writer-reentrant: subscribers called during
   a write may read back through the service.  Point reads (``get``,
-  ``get_encoded``) skip it and go straight to the backend, so they
-  never wait behind a write's event dispatch; batch reads, listings,
-  queries and the change token keep it;
+  ``get_encoded``) skip it: each backend's own point read is safe
+  against a concurrent writer, so they never wait behind a lone
+  write's event dispatch.  Batch reads, listings, queries and the
+  change token keep it;
 * **group commit** — concurrent writers coalesce.  Each write joins a
   FIFO of pending writes and takes the write lock; whichever thread
   holds the lock (the *leader*) commits everything queued, up to
@@ -263,9 +264,9 @@ class RepositoryService(StorageBackend):
 
     def get(self, identifier: str,
             version: Version | None = None) -> ExampleEntry:
-        # No read lock: a point read needs no snapshot across calls,
-        # and the backend write lands before the token bump, so a
-        # token read first never labels an older entry.
+        # No read lock: the backend's own get is safe against a
+        # concurrent writer, and the backend write lands before the
+        # token bump, so a token read first never labels an older entry.
         return self.backend.get(identifier, version)
 
     def get_many(self,

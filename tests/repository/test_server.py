@@ -1546,6 +1546,26 @@ class TestOneRequestPath:
             fake.close()
         assert len(fake.requests) == 2
 
+    def test_get_sends_each_attempt_through_exchange(self, served):
+        """perfbench's traced mode wraps the instance's ``_exchange`` to
+        split a point read into wire and client time, so ``get()`` must
+        reach the wire through ``self._exchange``: once for a cold read
+        and once for a 304 revalidation."""
+        server, client = served
+        client.add(minimal_entry())
+        statuses: list[int] = []
+        exchange = client._exchange
+
+        def traced(*args, **kwargs):
+            status, headers, body = exchange(*args, **kwargs)
+            statuses.append(status)
+            return status, headers, body
+
+        client._exchange = traced
+        assert client.get("demo-example") == minimal_entry()
+        assert client.get("demo-example") == minimal_entry()
+        assert statuses == [200, 304]
+
     def test_a_plain_json_answer_to_a_stream_request_is_an_error(self):
         def plain_json(connection):
             body = json.dumps({"entries": [minimal_entry().to_dict()]})

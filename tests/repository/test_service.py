@@ -910,12 +910,7 @@ class TestThreadedReads:
 class TestLockFreePointReads:
     """Point reads go to the backend without the facade's read lock."""
 
-    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
-    def test_a_point_read_does_not_wait_for_a_parked_write(
-            self, kind, tmp_path):
-        backend = (MemoryBackend() if kind == "memory"
-                   else SQLiteBackend(tmp_path / "repo.db"))
-        service = RepositoryService(backend)
+    def test_a_point_read_does_not_wait_for_a_parked_write(self, service):
         first = minimal_entry()
         release, writer = hold_write_lock(service, first)
         got: list = []
@@ -928,25 +923,25 @@ class TestLockFreePointReads:
         finally:
             release.set()
             join_all([writer, reader])
-            service.close()
 
-    def test_a_fresh_token_never_labels_a_stale_entry(self):
+    def test_a_fresh_token_never_labels_a_stale_entry(self, service):
         """Read ``change_token()`` then ``get()``: the entry is at least
         as new as the token says, so a validator built from the token
-        can never vouch for an older entry (no false 304)."""
-        service = RepositoryService(MemoryBackend())
+        can never vouch for an older entry (no false 304).  The writer
+        records the token after each generation; a token it never
+        recorded was read mid-write and vouches for nothing."""
         service.add(minimal_entry(overview="Generation 0."))
-        base_seq = int(service.change_token().rsplit(".", 1)[1])
-        generations = 2000
+        generation_of = {service.change_token(): 0}
+        generations = 500
         writer_done = threading.Event()
-        reads: list[int] = []
-        violations: list[tuple[int, int]] = []
+        reads: list[tuple[str, int]] = []
 
         def write() -> None:
             try:
                 for generation in range(1, generations + 1):
                     service.replace_latest(minimal_entry(
                         overview=f"Generation {generation}."))
+                    generation_of[service.change_token()] = generation
             finally:
                 writer_done.set()
 
@@ -954,11 +949,8 @@ class TestLockFreePointReads:
             while not writer_done.is_set():
                 token = service.change_token()
                 entry = service.get("demo-example")
-                implied = int(token.rsplit(".", 1)[1]) - base_seq
-                actual = int(entry.overview.split()[1].rstrip("."))
-                reads.append(actual)
-                if implied > actual:
-                    violations.append((implied, actual))
+                reads.append(
+                    (token, int(entry.overview.split()[1].rstrip("."))))
 
         threads = [threading.Thread(target=read) for _ in range(2)]
         threads.append(threading.Thread(target=write))
@@ -970,8 +962,50 @@ class TestLockFreePointReads:
             join_all(threads)
         finally:
             sys.setswitchinterval(interval)
+        assert len(generation_of) == generations + 1  # every token moved
+        violations = [(token, actual) for token, actual in reads
+                      if generation_of.get(token, -1) > actual]
         assert violations == []
         assert reads  # the readers ran while the writer did
+
+    def test_a_scan_racing_a_group_never_hides_its_writes(self, tmp_path):
+        """FileBackend rebuilds its listing cache by scanning the tree.
+        A point read that scans while a coalesced group renames entries
+        in must not leave that cache without one of the group's
+        entries: after the group, each is listed and readable."""
+        service = RepositoryService(FileBackend(tmp_path / "repo"))
+        service.add_many(entry_batch(200))  # a scan takes a while
+        foreign = FileBackend(tmp_path / "repo")
+        stop = threading.Event()
+
+        def read() -> None:
+            while not stop.is_set():
+                service.get("entry-0")
+
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for round_ in range(20):
+                # A foreign write moves the counter, so the readers
+                # rescan while the group below runs.
+                foreign.replace_latest(
+                    minimal_entry(title="ENTRY 0", overview=f"{round_}."))
+                added = [minimal_entry(title=f"ROUND {round_} ENTRY {k}")
+                         for k in range(8)]
+                with service.write_group():
+                    for entry in added:
+                        service.add(entry)
+                for entry in added:
+                    assert service.has(entry.identifier)
+                    assert service.get(entry.identifier) == entry
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            join_all(readers)
+            service.close()
 
 
 class TestIncrementalSearch:
