@@ -12,6 +12,7 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     exceptions,
     locks,
     protocol,
+    responses,
     retries,
     txn,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "exceptions",
     "locks",
     "protocol",
+    "responses",
     "retries",
     "txn",
 ]

@@ -23,9 +23,11 @@ with their message.  An unrecognised error type degrades to
 ``StorageError`` rather than crossing the boundary as something
 un-catchable.
 
-Connections are keep-alive ``http.client.HTTPConnection`` objects, one
-per calling thread (the connection object is not thread-safe; a
-thread-local keeps the hot path allocation-free).  A connection idle
+Connections are keep-alive :class:`~repro.repository.wire.Connection`
+objects (``http.client`` connections whose response heads are read by
+:func:`~repro.repository.wire.read_headers`), one per calling thread
+(the connection object is not thread-safe; a thread-local keeps the
+hot path allocation-free).  A connection idle
 past ``idle_reuse_limit`` is replaced *before* reuse — servers close
 idle connections, and that close often surfaces only at response time,
 where a write cannot be safely retried.  Residual failures run under
@@ -125,6 +127,7 @@ from repro.repository.resilience import (
     current_deadline,
 )
 from repro.repository.versioning import Version
+from repro.repository.wire import Connection, Headers, Response
 
 __all__ = ["HTTPBackend"]
 
@@ -193,7 +196,7 @@ def _transport_error(phase: str, base_url: str, error: Exception,
     return wrapped
 
 
-def _shed_error(headers, raw: bytes) -> StorageError:
+def _shed_error(headers: Headers, raw: bytes) -> StorageError:
     """A 503: the server refused admission *before* doing any work.
 
     Safe to retry for any method (the request was never processed);
@@ -313,7 +316,7 @@ class HTTPBackend(StorageBackend):
     # The wire.
     # ------------------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> Connection:
         connection = getattr(self._local, "connection", None)
         if connection is not None and (
                 connection.sock is None  # a Connection: close answer
@@ -325,13 +328,13 @@ class HTTPBackend(StorageBackend):
             self._drop_connection()
             connection = None
         if connection is None:
-            connection = http.client.HTTPConnection(
+            connection = Connection(
                 self.host, self.port, timeout=self.timeout
             )
-            # A request is two small writes (header block, body); with
-            # Nagle on, the second stalls behind the server's delayed
-            # ACK (~40ms each on loopback).  The server disables Nagle
-            # on its side too.
+            # A request with a body is two small writes (head, body);
+            # with Nagle on, the second stalls behind the server's
+            # delayed ACK (~40ms each on loopback).  The server disables
+            # Nagle for its streams too.
             connection.connect()
             connection.sock.setsockopt(
                 socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
@@ -371,7 +374,7 @@ class HTTPBackend(StorageBackend):
     def _round_trip(
         self, method: str, path: str, payload: dict | None = None,
         extra_headers: dict | None = None,
-    ) -> "tuple[int, http.client.HTTPMessage, bytes]":
+    ) -> "tuple[int, Headers, bytes]":
         """One buffered exchange: (status, headers, inflated body).
 
         Attempts run under :attr:`retry_policy` (jittered backoff, a
@@ -403,14 +406,14 @@ class HTTPBackend(StorageBackend):
 
     def _exchange(
         self, method: str, path: str, body: "bytes | None", headers: dict,
-    ) -> "tuple[int, http.client.HTTPMessage, bytes]":
+    ) -> "tuple[int, Headers, bytes]":
         """One buffered attempt: open, then read the inflated body."""
         response = self._open(method, path, body, headers)
         return response.status, response.headers, self._read_body(response)
 
     def _open(
         self, method: str, path: str, body: "bytes | None", headers: dict,
-    ) -> http.client.HTTPResponse:
+    ) -> Response:
         """One attempt: send and await the status line, body unread.
 
         The ambient deadline, when one is set, caps the socket timeout
@@ -448,7 +451,7 @@ class HTTPBackend(StorageBackend):
             raise _shed_error(response.headers, self._read_body(response))
         return response
 
-    def _read_body(self, response: http.client.HTTPResponse) -> bytes:
+    def _read_body(self, response: Response) -> bytes:
         """Read and inflate a whole body; a failed read (a body cut
         short, a timeout) is the typed response-phase error."""
         try:

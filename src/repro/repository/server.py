@@ -137,6 +137,7 @@ from repro.repository.render_cache import RenderCache
 from repro.repository.resilience import Deadline, deadline_scope
 from repro.repository.service import RepositoryService
 from repro.repository.versioning import Version
+from repro.repository.wire import BadHead, read_headers
 
 __all__ = ["RepositoryServer", "main"]
 
@@ -189,6 +190,19 @@ def _wire_error(status: int, message: str) -> StorageError:
     error = StorageError(message)
     error.http_status = status
     return error
+
+
+def _http_version(text: str) -> tuple[int, int] | None:
+    """``HTTP/x.y`` as numbers, or None: the stdlib's rules (one dot,
+    decimal components of at most ten digits, leading zeros ignored)."""
+    if not text.startswith("HTTP/"):
+        return None
+    components = text[5:].split(".")
+    if len(components) != 2 or not all(
+            part.isascii() and part.isdigit() and len(part) <= 10
+            for part in components):
+        return None
+    return int(components[0]), int(components[1])
 
 
 #: One If-None-Match member: ``*`` or an (optionally weak) quoted tag.
@@ -474,15 +488,94 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     #: A dead keep-alive peer must not pin its handler thread forever.
     timeout = 30
-    #: Responses are two small writes (header block, body).  With Nagle
-    #: on, the second write stalls behind the peer's delayed ACK —
-    #: ~40ms per request on loopback, a 100x throughput cliff.  The
-    #: client sets TCP_NODELAY on its side for the same reason.
+    #: A buffered response is one write, but a stream is a head and
+    #: then chunks.  With Nagle on, a later small write stalls behind
+    #: the peer's delayed ACK — ~40ms per request on loopback, a 100x
+    #: throughput cliff.  The client sets TCP_NODELAY for its own
+    #: multi-write requests.
     disable_nagle_algorithm = True
 
     # The server instance carries the repository objects (see
     # RepositoryServer.start): self.server.repository is the
     # RepositoryAPI facade, self.server.render_cache the wiki cache.
+
+    # ------------------------------------------------------------------
+    # The request head.
+    # ------------------------------------------------------------------
+
+    def parse_request(self) -> bool:
+        """Parse the request line as the stdlib does, then the fields
+        with :func:`~repro.repository.wire.read_headers` instead of
+        ``email.feedparser``.
+
+        The request line keeps the stdlib's answers: 400 for bad syntax
+        or version, 505 from HTTP/2 on, ``//`` collapsed to ``/``, and
+        HTTP/1.0 closing by default.  A refused field gets its 400/431
+        and the connection closes; a head cut short closes it with
+        nothing sent, since there is no request to answer.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = requestline = str(
+            self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _http_version(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (1, 1):  # protocol_version is HTTP/1.1
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        # A leading "//" would read as a scheme-relative URI (gh-87389).
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        refused = None  # answered below, outside the except block
+        try:
+            self.headers = read_headers(self.rfile)
+        except BadHead as bad:
+            refused = bad
+        if refused is not None:
+            self.close_connection = True
+            if not refused.cut_short:
+                self.send_error(refused.status, str(refused))
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (self.headers.get("Expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """The stdlib's error answer to a refused head; a peer that hung
+        up before it went out is an abort, not a traceback."""
+        try:
+            super().send_error(code, message, explain)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
+            self.server.metrics.count_client_aborted()
 
     # ------------------------------------------------------------------
     # Entry points per verb.
@@ -634,12 +727,9 @@ class _Handler(BaseHTTPRequestHandler):
             # chunk stream would be parsed as the next request.
             self.close_connection = True
             return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            self.close_connection = True
-            return
-        if length <= 0:
+        # read_headers admits only a non-negative integer length.
+        length = int(self.headers.get("Content-Length", 0))
+        if not length:
             return
         if length > self._MAX_DRAIN:
             self.close_connection = True
@@ -752,7 +842,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(304)
         self.send_header("ETag", etag)
         self.send_header("Content-Length", "0")
-        self.end_headers()
+        self._send_head()
 
     def _repository_etag(self, *parts: str) -> str | None:
         """An ETag bound to the service change token, or None.
@@ -1126,11 +1216,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise _wire_error(
                 415, f"unsupported Content-Encoding {coding!r}; "
                      "send identity or gzip")
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            # Unframeable: _consume_body will close the connection.
-            raise StorageError("bad Content-Length header") from None
+        length = int(self.headers.get("Content-Length", 0))
         if length > self._MAX_BODY:
             # Rejected by the header alone — the body is never read
             # into memory, and the connection closes instead of
@@ -1210,8 +1296,17 @@ class _Handler(BaseHTTPRequestHandler):
         if encoding is not None:
             self.send_header("Content-Encoding", encoding)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_head(body)
+
+    def _send_head(self, body: bytes = b"") -> None:
+        """End the buffered head and send it with ``body`` in one write
+        (``end_headers`` would send the head on its own)."""
+        if self.request_version == "HTTP/0.9":  # no head at all
+            self.wfile.write(body)
+            return
+        self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(body)
+        self.flush_headers()
 
     def send_response_only(self, code: int,
                            message: str | None = None) -> None:

@@ -620,3 +620,97 @@ class TestTxnDiscipline:
         project = load_project([REPO_SRC])
         findings = run_rules(project, [get_rule("txn-discipline")])
         assert findings == []
+
+
+# ----------------------------------------------------------------------
+# Response once: a send from an except block needs the started-guard.
+# ----------------------------------------------------------------------
+
+
+def response_findings(tmp_path, source: str, name: str = "server.py"):
+    return scan(tmp_path, {name: source}, "response-once")
+
+
+class TestResponseOnce:
+    def test_fires_on_an_unguarded_send_in_an_except_block(self, tmp_path):
+        findings = response_findings(
+            tmp_path,
+            "class Handler:\n"
+            "    def handle(self):\n"
+            "        try:\n"
+            "            self.work()\n"
+            "        except ValueError:\n"
+            "            self._send_json(400, {})\n"
+            "        except KeyError as error:\n"
+            "            if error.args:\n"
+            "                self.send_error(404)\n"
+            "            else:\n"
+            "                self.send_response(500)\n",
+        )
+        assert [f.line for f in findings] == [6, 9, 11]
+
+    def test_quiet_under_the_guard_or_after_an_early_return(self, tmp_path):
+        findings = response_findings(
+            tmp_path,
+            "class Handler:\n"
+            "    def handle(self):\n"
+            "        try:\n"
+            "            self.work()\n"
+            "        except ValueError:\n"
+            "            if not self._response_started:\n"
+            "                self._send_json(400, {})\n"
+            "        except KeyError:\n"
+            "            if self._response_started:\n"
+            "                self.close_connection = True\n"
+            "                return\n"
+            "            self.send_error(404)\n"
+            "        except OSError:\n"
+            "            self.close_connection = True\n"
+            "            callback = lambda: self._send_json(500, {})\n"
+            "        self._send_json(200, {})\n",
+        )
+        assert findings == []
+
+    def test_a_started_branch_without_return_guards_nothing(self, tmp_path):
+        findings = response_findings(
+            tmp_path,
+            "class Handler:\n"
+            "    def handle(self):\n"
+            "        try:\n"
+            "            self.work()\n"
+            "        except ValueError:\n"
+            "            if self._response_started:\n"
+            "                self.close_connection = True\n"
+            "            self._send_json(400, {})\n",
+        )
+        assert [f.line for f in findings] == [8]
+
+    def test_fires_when_the_dispatch_guard_is_removed(self, tmp_path):
+        source = (REPO_SRC / "repository" / "server.py").read_text(
+            encoding="utf-8")
+        assert response_findings(tmp_path, source) == []
+        guard = "                    if self._response_started:\n"
+        assert source.count(guard) == 1
+        findings = response_findings(
+            tmp_path, source.replace(guard, "                    if False:\n"))
+        guard_line = source[:source.index(guard)].count("\n") + 1
+        assert len(findings) == 1
+        assert findings[0].line > guard_line
+        assert source.splitlines()[findings[0].line - 1].strip().startswith(
+            "self._send_json(")
+
+    def test_quiet_outside_server_py(self, tmp_path):
+        findings = response_findings(
+            tmp_path,
+            "def f(self):\n"
+            "    try:\n"
+            "        pass\n"
+            "    except ValueError:\n"
+            "        self._send_json(400, {})\n",
+            name="client.py",
+        )
+        assert findings == []
+
+    def test_real_tree_is_clean(self):
+        project = load_project([REPO_SRC])
+        assert run_rules(project, [get_rule("response-once")]) == []
