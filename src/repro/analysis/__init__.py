@@ -2,7 +2,7 @@
 
 An AST-based analyzer (stdlib only) that machine-checks the invariants
 this codebase otherwise keeps in prose: lock discipline, the typed
-exception taxonomy, codec boundaries, wire-protocol completeness,
+exception taxonomy, codec boundaries, one response per request,
 retry and transaction discipline, and harness determinism.  See
 ARCHITECTURE.md's
 "Static analysis" section for the rule catalogue and the baseline

@@ -2,7 +2,7 @@
 
 The analyzer machine-checks invariants that previously lived only in
 prose (ARCHITECTURE.md, code comments): lock discipline, the
-exception taxonomy, codec boundaries, wire-protocol completeness,
+exception taxonomy, codec boundaries, one response per request,
 and harness determinism.  Everything here is stdlib-only (``ast``).
 
 Structure:

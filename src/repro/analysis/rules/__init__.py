@@ -11,7 +11,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     determinism,
     exceptions,
     locks,
-    protocol,
     responses,
     retries,
     txn,
@@ -22,7 +21,6 @@ __all__ = [
     "determinism",
     "exceptions",
     "locks",
-    "protocol",
     "responses",
     "retries",
     "txn",

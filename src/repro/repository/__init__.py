@@ -102,7 +102,6 @@ from repro.repository.service import (
     RepositoryService,
 )
 from repro.repository.client import HTTPBackend
-from repro.repository.server import RepositoryServer
 from repro.repository.template import (
     TEMPLATE,
     EntryType,
@@ -176,3 +175,15 @@ __all__ = [
     # glossary
     "GlossaryTerm", "glossary_terms", "known_property_names", "define",
 ]
+
+
+def __getattr__(name: str):
+    # RepositoryServer loads on first use (PEP 562): importing the
+    # package must not import the server module, or
+    # ``python -m repro.repository.server`` would run a second copy of
+    # it as ``__main__`` (and runpy warns about that on every boot).
+    if name == "RepositoryServer":
+        from repro.repository.server import RepositoryServer
+
+        return RepositoryServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -66,7 +66,9 @@ server's side of the protocol):
   deterministic, so identical bytes are the same snapshot);
   ``stream_batches=False`` pins the buffered JSON bodies instead.
 
-Buffered and streamed requests open through one step
+Every request takes its method and path from
+:data:`~repro.repository.routes.ROUTES`, the table the server
+dispatches from.  Buffered and streamed requests open through one step
 (:meth:`HTTPBackend._open`), so either fails with the same typed error.
 """
 
@@ -81,7 +83,7 @@ import time
 import weakref
 import zlib
 from typing import Iterable, Iterator, Sequence
-from urllib.parse import quote, urlsplit
+from urllib.parse import urlsplit
 
 from repro.core.errors import (
     BackendUnavailableError,
@@ -126,6 +128,7 @@ from repro.repository.resilience import (
     RetryPolicy,
     current_deadline,
 )
+from repro.repository.routes import ROUTES
 from repro.repository.versioning import Version
 from repro.repository.wire import Connection, Headers, Response
 
@@ -353,6 +356,12 @@ class HTTPBackend(StorageBackend):
             with self._connections_mutex:
                 self._connections.discard(connection)
 
+    def _call(self, name: str, identifier: str | None = None,
+              payload: dict | None = None) -> dict:
+        """One buffered call of the route ``name`` in ``ROUTES``."""
+        route = ROUTES[name]
+        return self._request(route.method, route.url(identifier), payload)
+
     def _request(self, method: str, path: str,
                  payload: dict | None = None) -> dict:
         status, _, raw = self._round_trip(method, path, payload)
@@ -508,26 +517,20 @@ class HTTPBackend(StorageBackend):
                 f"{type(payload).__name__}")
         return payload
 
-    @staticmethod
-    def _entry_path(identifier: str, suffix: str = "") -> str:
-        return f"/entries/{quote(identifier, safe='')}{suffix}"
-
     # ------------------------------------------------------------------
     # Point operations.
     # ------------------------------------------------------------------
 
     def identifiers(self) -> list[str]:
-        return self._request("GET", "/entries")["identifiers"]
+        return self._call("list_entries")["identifiers"]
 
     def versions(self, identifier: str) -> list[Version]:
-        payload = self._request(
-            "GET", self._entry_path(identifier, "/versions")
-        )
+        payload = self._call("versions", identifier)
         return [Version.parse(text) for text in payload["versions"]]
 
     def get(self, identifier: str,
             version: Version | None = None) -> ExampleEntry:
-        path = self._entry_path(identifier)
+        path = ROUTES["get_entry"].url(identifier)
         if version is not None:
             path += f"?version={version}"
         # Conditional read: revalidate the cached snapshot by ETag.  A
@@ -548,32 +551,24 @@ class HTTPBackend(StorageBackend):
         return entry
 
     def has(self, identifier: str) -> bool:
-        return self._request(
-            "GET", self._entry_path(identifier, "/has")
-        )["has"]
+        return self._call("has", identifier)["has"]
 
     def add(self, entry: ExampleEntry) -> None:
-        self._request("POST", "/entries", {"entry": entry.to_dict()})
+        self._call("add", payload={"entry": entry.to_dict()})
 
     def add_version(self, entry: ExampleEntry) -> None:
-        self._request(
-            "POST",
-            self._entry_path(entry.identifier, "/versions"),
-            {"entry": entry.to_dict()},
-        )
+        self._call("add_version", entry.identifier,
+                   {"entry": entry.to_dict()})
 
     def replace_latest(self, entry: ExampleEntry) -> None:
-        self._request(
-            "PUT",
-            self._entry_path(entry.identifier),
-            {"entry": entry.to_dict()},
-        )
+        self._call("replace_latest", entry.identifier,
+                   {"entry": entry.to_dict()})
 
     def entry_count(self) -> int:
         # GET /counter, not /stats: the stats payload recomputes the
         # full (composite-recursive) cache merge per call, and these
         # two integers sit on hot paths.
-        return self._request("GET", "/counter")["entry_count"]
+        return self._call("counter")["entry_count"]
 
     # ------------------------------------------------------------------
     # Batch operations: one request each.
@@ -581,15 +576,14 @@ class HTTPBackend(StorageBackend):
 
     def add_many(self, entries: Iterable[ExampleEntry]) -> int:
         batch = [entry.to_dict() for entry in entries]
-        return self._request("POST", "/entries", {"entries": batch})["count"]
+        return self._call("add", payload={"entries": batch})["count"]
 
     def get_many(self,
                  requests: Sequence[GetRequest]) -> list[ExampleEntry]:
         if self.stream_batches:
             return list(self.iter_many(requests))
-        payload = self._request(
-            "POST", "/batch/get", {"requests": self._wire_requests(requests)}
-        )
+        payload = self._call(
+            "batch_get", payload={"requests": self._wire_requests(requests)})
         return [entry_from_dict(data) for data in payload["entries"]]
 
     def iter_many(self,
@@ -604,7 +598,7 @@ class HTTPBackend(StorageBackend):
         next request simply opens a fresh one.
         """
         payload = {"requests": self._wire_requests(requests)}
-        for line in self._stream_lines("/batch/get", payload):
+        for line in self._stream_lines("batch_get", payload):
             entry = self._line_memo.get(line)
             if entry is None:
                 entry = decode_entry(line)
@@ -626,22 +620,22 @@ class HTTPBackend(StorageBackend):
         if self.stream_batches:
             listing: dict[str, list[Version]] = {}
             for line in self._stream_lines(
-                    "/batch/versions", {"identifiers": list(identifiers)}):
+                    "batch_versions", {"identifiers": list(identifiers)}):
                 data = json.loads(line)
                 listing[data["identifier"]] = [
                     Version.parse(text) for text in data["versions"]
                 ]
             return listing
-        payload = self._request(
-            "POST", "/batch/versions", {"identifiers": list(identifiers)}
-        )
+        payload = self._call(
+            "batch_versions", payload={"identifiers": list(identifiers)})
         return {
             identifier: [Version.parse(text) for text in versions]
             for identifier, versions in payload["versions"].items()
         }
 
-    def _stream_lines(self, path: str, payload: dict) -> Iterator[bytes]:
-        """POST one batch and yield its NDJSON data lines as they land.
+    def _stream_lines(self, name: str, payload: dict) -> Iterator[bytes]:
+        """Send one batch to the route ``name`` and yield its NDJSON
+        data lines as they land.
 
         The request opens through :meth:`_open`, like a buffered one;
         an error status raises its wire error, and any other answer that
@@ -654,13 +648,14 @@ class HTTPBackend(StorageBackend):
         """
         if self._closed:
             raise StorageError("HTTPBackend is closed")
+        route = ROUTES[name]
         body, headers = self._prepare_body(payload)
         headers["Accept"] = NDJSON_TYPE
         # Only the prologue (send + status line) retries; once body
         # chunks may have been consumed a retry could replay lines.
         response = self.retry_policy.call(
-            lambda: self._open("POST", path, body, headers),
-            classify=lambda error: self._retryable("POST", error),
+            lambda: self._open(route.method, route.url(), body, headers),
+            classify=lambda error: self._retryable(route.method, error),
         )
         content_type = response.headers.get("Content-Type", "").lower()
         if response.status >= 400:  # _decode raises the wire error
@@ -746,15 +741,14 @@ class HTTPBackend(StorageBackend):
             "plan": plan_to_dict(plan),
             "stats": stats_to_dict(stats) if stats is not None else None,
         }
-        return result_from_dict(self._request("POST", "/query", payload))
+        return result_from_dict(self._call("query", payload=payload))
 
     def query_stats(self, terms: Sequence[str]) -> QueryStats:
         return stats_from_dict(
-            self._request("POST", "/stats/query", {"terms": list(terms)})
-        )
+            self._call("query_stats", payload={"terms": list(terms)}))
 
     def change_counter(self) -> int | None:
-        return self._request("GET", "/counter")["change_counter"]
+        return self._call("counter")["change_counter"]
 
     def change_token(self) -> str | None:
         """The server's change token (its ETags embed the same value).
@@ -764,7 +758,7 @@ class HTTPBackend(StorageBackend):
         backend has no durable counter, and that token — not a local
         reconstruction — is what the server's validators actually use.
         """
-        return self._request("GET", "/counter").get("change_token")
+        return self._call("counter").get("change_token")
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """The *server's* read-path counters, namespaced ``server:...``.
@@ -774,7 +768,7 @@ class HTTPBackend(StorageBackend):
         service's identically named groups when the stats are
         merged.
         """
-        remote = self._stats()["cache"]
+        remote = self._call("stats")["cache"]
         return {f"server:{name}": dict(counters)
                 for name, counters in remote.items()}
 
@@ -791,9 +785,6 @@ class HTTPBackend(StorageBackend):
             "validation": self._validation.stats(),
             "line_memo": self._line_memo.stats(),
         }
-
-    def _stats(self) -> dict:
-        return self._request("GET", "/stats")
 
     # ------------------------------------------------------------------
     # Lifecycle.

@@ -302,3 +302,5 @@ class ExampleEntry:
         except KeyError as exc:
             raise TemplateError(
                 f"entry dict missing required key {exc.args[0]!r}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise TemplateError(f"malformed entry dict: {exc}") from exc

@@ -17,34 +17,11 @@ constraint (no new dependencies) holds:
         ▼
     StorageBackend (memory / file / sqlite / sharded / replicated)
 
-Endpoints (all JSON unless noted):
-
-======  ============================  =====================================
-Method  Path                          Meaning
-======  ============================  =====================================
-GET     /entries                      all identifiers
-GET     /entries/{id}[?version=]      one entry snapshot
-GET     /entries/{id}/versions        the entry's version list
-GET     /entries/{id}/has             existence probe (never 404s)
-POST    /entries                      add one {"entry": ...} or bulk-load
-                                      {"entries": [...]}
-POST    /entries/{id}/versions        append a version
-PUT     /entries/{id}                 replace_latest
-POST    /batch/get                    get_many: {"requests": [[id, v?]...]}
-POST    /batch/versions               versions_many: {"identifiers": [...]}
-POST    /query                        execute a full Q-AST plan
-                                      ({"plan": ..., "stats": ...|null})
-POST    /stats/query                  corpus stats for terms (the ranker's
-                                      N + df, for remote composites)
-GET     /stats                        entry count, change counter, every
-                                      cache counter on the read path
-GET     /counter                      just entry count + change counter
-                                      (the hot-path subset of /stats)
-GET     /wiki/{id}                    the entry's wikidot page, as text,
-                                      served from the event-driven
-                                      RenderCache (re-rendered only when
-                                      the entry is written)
-======  ============================  =====================================
+Endpoints: every route is one row of
+:data:`~repro.repository.routes.ROUTES`, where each row's comment says
+what it serves.  Plain rows are served by the function in the row; the
+entry GET, the batch streams, ``/stats`` and ``/wiki`` by a
+``_handle_<name>`` method here.
 
 The wire itself is kept as cheap as the caches behind it:
 
@@ -126,15 +103,9 @@ from repro.repository.codec import (
     EncodeMemo,
     encode_entry,
 )
-from repro.repository.entry import ExampleEntry
-from repro.repository.query import (
-    plan_from_dict,
-    result_to_dict,
-    stats_from_dict,
-    stats_to_dict,
-)
 from repro.repository.render_cache import RenderCache
 from repro.repository.resilience import Deadline, deadline_scope
+from repro.repository.routes import ROUTES, Route, field
 from repro.repository.service import RepositoryService
 from repro.repository.versioning import Version
 from repro.repository.wire import BadHead, read_headers
@@ -143,29 +114,11 @@ __all__ = ["RepositoryServer", "main"]
 
 _log = logging.getLogger("repro.repository.server")
 
-_IDENTIFIER_RE = r"(?P<identifier>[^/]+)"
-_ROUTES = {
-    "GET": [
-        (re.compile(r"^/entries$"), "list_entries"),
-        (re.compile(rf"^/entries/{_IDENTIFIER_RE}$"), "get_entry"),
-        (re.compile(rf"^/entries/{_IDENTIFIER_RE}/versions$"), "versions"),
-        (re.compile(rf"^/entries/{_IDENTIFIER_RE}/has$"), "has"),
-        (re.compile(r"^/stats$"), "stats"),
-        (re.compile(r"^/counter$"), "counter"),
-        (re.compile(rf"^/wiki/{_IDENTIFIER_RE}$"), "wiki"),
-    ],
-    "POST": [
-        (re.compile(r"^/entries$"), "add"),
-        (re.compile(rf"^/entries/{_IDENTIFIER_RE}/versions$"),
-         "add_version"),
-        (re.compile(r"^/batch/get$"), "batch_get"),
-        (re.compile(r"^/batch/versions$"), "batch_versions"),
-        (re.compile(r"^/query$"), "query"),
-        (re.compile(r"^/stats/query$"), "query_stats"),
-    ],
-    "PUT": [
-        (re.compile(rf"^/entries/{_IDENTIFIER_RE}$"), "replace_latest"),
-    ],
+#: ``ROUTES`` compiled once, per method, in table order.
+_DISPATCH: dict[str, list[tuple[re.Pattern, Route]]] = {
+    method: [(route.pattern(), route) for route in ROUTES.values()
+             if route.method == method]
+    for method in {route.method for route in ROUTES.values()}
 }
 
 
@@ -592,13 +545,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         tracker = self.server.request_tracker
-        if not tracker.try_enter():
-            self._refuse(method, draining=tracker.draining)
-            return
         try:
-            self._routed_dispatch(method)
-        finally:
-            tracker.exit()
+            if not tracker.try_enter():
+                self._refuse(method, draining=tracker.draining)
+                return
+            try:
+                self._routed_dispatch(method)
+            finally:
+                tracker.exit()
+        except (BrokenPipeError, ConnectionResetError):
+            # The peer hung up while an answer (a route's, an error
+            # reply, the 404, a shed) was going out: a second response
+            # would only fail again, so close and count the abort.
+            self.close_connection = True
+            self.server.metrics.count_client_aborted()
 
     def _refuse(self, method: str, *, draining: bool) -> None:
         """Shed one request: 503 + Retry-After, before any work.
@@ -634,10 +594,10 @@ class _Handler(BaseHTTPRequestHandler):
         # inside an identifier stays one path segment; only the
         # captured groups are decoded.  (Decoding first would mis-route
         # "a%2Fb" as two segments.)
-        for pattern, name in _ROUTES.get(method, []):
+        for pattern, route in _DISPATCH.get(method, ()):
             match = pattern.match(split.path)
             if match:
-                self.server.metrics.count_route(f"{method} {name}")
+                self.server.metrics.count_route(f"{method} {route.name}")
                 operands = {key: unquote(value)
                             for key, value in match.groupdict().items()}
                 try:
@@ -651,14 +611,17 @@ class _Handler(BaseHTTPRequestHandler):
                     deadline = self._request_deadline()
                     if deadline is not None:
                         deadline.check(f"{method} {split.path}")
-                    handler = getattr(self, f"_handle_{name}")
                     with deadline_scope(deadline):
-                        handler(query_string=split.query, **operands)
+                        if route.serve is None:
+                            handler = getattr(self, f"_handle_{route.name}")
+                            handler(query_string=split.query, **operands)
+                        else:
+                            body = (self._read_body() if method != "GET"
+                                    else None)
+                            self._send_json(*route.serve(
+                                self.server.repository, body, **operands))
                 except (BrokenPipeError, ConnectionResetError):
-                    # The peer hung up while the response was going
-                    # out; a second response would only fail again.
-                    self.close_connection = True
-                    self.server.metrics.count_client_aborted()
+                    raise  # the peer hung up: _dispatch closes and counts
                 except Exception as error:  # noqa: BLE001 - wire boundary
                     status = _error_status(error)
                     if self._response_started:
@@ -860,13 +823,8 @@ class _Handler(BaseHTTPRequestHandler):
         return _make_etag(token, *parts)
 
     # ------------------------------------------------------------------
-    # GET handlers.
+    # Special routes: the ROUTES rows without a ``serve`` function.
     # ------------------------------------------------------------------
-
-    def _handle_list_entries(self, query_string: str = "") -> None:
-        self._send_json(
-            200, {"identifiers": self.server.repository.identifiers()}
-        )
 
     def _handle_get_entry(self, identifier: str,
                           query_string: str = "") -> None:
@@ -900,16 +858,6 @@ class _Handler(BaseHTTPRequestHandler):
         entry = repository.get(identifier, version)
         self._send_json(200, {"entry": entry.to_dict()}, etag=etag)
 
-    def _handle_versions(self, identifier: str,
-                         query_string: str = "") -> None:
-        versions = self.server.repository.versions(identifier)
-        self._send_json(200, {"versions": [str(v) for v in versions]})
-
-    def _handle_has(self, identifier: str, query_string: str = "") -> None:
-        self._send_json(
-            200, {"has": self.server.repository.has(identifier)}
-        )
-
     def _handle_stats(self, query_string: str = "") -> None:
         repository = self.server.repository
         token = repository.change_token()
@@ -932,25 +880,6 @@ class _Handler(BaseHTTPRequestHandler):
             etag=etag,
         )
 
-    def _handle_counter(self, query_string: str = "") -> None:
-        """The hot-path subset of /stats: the validators, no cache merge.
-
-        ``entry_count()``/``change_counter()`` sit on index-staleness
-        and snapshot-stamping paths, and ``change_token()`` is what the
-        remote client's ETag cache revalidates by; serving them from
-        /stats would recompute the full (possibly composite-recursive)
-        cache-stats merge per call.
-        """
-        repository = self.server.repository
-        self._send_json(
-            200,
-            {
-                "entry_count": repository.entry_count(),
-                "change_counter": repository.change_counter(),
-                "change_token": repository.change_token(),
-            },
-        )
-
     def _handle_wiki(self, identifier: str, query_string: str = "") -> None:
         # The render cache's validator is deliberately finer than the
         # service change token: it moves only when THIS identifier is
@@ -965,34 +894,6 @@ class _Handler(BaseHTTPRequestHandler):
         page = self.server.render_cache.wiki_page(identifier)
         self._send_text(200, page, etag=etag)
 
-    # ------------------------------------------------------------------
-    # POST/PUT handlers.
-    # ------------------------------------------------------------------
-
-    def _handle_add(self, query_string: str = "") -> None:
-        body = self._read_body()
-        if "entries" in body:
-            entries = [ExampleEntry.from_dict(data)
-                       for data in self._field(body, "entries", list)]
-            count = self.server.repository.add_many(entries)
-            self._send_json(200, {"count": count})
-            return
-        entry = ExampleEntry.from_dict(self._field(body, "entry", dict))
-        self.server.repository.add(entry)
-        self._send_json(201, {"identifier": entry.identifier})
-
-    def _handle_add_version(self, identifier: str,
-                            query_string: str = "") -> None:
-        entry = self._entry_for(identifier)
-        self.server.repository.add_version(entry)
-        self._send_json(201, {"version": str(entry.version)})
-
-    def _handle_replace_latest(self, identifier: str,
-                               query_string: str = "") -> None:
-        entry = self._entry_for(identifier)
-        self.server.repository.replace_latest(entry)
-        self._send_json(200, {"version": str(entry.version)})
-
     def _handle_batch_get(self, query_string: str = "") -> None:
         body = self._read_body()
         requests = self._parse_get_requests(body)
@@ -1006,7 +907,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_batch_versions(self, query_string: str = "") -> None:
         body = self._read_body()
-        identifiers = self._field(body, "identifiers", list)
+        identifiers = field(body, "identifiers", list)
         if not all(isinstance(item, str) for item in identifiers):
             raise StorageError("batch identifiers must be strings")
         if self._wants_ndjson():
@@ -1022,7 +923,7 @@ class _Handler(BaseHTTPRequestHandler):
     @staticmethod
     def _parse_get_requests(body: dict) -> list[tuple[str, Version | None]]:
         requests: list[tuple[str, Version | None]] = []
-        for item in _Handler._field(body, "requests", list):
+        for item in field(body, "requests", list):
             if isinstance(item, str):
                 requests.append((item, None))
                 continue
@@ -1171,36 +1072,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.metrics.count_gzip(stream.raw_bytes,
                                            stream.sent_bytes)
 
-    def _handle_query(self, query_string: str = "") -> None:
-        body = self._read_body()
-        plan = plan_from_dict(self._field(body, "plan", dict))
-        stats = body.get("stats")
-        if stats is not None:
-            stats = stats_from_dict(stats)
-        result = self.server.repository.execute_query(plan, stats)
-        self._send_json(200, result_to_dict(result))
-
-    def _handle_query_stats(self, query_string: str = "") -> None:
-        body = self._read_body()
-        terms = self._field(body, "terms", list)
-        if not all(isinstance(term, str) for term in terms):
-            raise StorageError("query stats terms must be strings")
-        stats = self.server.repository.query_stats(terms)
-        self._send_json(200, stats_to_dict(stats))
-
     # ------------------------------------------------------------------
     # Plumbing.
     # ------------------------------------------------------------------
-
-    def _entry_for(self, identifier: str) -> ExampleEntry:
-        """Decode the body entry and pin it to the URL's identifier."""
-        body = self._read_body()
-        entry = ExampleEntry.from_dict(self._field(body, "entry", dict))
-        if entry.identifier != identifier:
-            raise StorageError(
-                f"entry identifier {entry.identifier!r} does not match "
-                f"the request path ({identifier!r})")
-        return entry
 
     def _read_body(self) -> dict:
         if self.headers.get("Transfer-Encoding"):
@@ -1253,15 +1127,6 @@ class _Handler(BaseHTTPRequestHandler):
             raise StorageError(
                 f"request body is not an object: {type(body).__name__}")
         return body
-
-    @staticmethod
-    def _field(body: dict, name: str, kind: type) -> object:
-        value = body.get(name)
-        if not isinstance(value, kind):
-            raise StorageError(
-                f"request body field {name!r} must be "
-                f"{kind.__name__}, got {type(value).__name__}")
-        return value
 
     def _send_json(self, status: int, payload: dict, *,
                    etag: str | None = None,

@@ -86,10 +86,12 @@ __all__ = [
     "RepositoryService",
 ]
 
-#: Every method of the :class:`RepositoryAPI` contract, by name — the
-#: single list the protocol-coverage tests and the analyzer's
-#: protocol-drift rule check every layer against, so a refactor of one
-#: layer cannot silently drop a method from another.
+#: Every method of the :class:`RepositoryAPI` contract, by name.  The
+#: protocol-coverage tests check every layer against it: the backends
+#: and this facade in ``tests/repository/test_store.py``, and
+#: ``HTTPBackend`` in ``tests/repository/test_routes.py``, which calls
+#: each name once over a live server and compares the answer with this
+#: facade's.
 API_METHODS = (
     # reads
     "identifiers", "versions", "versions_many", "has", "entry_count",

@@ -40,6 +40,9 @@ class Version:
     @staticmethod
     def parse(text: str) -> "Version":
         """Parse ``"major.minor"``; raises VersioningError on junk."""
+        if not isinstance(text, str):
+            raise VersioningError(
+                f"bad version {text!r}; expected a 'major.minor' string")
         match = _VERSION_RE.match(text.strip())
         if not match:
             raise VersioningError(

@@ -58,7 +58,7 @@ class TestFindings:
             "lock-discipline",
             "exception-taxonomy",
             "codec-discipline",
-            "protocol-drift",
+            "response-once",
             "harness-determinism",
             "retry-discipline",
             "txn-discipline",
@@ -227,7 +227,7 @@ class TestCLI:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "lock-discipline" in out
-        assert "protocol-drift" in out
+        assert "response-once" in out
 
     def test_missing_path_is_a_usage_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2

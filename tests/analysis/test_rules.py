@@ -3,7 +3,6 @@ on the sanctioned pattern right next to it."""
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 import repro.analysis  # noqa: F401  (registers the built-in rules)
@@ -325,100 +324,6 @@ class TestHarnessDeterminism:
             "harness-determinism",
         )
         assert findings == []
-
-
-# ----------------------------------------------------------------------
-# Protocol drift: checked against doctored copies of the real layers.
-# ----------------------------------------------------------------------
-
-
-def copy_real_layers(tmp_path) -> dict[str, Path]:
-    sources = {
-        "service.py": REPO_SRC / "repository" / "service.py",
-        "client.py": REPO_SRC / "repository" / "client.py",
-        "server.py": REPO_SRC / "repository" / "server.py",
-        "backends/base.py": REPO_SRC / "repository" / "backends" / "base.py",
-    }
-    copies = {}
-    for relpath, source in sources.items():
-        target = tmp_path / relpath
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
-        copies[relpath] = target
-    return copies
-
-
-def drift_findings(tmp_path):
-    project = load_project([tmp_path])
-    return run_rules(project, [get_rule("protocol-drift")])
-
-
-class TestProtocolDrift:
-    def test_quiet_on_the_real_layers(self, tmp_path):
-        copy_real_layers(tmp_path)
-        assert drift_findings(tmp_path) == []
-
-    def test_fires_when_a_layer_loses_an_api_method(self, tmp_path):
-        """The acceptance scenario: drop API_METHODS names from one
-        layer and the rule must fail.  The client loses one method of
-        its own (cache_stats) and, cut off from StorageBackend, the one
-        it inherits (query)."""
-        copies = copy_real_layers(tmp_path)
-        doctored = copies["client.py"].read_text(encoding="utf-8")
-        assert "class HTTPBackend(StorageBackend):" in doctored
-        assert "    def cache_stats(" in doctored
-        copies["client.py"].write_text(
-            doctored.replace(
-                "class HTTPBackend(StorageBackend):", "class HTTPBackend:"
-            ).replace("    def cache_stats(", "    def cache_statz("),
-            encoding="utf-8",
-        )
-        findings = drift_findings(tmp_path)
-        assert len(findings) == 2
-        assert all("HTTPBackend" in f.message for f in findings)
-        assert "'cache_stats'" in findings[0].message + findings[1].message
-        assert "'query'" in findings[0].message + findings[1].message
-
-    def test_fires_when_a_route_is_unwired(self, tmp_path):
-        copies = copy_real_layers(tmp_path)
-        doctored = copies["server.py"].read_text(encoding="utf-8")
-        routed = re.sub(
-            r'\(re\.compile\(r"\^/stats/query\$"\), "query_stats"\),\n',
-            "",
-            doctored,
-        )
-        assert routed != doctored
-        copies["server.py"].write_text(routed, encoding="utf-8")
-        findings = drift_findings(tmp_path)
-        assert any(
-            "query_stats" in f.message and "_ROUTES" in f.message
-            for f in findings
-        )
-
-    def test_fires_when_a_handler_method_is_missing(self, tmp_path):
-        copies = copy_real_layers(tmp_path)
-        doctored = copies["server.py"].read_text(encoding="utf-8")
-        copies["server.py"].write_text(
-            doctored.replace("def _handle_counter", "def _handle_counterz"),
-            encoding="utf-8",
-        )
-        findings = drift_findings(tmp_path)
-        assert any("_handle_counter" in f.message for f in findings)
-
-    def test_fires_on_an_unmapped_new_api_method(self, tmp_path):
-        copies = copy_real_layers(tmp_path)
-        doctored = copies["service.py"].read_text(encoding="utf-8")
-        assert '"close",\n' in doctored
-        copies["service.py"].write_text(
-            doctored.replace('"close",\n', '"close",\n    "brand_new_rpc",\n'),
-            encoding="utf-8",
-        )
-        findings = drift_findings(tmp_path)
-        assert any("brand_new_rpc" in f.message for f in findings)
-
-    def test_silent_without_service_py(self, tmp_path):
-        (tmp_path / "other.py").write_text("VALUE = 1\n", encoding="utf-8")
-        assert drift_findings(tmp_path) == []
 
 
 class TestRetryDiscipline:

@@ -18,6 +18,7 @@ import os
 import socket
 import sqlite3
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -673,10 +674,10 @@ class TestFailureAfterHeaders:
 
     @staticmethod
     def fail_after_headers(monkeypatch, error):
-        def handle_has(self, identifier, query_string=""):
+        def handle_wiki(self, identifier, query_string=""):
             self._send_json(200, {"has": False})
             raise error
-        monkeypatch.setattr(_Handler, "_handle_has", handle_has)
+        monkeypatch.setattr(_Handler, "_handle_wiki", handle_wiki)
 
     @pytest.mark.parametrize("error, logged, aborted", [
         (TimeoutError("timed out"), False, 1),
@@ -691,7 +692,7 @@ class TestFailureAfterHeaders:
         self.fail_after_headers(monkeypatch, error)
         with socket.create_connection(("127.0.0.1", server.port),
                                       timeout=2) as peer:
-            peer.sendall(b"GET /entries/demo-example/has HTTP/1.1\r\n"
+            peer.sendall(b"GET /wiki/demo-example HTTP/1.1\r\n"
                          b"Host: test\r\n\r\n")
             received, closed = read_until_closed(peer)
         assert received.count(b"HTTP/1.1 ") == 1
@@ -709,10 +710,10 @@ class TestFailureAfterHeaders:
             self, served, monkeypatch):
         server, _client = served
 
-        def handle_has(self, identifier, query_string=""):
+        def handle_wiki(self, identifier, query_string=""):
             raise EntryNotFound("gone")
-        monkeypatch.setattr(_Handler, "_handle_has", handle_has)
-        status, _type, body = fetch(server.url + "/entries/x/has")
+        monkeypatch.setattr(_Handler, "_handle_wiki", handle_wiki)
+        status, _type, body = fetch(server.url + "/wiki/x")
         assert status == 404
         assert json.loads(body)["error"]["type"] == "EntryNotFound"
 
@@ -1678,3 +1679,18 @@ class TestObservability:
         server, _client = served
         fetch(server.url + "/nope")
         assert server.metrics.snapshot()["requests"]["unrouted"] == 1
+
+
+class TestCommandLine:
+    def test_the_cli_boots_without_a_runtime_warning(self):
+        """Importing the package must not import the server module, or
+        ``-m repro.repository.server`` runs it twice and runpy warns."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "src")
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.repository.server", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+        assert result.returncode == 0, result.stderr
+        assert "--scheme" in result.stdout

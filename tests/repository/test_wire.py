@@ -147,6 +147,19 @@ def exchange(port: int, data: bytes, timeout: float = 5) -> tuple[bytes, bool]:
         return read_until_closed(peer)
 
 
+class BrokenWriter:
+    """A response stream whose peer has hung up: every write fails."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def write(self, data):
+        raise BrokenPipeError("peer hung up")
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 def get_entry(port: int) -> dict:
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
     try:
@@ -236,6 +249,27 @@ class TestServerHeadPath:
             sqlite_server.port,
             b"GET /entries/demo-example HTTP/1.1\r\nHost: a\r\n"
             b" folded\r\n\r\n")
+        assert (received, closed) == (b"", True)
+        sqlite_server.stop()
+        assert sqlite_server.metrics.snapshot()["client_aborted"] == 1
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("path, max_inflight", [
+        (b"/entries/missing", 64), (b"/nowhere", 64), (b"/entries", 0)],
+        ids=["error-reply", "unrouted", "shed"])
+    def test_an_answer_the_peer_never_reads_is_an_abort(
+            self, sqlite_server, monkeypatch, capfd, path, max_inflight):
+        """The typed error reply, the 404 and the 503 shed each close
+        quietly when the peer has hung up: one abort, no traceback."""
+        setup = _Handler.setup
+
+        def hung_up_setup(handler):
+            setup(handler)
+            handler.wfile = BrokenWriter(handler.wfile)
+        monkeypatch.setattr(_Handler, "setup", hung_up_setup)
+        sqlite_server.set_max_inflight(max_inflight)
+        received, closed = exchange(
+            sqlite_server.port, b"GET " + path + b" HTTP/1.1\r\nHost: a\r\n\r\n")
         assert (received, closed) == (b"", True)
         sqlite_server.stop()
         assert sqlite_server.metrics.snapshot()["client_aborted"] == 1
