@@ -46,7 +46,7 @@ from repro.repository import (
 )
 from repro.repository.backends import MemoryBackend
 from repro.repository.client import HTTPBackend
-from repro.repository.codec import EncodeMemo, LineMemo
+from repro.repository.codec import LineMemo
 from repro.repository.query import Q
 from repro.repository.server import RepositoryServer
 from repro.repository.service import RepositoryService
@@ -379,27 +379,27 @@ class TestServingTargets:
     def test_streamed_batch_get_2x_faster_and_memory_bounded(self):
         """The streamed-batch floor: 10k entries over one POST.
 
-        Warm, the streamed path is wire-memo hits end to end — the
-        server replays encoded lines, the client's line memo skips the
-        JSON parse — while the buffered path re-materialises the full
-        4MB body on both sides every time.  Floors: at least 2x the
-        buffered wall clock, and a client-side allocation peak under
-        half the buffered one (pages, not the corpus, in memory).
+        Warm, the streamed path does no codec work on either end — the
+        server streams the payload each entry object already carries,
+        the client's line memo skips the JSON parse — while the
+        buffered path re-materialises the full 4MB body on both sides
+        every time.  Floors: at least 2x the buffered wall clock, and a
+        client-side allocation peak under half the buffered one (pages,
+        not the corpus, in memory).
         """
         entries = make_entries(BULK_POPULATION)
         service = RepositoryService(MemoryBackend())
         service.add_many(entries)
-        server = RepositoryServer(service)
-        # Size the wire memos to the corpus: the floor measures the
-        # steady warm state.
-        server.wire_memo = EncodeMemo(maxsize=BULK_POPULATION * 2)
-        server.start()
+        server = RepositoryServer(service).start()
         streamer = HTTPBackend(server.url)
+        # Size the line memo to the corpus: the floor measures the
+        # steady warm state.
         streamer._line_memo = LineMemo(maxsize=BULK_POPULATION * 2)
         buffered = HTTPBackend(server.url, stream_batches=False)
         identifiers = [entry.identifier for entry in entries]
         try:
-            # Warm both paths once (wire memos, connections).
+            # Warm both paths once (encoded entries, line memo,
+            # connections).
             assert sum(1 for _ in streamer.iter_many(identifiers)) \
                 == BULK_POPULATION
             assert len(buffered.get_many(identifiers)) == BULK_POPULATION

@@ -116,26 +116,6 @@ class StorageBackend(ABC):
         return identifier in self.identifiers()
 
     # ------------------------------------------------------------------
-    # Stored bytes: only backends that keep the codec's form override.
-    # ------------------------------------------------------------------
-
-    def get_encoded(
-        self, identifier: str, version: Version | None = None
-    ) -> str | None:
-        """The entry's canonical codec payload, or None.
-
-        None means the backend keeps no encoded form, so producing one
-        would cost a full encode; the default, and every backend that
-        stores live objects or fronts other backends.  A backend that
-        stores the codec's bytes returns them as stored (legacy rows
-        re-encoded), after the same decode check :meth:`get` applies, so
-        a payload it cannot vouch for raises rather than being served.
-        The HTTP server answers entry reads from these bytes and derives
-        their ETag from them.
-        """
-        return None
-
-    # ------------------------------------------------------------------
     # Batch operations (loop defaults; backends may do better).
     # ------------------------------------------------------------------
 

@@ -72,12 +72,7 @@ from repro.core.errors import (
     StorageError,
 )
 from repro.repository.backends.base import StorageBackend, _split_request
-from repro.repository.codec import (
-    CANONICAL_PREFIX,
-    DecodeMemo,
-    decode_entry,
-    encode_entry,
-)
+from repro.repository.codec import DecodeMemo, decode_entry, encode_entry
 from repro.repository.concurrency import Mutex
 from repro.repository.entry import ExampleEntry
 from repro.repository.query import (
@@ -299,24 +294,6 @@ class SQLiteBackend(StorageBackend):
         def fetch(conn) -> ExampleEntry:
             _major, _minor, payload = self._get_row(conn, identifier, version)
             return self._hydrate(payload)
-
-        return self._run_read(fetch)
-
-    def get_encoded(self, identifier: str, version: Version | None = None) -> str:
-        """The stored payload, served as is: one pooled row read.
-
-        The payload still passes through :meth:`_hydrate`, so a corrupt
-        row or one tagged with a newer codec raises here exactly as
-        :meth:`get` would; on a warm entry that is one memo probe.
-        Legacy untagged rows are re-encoded to the canonical form.
-        """
-
-        def fetch(conn) -> str:
-            _major, _minor, payload = self._get_row(conn, identifier, version)
-            entry = self._hydrate(payload)
-            if payload.startswith(CANONICAL_PREFIX):
-                return payload
-            return encode_entry(entry)
 
         return self._run_read(fetch)
 

@@ -12,6 +12,14 @@ bytes the same process had just produced.  Now:
   dict (``ExampleEntry.from_dict`` ignores unknown keys), so the file
   layout the seed pinned down (``entries/<id>/<version>.json`` holding
   the entry dict) is unchanged;
+* **the bytes travel with the entry**: entries are frozen value
+  objects, so an entry object has exactly one payload.
+  :func:`encode_entry` computes it once per object and keeps it there,
+  and :func:`decode_entry` keeps the canonical payload it decoded, so
+  bytes a backend stored are never re-encoded; :func:`entry_digest`,
+  the HTTP validator, is kept beside it.  Every backend's point
+  read, batch read and HTTP body therefore serves the payload of the
+  entry object ``get`` returned — one representation, no second cache;
 * :func:`decode_entry` hydrates any payload this library ever wrote:
   tagged compact payloads and legacy untagged ones (indented seed-era
   files, pre-codec sqlite rows) decode identically.  A payload tagged
@@ -21,18 +29,7 @@ bytes the same process had just produced.  Now:
   the stored payload (a hit can never be stale), files by
   ``(identifier, version, change_counter)`` (a hit also skips the file
   read).  Backends prime it on their own writes with the entry object
-  they just encoded.
-
-The wire-speed PR adds the two caches that make the HTTP layer as
-cheap as the storage caches behind it:
-
-* :class:`EncodeMemo` is the **encode fast path** on the serving side:
-  the same LRU shape as :class:`DecodeMemo` but holding *encoded wire
-  lines* keyed by ``(identifier, version, change_token)``.  A warm
-  streaming batch read serves bytes straight from the memo — no entry
-  fetch, no ``to_dict``, no ``json.dumps``.  Keys are minted under the
-  service's change token, which bumps on every write, so stale lines
-  are orphaned exactly like stale decodes;
+  they just encoded;
 * :class:`LineMemo` is its mirror on the client: raw NDJSON line bytes
   mapped to the hydrated entry.  The codec is deterministic (sorted
   keys, fixed separators), so identical bytes always denote the same
@@ -42,6 +39,7 @@ cheap as the storage caches behind it:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import OrderedDict
 
@@ -53,13 +51,13 @@ __all__ = [
     "CANONICAL_PREFIX",
     "CODEC_VERSION",
     "DecodeMemo",
-    "EncodeMemo",
     "GZIP_LEVEL",
     "GZIP_MIN_BYTES",
     "LineMemo",
     "NDJSON_TYPE",
     "decode_entry",
     "encode_entry",
+    "entry_digest",
     "entry_from_dict",
 ]
 
@@ -85,16 +83,45 @@ _TAG_KEY = "_codec"
 CANONICAL_PREFIX = f'{{"{_TAG_KEY}":{CODEC_VERSION},'
 
 
+#: Where an entry object keeps ``(payload, digest-or-None)``.  Not a
+#: dataclass field, so equality, hashing, ``repr`` and
+#: ``dataclasses.replace`` (which builds a fresh object) ignore it.
+#: One attribute, not two: a second new key would grow every entry's
+#: instance dict by ~0.8 KB.
+_KEPT_ATTR = "_codec_kept"
+
+
 def encode_entry(entry: ExampleEntry) -> str:
     """Serialise one entry to the compact, tagged wire format.
 
     Deterministic (sorted keys, fixed separators), so identical entries
     encode to identical bytes on every backend — which is also what
-    keeps replicated copies byte-comparable.
+    keeps replicated copies byte-comparable.  Computed once per entry
+    object and kept on it: entries are frozen, so it cannot go stale.
     """
+    kept = entry.__dict__.get(_KEPT_ATTR)
+    if kept is not None:
+        return kept[0]
     data = entry.to_dict()
     data[_TAG_KEY] = CODEC_VERSION
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    object.__setattr__(entry, _KEPT_ATTR, (payload, None))
+    return payload
+
+
+def entry_digest(entry: ExampleEntry) -> str:
+    """A 128-bit BLAKE2b hex digest of the entry's UTF-8 payload.
+
+    The HTTP server's entry validator.  Computed once per entry object,
+    like the payload, so revalidating a large entry never re-hashes it.
+    """
+    payload = encode_entry(entry)
+    digest = entry.__dict__[_KEPT_ATTR][1]
+    if digest is None:
+        digest = hashlib.blake2b(payload.encode("utf-8"),
+                                 digest_size=16).hexdigest()
+        object.__setattr__(entry, _KEPT_ATTR, (payload, digest))
+    return digest
 
 
 def decode_entry(payload: str | bytes) -> ExampleEntry:
@@ -104,13 +131,19 @@ def decode_entry(payload: str | bytes) -> ExampleEntry:
     (seed-era indented files, pre-codec database rows).  A payload
     tagged with a codec version newer than this build understands
     raises :class:`~repro.core.errors.StorageError` rather than
-    decoding a shape it cannot vouch for.
+    decoding a shape it cannot vouch for.  A canonical ``str`` payload
+    (one that opens with :data:`CANONICAL_PREFIX`; trailing newlines
+    dropped) stays on the entry, so :func:`encode_entry` returns it as
+    stored; a legacy one is re-encoded canonical on first use.
     """
     data = json.loads(payload)
     if not isinstance(data, dict):
         raise StorageError(
             f"entry payload is not an object: {type(data).__name__}")
-    return entry_from_dict(data)
+    entry = entry_from_dict(data)
+    if isinstance(payload, str) and payload.startswith(CANONICAL_PREFIX):
+        object.__setattr__(entry, _KEPT_ATTR, (payload.rstrip("\n"), None))
+    return entry
 
 
 def entry_from_dict(data: dict) -> ExampleEntry:
@@ -133,12 +166,11 @@ class _KeyedLRU:
     """The one locked LRU of the repository layer, generic over keys.
 
     Every memo on the read path is a thin subclass: the backends'
-    :class:`DecodeMemo`, the serving-side :class:`EncodeMemo` keyed by
-    ``(identifier, version, change_token)``, the client-side
-    :class:`LineMemo` keyed by the raw line bytes, and the client's
-    validation cache.  Internally locked — backends and services are
-    shared across threads, and recency bookkeeping mutates state even
-    on a hit.
+    :class:`DecodeMemo`, the client-side :class:`LineMemo` keyed by the
+    raw line bytes, and the client's validation cache.  Encoded bytes
+    need no memo: they live on the entry object itself.  Internally
+    locked — backends and services are shared across threads, and
+    recency bookkeeping mutates state even on a hit.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -221,34 +253,6 @@ class DecodeMemo(_KeyedLRU):
 
     def put(self, key, entry: ExampleEntry) -> None:
         self._put(key, entry)
-
-
-class EncodeMemo(_KeyedLRU):
-    """Encoded wire lines keyed ``(identifier, version, change_token)``.
-
-    The serving-side twin of :class:`DecodeMemo`: where the decode memo
-    spares a backend re-hydrating bytes it has already decoded, this
-    spares the HTTP server re-encoding entries it has already shipped.
-    The token is the service's :meth:`change_token` — it changes on
-    every write, so a write orphans every stale line and the LRU bound
-    ages the orphans out.  A ``version`` of ``None`` marks the "latest"
-    slot, distinct from every explicit version.
-
-    Priming happens at *fetch* time with a token read *before* the
-    fetch, so a racing write can at worst store a fresher line under an
-    older token — never a stale line under a fresh one.
-    """
-
-    def __init__(self, maxsize: int = 8192) -> None:
-        super().__init__(maxsize)
-
-    def get(self, identifier: str, version: str | None,
-            token: str) -> str | None:
-        return self._get((identifier, version, token))
-
-    def put(self, identifier: str, version: str | None, token: str,
-            line: str) -> None:
-        self._put((identifier, version, token), line)
 
 
 class LineMemo(_KeyedLRU):

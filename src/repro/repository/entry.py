@@ -277,30 +277,58 @@ class ExampleEntry:
     def from_dict(data: dict[str, Any]) -> "ExampleEntry":
         try:
             return ExampleEntry(
-                title=data["title"],
+                title=_text(data, "title"),
                 version=Version.parse(data["version"]),
-                types=tuple(EntryType(t) for t in data["types"]),
-                overview=data["overview"],
+                types=tuple(EntryType(t) for t in _items(data, "types")),
+                overview=_text(data, "overview"),
                 models=tuple(ModelDescription.from_dict(m)
-                             for m in data["models"]),
-                consistency=data["consistency"],
+                             for m in _items(data, "models")),
+                consistency=_text(data, "consistency"),
                 restoration=RestorationSpec.from_dict(data["restoration"]),
-                properties=tuple(PropertyClaim.from_dict(p)
-                                 for p in data.get("properties", [])),
-                variants=tuple(Variant.from_dict(v)
-                               for v in data.get("variants", [])),
-                discussion=data["discussion"],
-                references=tuple(Reference.from_dict(r)
-                                 for r in data.get("references", [])),
-                authors=tuple(data["authors"]),
-                reviewers=tuple(data.get("reviewers", [])),
-                comments=tuple(Comment.from_dict(c)
-                               for c in data.get("comments", [])),
-                artefacts=tuple(Artefact.from_dict(a)
-                                for a in data.get("artefacts", [])),
+                properties=tuple(
+                    PropertyClaim.from_dict(p)
+                    for p in _items(data, "properties", optional=True)),
+                variants=tuple(
+                    Variant.from_dict(v)
+                    for v in _items(data, "variants", optional=True)),
+                discussion=_text(data, "discussion"),
+                references=tuple(
+                    Reference.from_dict(r)
+                    for r in _items(data, "references", optional=True)),
+                authors=tuple(_items(data, "authors")),
+                reviewers=tuple(_items(data, "reviewers", optional=True)),
+                comments=tuple(
+                    Comment.from_dict(c)
+                    for c in _items(data, "comments", optional=True)),
+                artefacts=tuple(
+                    Artefact.from_dict(a)
+                    for a in _items(data, "artefacts", optional=True)),
             )
         except KeyError as exc:
             raise TemplateError(
                 f"entry dict missing required key {exc.args[0]!r}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
             raise TemplateError(f"malformed entry dict: {exc}") from exc
+
+
+def _text(data: dict[str, Any], key: str) -> str:
+    """A required string field of an entry dict."""
+    value = data[key]
+    if not isinstance(value, str):
+        raise TemplateError(
+            f"entry field {key!r} must be a string, not "
+            f"{type(value).__name__}")
+    return value
+
+
+def _items(data: dict[str, Any], key: str,
+           optional: bool = False) -> list | tuple:
+    """A list field of an entry dict (absent optional ones are empty).
+
+    A string is refused rather than read as a list of its characters.
+    """
+    value = data.get(key, ()) if optional else data[key]
+    if not isinstance(value, (list, tuple)):
+        raise TemplateError(
+            f"entry field {key!r} must be a list, not {type(value).__name__}")
+    return value

@@ -28,15 +28,14 @@ The wire itself is kept as cheap as the caches behind it:
 * **Conditional reads** — ``GET /entries/{id}``, ``GET /wiki/{id}`` and
   ``GET /stats`` send a weak ``ETag`` and honour ``If-None-Match``: a
   match answers ``304 Not Modified`` with no body and no codec work on
-  either end.  Entry validators are per entry where the backend keeps
-  the codec's bytes (SQLite): the ETag is a digest of the stored
-  payload, which is also the 200 body, sent as stored.  A write to one
-  entry leaves every other entry's ETag valid, and two servers over one
-  database mint the same tag; a 304 costs one row read and a digest.
-  Other backends key entry ETags by the service's change token, which
-  any write moves; their 304 needs no fetch at all.  The wiki endpoint
-  uses the render cache's per-identifier validator, ``/stats`` the
-  change token.
+  either end.  Entry validators are per entry on every backend: the
+  ETag is a digest of the entry's canonical codec payload (kept on the
+  entry object, see :mod:`repro.repository.codec`), which is also the
+  200 body.  A write to one entry leaves every other entry's ETag
+  valid, and two servers over one store mint the same tag; a 304 costs
+  one ``get`` (the digest is kept on the entry object too).  The wiki
+  endpoint uses the render cache's per-identifier validator,
+  ``/stats`` the change token.
 * **Compression** — ``Accept-Encoding: gzip`` is negotiated and bodies
   above a threshold are gzipped (small payloads skip the CPU);
   request bodies may arrive with ``Content-Encoding: gzip``.  An
@@ -50,10 +49,10 @@ The wire itself is kept as cheap as the caches behind it:
   ``{"_stream": "end", "count": n}`` frame (or an
   ``{"_stream": "error", ...}`` frame if a later page fails).  A 10k
   bulk read never materialises the whole corpus as one JSON body on
-  either end, and warm pages come from an
-  :class:`~repro.repository.codec.EncodeMemo` — no fetch, no
-  ``to_dict``, no ``dumps``.  Without the Accept header the endpoints
-  answer the PR-5 buffered JSON bodies unchanged.
+  either end, and an entry object already encoded (or decoded from
+  stored bytes) streams its payload as is — no ``to_dict``, no
+  ``dumps``.  Without the Accept header the endpoints answer the PR-5
+  buffered JSON bodies unchanged.
 
 Errors travel as ``{"error": {"type": ..., "message": ..., ...}}`` with
 a faithful status (404 EntryNotFound, 409 DuplicateEntry, 400 for the
@@ -67,16 +66,15 @@ Concurrency: ``ThreadingHTTPServer`` gives every connection its own
 handler thread.  The service's writer-preference ReadWriteLock admits
 all readers concurrently, and writes that arrive while another commits
 queue behind it and commit together as one group, exactly as for
-in-process threads.  Only an entry GET served from stored bytes
-(durable SQLite) skips the service's lock and never waits behind a
-write.  The server adds no locking of its own.
+in-process threads.  An entry GET is a point read, which skips the
+service's lock and never waits behind a write.  The server adds no
+locking of its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import gzip
-import hashlib
 import json
 import logging
 import re
@@ -100,8 +98,8 @@ from repro.repository.codec import (
     GZIP_LEVEL,
     GZIP_MIN_BYTES,
     NDJSON_TYPE,
-    EncodeMemo,
     encode_entry,
+    entry_digest,
 )
 from repro.repository.render_cache import RenderCache
 from repro.repository.resilience import Deadline, deadline_scope
@@ -807,21 +805,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", "0")
         self._send_head()
 
-    def _repository_etag(self, *parts: str) -> str | None:
-        """An ETag bound to the service change token, or None.
-
-        The coarse validator: any write anywhere moves it.  Entry reads
-        use it only when the backend keeps no encoded bytes to digest
-        (see :meth:`_handle_get_entry`).  Read the token BEFORE fetching
-        what it validates: a write landing in between leaves a stale
-        token on fresh content — one spurious revalidation later, never
-        a false 304.
-        """
-        token = self.server.repository.change_token()
-        if token is None:
-            return None
-        return _make_etag(token, *parts)
-
     # ------------------------------------------------------------------
     # Special routes: the ROUTES rows without a ``serve`` function.
     # ------------------------------------------------------------------
@@ -833,30 +816,17 @@ class _Handler(BaseHTTPRequestHandler):
         if requested:
             version = Version.parse(requested[0])
         slot = requested[0] if requested else "latest"
-        repository = self.server.repository
-        payload = repository.get_encoded(identifier, version)
-        if payload is not None:
-            # The backend holds the entry's codec bytes: they are both
-            # the body and the validator, so the ETag moves exactly when
-            # this entry's representation does, and every server over
-            # the same store mints the same one.
-            encoded = payload.encode("utf-8")
-            etag = _make_etag(
-                hashlib.blake2b(encoded, digest_size=16).hexdigest(), slot)
-            if self._precondition_hit(etag):
-                self._send_not_modified(etag)
-                return
-            self._send_bytes(200, b'{"entry":' + encoded + b"}",
-                             "application/json", etag=etag)
-            return
-        etag = self._repository_etag(identifier, slot)
-        if etag is not None and self._precondition_hit(etag):
-            # No stored bytes to digest: the change token validates, and
-            # a match answers with no fetch, no to_dict, no dumps.
+        entry = self.server.repository.get(identifier, version)
+        # The entry's codec bytes are both the body and the validator,
+        # so the ETag moves exactly when this entry's representation
+        # does, and every server over the same store mints the same one.
+        etag = _make_etag(entry_digest(entry), slot)
+        if self._precondition_hit(etag):
             self._send_not_modified(etag)
             return
-        entry = repository.get(identifier, version)
-        self._send_json(200, {"entry": entry.to_dict()}, etag=etag)
+        self._send_bytes(
+            200, b'{"entry":' + encode_entry(entry).encode("utf-8") + b"}",
+            "application/json", etag=etag)
 
     def _handle_stats(self, query_string: str = "") -> None:
         repository = self.server.repository
@@ -865,15 +835,13 @@ class _Handler(BaseHTTPRequestHandler):
         if etag is not None and self._precondition_hit(etag):
             self._send_not_modified(etag)
             return
-        cache = repository.cache_stats()
-        cache["wire_memo"] = self.server.wire_memo.stats()
         self._send_json(
             200,
             {
                 "entry_count": repository.entry_count(),
                 "change_counter": repository.change_counter(),
                 "change_token": token,
-                "cache": cache,
+                "cache": repository.cache_stats(),
                 "render_cache": self.server.render_cache.cache_stats(),
                 "server": self.server.metrics.snapshot(),
             },
@@ -884,8 +852,9 @@ class _Handler(BaseHTTPRequestHandler):
         # The render cache's validator is deliberately finer than the
         # service change token: it moves only when THIS identifier is
         # written, so wiki ETags survive writes elsewhere in the
-        # corpus.  Validator before render — same race discipline as
-        # _repository_etag.
+        # corpus.  Validator before render: a write landing in between
+        # leaves a stale validator on a fresh page — one spurious
+        # revalidation later, never a false 304.
         etag = _make_etag(
             self.server.render_cache.validator(identifier), identifier)
         if self._precondition_hit(etag):
@@ -950,39 +919,13 @@ class _Handler(BaseHTTPRequestHandler):
     def _entry_pages(self, requests):
         """Wire lines for a batch get, one page of entries at a time.
 
-        Pages come straight out of ``get_many`` (one read-locked
-        service call per page, never the whole batch) and warm lines
-        come out of the server's :class:`EncodeMemo` without touching
-        the repository at all — keyed by the change token read *before*
-        the probe, so a racing write makes a memo line unfindable
-        rather than stale.
+        Pages come straight out of ``get_many``: one read-locked
+        service call per page, never the whole batch.
         """
         repository = self.server.repository
-        memo = self.server.wire_memo
         for start in range(0, len(requests), STREAM_PAGE_SIZE):
             page = requests[start:start + STREAM_PAGE_SIZE]
-            token = repository.change_token()
-            lines: list[str | None] = []
-            missing: list[tuple[int, tuple[str, Version | None]]] = []
-            for offset, (identifier, version) in enumerate(page):
-                version_key = str(version) if version is not None else None
-                line = (memo.get(identifier, version_key, token)
-                        if token is not None else None)
-                lines.append(line)
-                if line is None:
-                    missing.append((offset, (identifier, version)))
-            if missing:
-                fetched = repository.get_many(
-                    [request for _, request in missing])
-                for (offset, (identifier, version)), entry in zip(
-                        missing, fetched, strict=True):
-                    line = encode_entry(entry)
-                    lines[offset] = line
-                    if token is not None:
-                        version_key = (str(version)
-                                       if version is not None else None)
-                        memo.put(identifier, version_key, token, line)
-            yield lines
+            yield [encode_entry(entry) for entry in repository.get_many(page)]
 
     def _version_pages(self, identifiers):
         """Wire lines for a batch version listing, page by page."""
@@ -1236,11 +1179,6 @@ class RepositoryServer:
         #: savings) — exposed under "server" in GET /stats, surviving
         #: stop/start cycles like the tracker does.
         self.metrics = _ServerMetrics()
-        #: Encoded wire lines for streamed batch reads, keyed by
-        #: (identifier, version, change token): a warm stream skips the
-        #: fetch, the to_dict and the dumps.  Token-keyed entries from
-        #: before a write simply age out of the LRU.
-        self.wire_memo = EncodeMemo()
         #: Wiki pages re-render only when their entry is written: the
         #: PR-4 event-driven cache serves GET /wiki/{id}.  Created by
         #: start(), not here — a cache subscribes to the service's
@@ -1269,7 +1207,6 @@ class RepositoryServer:
         httpd.render_cache = self.render_cache
         httpd.request_tracker = self._tracker
         httpd.metrics = self.metrics
-        httpd.wire_memo = self.wire_memo
         httpd.shed_retry_after = self.shed_retry_after
         self._tracker.end_drain()  # a restart serves again
         self._httpd = httpd

@@ -18,11 +18,10 @@ facade adds, on top of any
   requests out further) while each write is exclusive, so backend
   write, token bump and event dispatch form one atomic step.  The lock
   is writer-preference and writer-reentrant: subscribers called during
-  a write may read back through the service.  Point reads (``get``,
-  ``get_encoded``) skip it: each backend's own point read is safe
-  against a concurrent writer, so they never wait behind a lone
-  write's event dispatch.  Batch reads, listings, queries and the
-  change token keep it;
+  a write may read back through the service.  Point reads (``get``)
+  skip it: each backend's own point read is safe against a concurrent
+  writer, so they never wait behind a lone write's event dispatch.
+  Batch reads, listings, queries and the change token keep it;
 * **group commit** — concurrent writers coalesce.  Each write joins a
   FIFO of pending writes and takes the write lock; whichever thread
   holds the lock (the *leader*) commits everything queued, up to
@@ -277,14 +276,6 @@ class RepositoryService(StorageBackend):
         transaction / one scan where the backend supports it)."""
         with self._rwlock.read_locked():
             return self.backend.get_many(requests)
-
-    def get_encoded(self, identifier: str,
-                    version: Version | None = None) -> str | None:
-        """The backend's stored codec payload, or None if it keeps none
-        (see :meth:`StorageBackend.get_encoded`).  Not part of
-        :data:`API_METHODS`: only the HTTP server's entry route uses it.
-        Lock-free, like :meth:`get`."""
-        return self.backend.get_encoded(identifier, version)
 
     # ------------------------------------------------------------------
     # Writes (queued, then committed in groups under the write lock).

@@ -5,28 +5,31 @@ The codec is the single serialisation seam of the read path (see
 ``encode_entry`` and hydrates through ``decode_entry`` + a
 ``DecodeMemo`` (payload-keyed on SQLite, change-counter-keyed on
 files).  These tests pin the wire format, the legacy-payload tolerance
-the conformance suite relies on, and the memo's coherence.
+the conformance suite relies on, the payload each entry object keeps,
+and the memo's coherence.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from repro.core.errors import EntryNotFound, StorageError
-from repro.repository.backends import FileBackend, MemoryBackend, SQLiteBackend
+from repro.core.errors import StorageError
+from repro.repository.backends import FileBackend, SQLiteBackend
 from repro.repository.codec import (
     CANONICAL_PREFIX,
     CODEC_VERSION,
     DecodeMemo,
-    EncodeMemo,
     LineMemo,
     decode_entry,
     encode_entry,
+    entry_digest,
     entry_from_dict,
 )
-from repro.repository.service import RepositoryService
+from repro.repository.entry import ExampleEntry
 from repro.repository.versioning import Version
 from tests.repository.test_entry import minimal_entry
 
@@ -128,25 +131,96 @@ class TestDecodeMemo:
         assert len(memo) == 0
 
 
+def forbid_encoding(monkeypatch) -> None:
+    """Fail the test if any entry is encoded from scratch from here on."""
+    monkeypatch.setattr(
+        ExampleEntry, "to_dict",
+        lambda entry: pytest.fail("a payload was re-encoded"))
+
+
+class TestTheEntryCarriesItsBytes:
+    """One payload per entry object: encoded once, or kept from the
+    canonical bytes it was decoded from."""
+
+    def test_an_entry_is_encoded_once(self, monkeypatch):
+        entry = minimal_entry()
+        payload = encode_entry(entry)
+        forbid_encoding(monkeypatch)
+        assert encode_entry(entry) is payload
+
+    @pytest.mark.parametrize("trailer", ["", "\n"])
+    def test_a_decoded_canonical_payload_re_encodes_to_itself(
+            self, monkeypatch, trailer):
+        """As stored, even where a fresh encode would differ (a key this
+        build does not read); a file's trailing newline is dropped."""
+        data = json.loads(encode_entry(minimal_entry()))
+        data["zz_unknown"] = 1
+        stored = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        forbid_encoding(monkeypatch)
+        assert encode_entry(decode_entry(stored + trailer)) == stored
+
+    def test_a_legacy_payload_encodes_canonical(self):
+        entry = minimal_entry()
+        legacy = json.dumps(entry.to_dict(), indent=2, sort_keys=True)
+        payload = encode_entry(decode_entry(legacy))
+        assert payload.startswith(CANONICAL_PREFIX)
+        assert payload == encode_entry(minimal_entry())
+
+    def test_a_new_value_gets_a_fresh_encoding(self):
+        entry = decode_entry(encode_entry(minimal_entry()))
+        encode_entry(entry)
+        newer = entry.with_version(Version(0, 2))
+        assert json.loads(encode_entry(newer))["version"] == "0.2"
+        patched = dataclasses.replace(entry, overview="Patched.")
+        assert json.loads(encode_entry(patched))["overview"] == "Patched."
+        assert encode_entry(entry) == encode_entry(minimal_entry())
+
+    def test_the_digest_is_of_the_payload_and_kept(self):
+        entry = minimal_entry()
+        digest = entry_digest(entry)
+        assert digest == hashlib.blake2b(
+            encode_entry(entry).encode("utf-8"), digest_size=16).hexdigest()
+        assert entry_digest(entry) is digest
+        assert entry_digest(entry.with_version(Version(0, 2))) != digest
+
+    def test_cached_bytes_leave_equality_and_hash_alone(self):
+        bare, encoded = minimal_entry(), minimal_entry()
+        entry_digest(encoded)
+        decoded = decode_entry(encode_entry(minimal_entry()))
+        assert bare == encoded == decoded
+        assert hash(bare) == hash(encoded) == hash(decoded)
+        assert repr(bare) == repr(encoded) == repr(decoded)
+
+    @pytest.mark.parametrize("kind", ["file", "sqlite"])
+    def test_a_cold_read_serves_the_stored_bytes(self, kind, tmp_path,
+                                                 monkeypatch):
+        """A backend with an empty decode memo hands out entries whose
+        payload is the one on disk: no read re-encodes what storage
+        holds."""
+        first = minimal_entry()
+        second = minimal_entry(version=Version(0, 2), overview="Two.")
+        def make():
+            if kind == "file":
+                return FileBackend(tmp_path / "repo")
+            return SQLiteBackend(tmp_path / "repo.db")
+
+        writer = make()
+        writer.add(first)
+        writer.add_version(second)
+        writer.close()
+        reader = make()
+        forbid_encoding(monkeypatch)
+        assert encode_entry(reader.get("demo-example")) == encode_entry(
+            second)
+        assert encode_entry(
+            reader.get("demo-example", Version(0, 1))) == encode_entry(first)
+        assert [encode_entry(entry) for entry in reader.get_many(
+            [("demo-example", Version(0, 1))])] == [encode_entry(first)]
+        reader.close()
+
+
 class TestWireMemos:
-    """The wire-speed twins: EncodeMemo (server), LineMemo (client)."""
-
-    def test_encode_memo_hit_requires_matching_token(self):
-        memo = EncodeMemo()
-        line = encode_entry(minimal_entry())
-        memo.put("demo-example", None, "e1.4", line)
-        assert memo.get("demo-example", None, "e1.4") == line
-        assert memo.get("demo-example", None, "e1.5") is None  # a write
-        assert memo.get("demo-example", "0.1", "e1.4") is None
-        assert memo.stats()["hits"] == 1
-        assert memo.stats()["misses"] == 2
-
-    def test_encode_memo_latest_and_pinned_are_distinct_slots(self):
-        memo = EncodeMemo()
-        memo.put("a", None, "t", "latest-line")
-        memo.put("a", "0.1", "t", "pinned-line")
-        assert memo.get("a", None, "t") == "latest-line"
-        assert memo.get("a", "0.1", "t") == "pinned-line"
+    """The client's wire memo: LineMemo."""
 
     def test_line_memo_keys_by_exact_bytes(self):
         memo = LineMemo()
@@ -298,49 +372,6 @@ class TestBackendsThroughTheCodec:
             sqlite_backend.add(minimal_entry())
             sqlite_backend.get("demo-example")
             assert "decode_memo" in sqlite_backend.cache_stats()
-
-    def test_sqlite_get_encoded_is_the_stored_payload(self, tmp_path):
-        with SQLiteBackend(tmp_path / "repo.db") as backend:
-            first = minimal_entry()
-            second = minimal_entry(version=Version(0, 2), overview="Two.")
-            backend.add(first)
-            backend.add_version(second)
-            assert backend.get_encoded("demo-example") == encode_entry(
-                second)
-            assert backend.get_encoded(
-                "demo-example", Version(0, 1)) == encode_entry(first)
-            with pytest.raises(EntryNotFound):
-                backend.get_encoded("missing")
-            with pytest.raises(EntryNotFound):
-                backend.get_encoded("demo-example", Version(0, 9))
-
-    def test_sqlite_get_encoded_keeps_the_decode_check(self, tmp_path):
-        """Bytes are served as stored only after they hydrate: a warm
-        payload is one memo hit, a newer-codec row raises."""
-        path = tmp_path / "repo.db"
-        with SQLiteBackend(path) as backend:
-            backend.add(minimal_entry())
-            hits = backend.cache_stats()["decode_memo"]["hits"]
-            backend.get_encoded("demo-example")
-            assert backend.cache_stats()["decode_memo"]["hits"] == hits + 1
-            data = minimal_entry(title="NEWER").to_dict()
-            data["_codec"] = CODEC_VERSION + 1
-            with backend._lock, backend._conn:
-                backend._conn.execute(
-                    "INSERT INTO entries (identifier, major, minor, "
-                    "payload) VALUES ('newer', 0, 1, ?)",
-                    (json.dumps(data, sort_keys=True),))
-            with pytest.raises(StorageError, match="codec version"):
-                backend.get_encoded("newer")
-
-    def test_backends_without_stored_bytes_return_none(self, tmp_path):
-        backend = FileBackend(tmp_path / "repo")
-        backend.add(minimal_entry())
-        assert backend.get_encoded("demo-example") is None
-        service = RepositoryService(MemoryBackend())
-        service.add(minimal_entry())
-        assert service.get_encoded("demo-example") is None
-        service.close()
 
     def test_composite_cache_stats_merge_children(self, tmp_path):
         from repro.repository.backends import (

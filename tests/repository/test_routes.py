@@ -91,9 +91,7 @@ class TestEveryApiMethodCrossesTheWire:
         if name not in WRITES:
             answer = call(client)
             if name == "cache_stats":
-                # The client namespaces the server's groups, and the
-                # server adds its own wire memo to them.
-                answer.pop("server:wire_memo")
+                # The client namespaces the server's groups.
                 expected = {f"server:{group}": counters
                             for group, counters in service.cache_stats().items()}
             else:
@@ -153,8 +151,15 @@ class TestArgumentErrors:
         ("/entries", entry_body(models=[1]), "TemplateError"),
         ("/entries", entry_body(restoration=3), "TemplateError"),
         ("/entries", entry_body(authors=7), "TemplateError"),
+        ("/entries", entry_body(title=5), "TemplateError"),
+        ("/entries", entry_body(overview=5), "TemplateError"),
+        ("/entries", entry_body(consistency=[]), "TemplateError"),
+        ("/entries", entry_body(discussion=None), "TemplateError"),
+        ("/entries", entry_body(authors="Ann"), "TemplateError"),
+        ("/entries", entry_body(reviewers="Bob"), "TemplateError"),
     ], ids=["batch-version", "bulk-entry", "version", "types", "models",
-            "restoration", "authors"])
+            "restoration", "authors", "title", "overview", "consistency",
+            "discussion", "authors-string", "reviewers-string"])
     def test_a_malformed_argument_is_a_typed_400(self, remote, caplog, path,
                                                  body, error):
         service, client = remote

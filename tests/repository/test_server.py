@@ -33,9 +33,14 @@ from repro.core.errors import (
     EntryNotFound,
     StorageError,
 )
-from repro.repository.backends import MemoryBackend, SQLiteBackend
+from repro.repository.backends import (
+    FileBackend,
+    MemoryBackend,
+    SQLiteBackend,
+)
 from repro.repository.client import HTTPBackend
 from repro.repository.codec import CODEC_VERSION, encode_entry
+from repro.repository.entry import ExampleEntry
 from repro.repository.server import (
     STREAM_PAGE_SIZE,
     RepositoryServer,
@@ -777,20 +782,6 @@ class TestConditionalReads:
         assert revalidated["ETag"] == headers["ETag"]
         assert len(body) > 0  # the 200 did carry the entry
 
-    def test_a_write_anywhere_moves_the_entry_etag(self, served):
-        server, client = served
-        client.add_many(entry_batch(2))
-        _s, before, _b = raw_get(server.port, "/entries/entry-0")
-        client.replace_latest(minimal_entry(title="ENTRY 1",
-                                            overview="Patched."))
-        status, after, _b = raw_get(
-            server.port, "/entries/entry-0",
-            **{"If-None-Match": before["ETag"]})
-        # The service-token ETag is deliberately coarse: ANY write
-        # moves it, so revalidation misses and a fresh 200 arrives.
-        assert status == 200
-        assert after["ETag"] != before["ETag"]
-
     def test_wiki_etag_survives_writes_elsewhere(self, served):
         server, client = served
         client.add_many(entry_batch(2))
@@ -914,12 +905,29 @@ def insert_raw_row(db_path, identifier: str, payload: str) -> None:
         connection.close()
 
 
-class TestPerEntryValidators:
-    """Over SQLite an entry's ETag digests its stored bytes: it moves
-    when that entry is written and survives writes to any other."""
+@pytest.fixture(params=["memory", "file", "sqlite"])
+def any_served(request, tmp_path):
+    """A served repository over each backend kind."""
+    backend = {
+        "memory": MemoryBackend,
+        "file": lambda: FileBackend(tmp_path / "repo"),
+        "sqlite": lambda: SQLiteBackend(tmp_path / "repo.db"),
+    }[request.param]()
+    server = RepositoryServer(RepositoryService(backend),
+                              close_service=True).start()
+    client = HTTPBackend(server.url)
+    yield server, client
+    client.close()
+    server.stop()
 
-    def test_an_unrelated_add_leaves_the_etag_valid(self, sqlite_served):
-        server, client = sqlite_served
+
+class TestPerEntryValidators:
+    """On every backend an entry's ETag digests its codec bytes: it
+    moves when that entry is written and survives writes to any
+    other."""
+
+    def test_an_unrelated_add_leaves_the_etag_valid(self, any_served):
+        server, client = any_served
         client.add(minimal_entry())
         first = client.get("demo-example")
         _s, before, _b = raw_get(server.port, "/entries/demo-example")
@@ -935,9 +943,8 @@ class TestPerEntryValidators:
         assert server.metrics.snapshot()["conditional"]["not_modified"] == 2
 
     @pytest.mark.parametrize("write", ["replace_latest", "add_version"])
-    def test_a_write_to_the_entry_moves_its_etag(self, sqlite_served,
-                                                  write):
-        server, client = sqlite_served
+    def test_a_write_to_the_entry_moves_its_etag(self, any_served, write):
+        server, client = any_served
         client.add(minimal_entry())
         _s, before, _b = raw_get(server.port, "/entries/demo-example")
         revised = minimal_entry(
@@ -954,8 +961,8 @@ class TestPerEntryValidators:
         assert client.get("demo-example") == revised
 
     def test_the_etag_is_a_digest_of_the_body_and_the_version_slot(
-            self, sqlite_served):
-        server, client = sqlite_served
+            self, any_served):
+        server, client = any_served
         entry = minimal_entry()
         client.add(entry)
         payload = encode_entry(entry).encode("utf-8")
@@ -1261,30 +1268,52 @@ class TestStreamingBatches:
         assert len(received) == STREAM_PAGE_SIZE  # page one arrived whole
         assert client.entry_count() == count  # stream stayed framed
 
-    def test_warm_streams_hit_the_wire_memos(self, served):
-        server, client = served
+    def test_a_warm_stream_does_no_codec_work(self, served, monkeypatch):
+        _server, client = served
         client.add_many(entry_batch(8))
         requests = [f"entry-{index}" for index in range(8)]
-        client.get_many(requests)
-        cold_server = server.wire_memo.stats()
-        client.get_many(requests)
-        warm_server = server.wire_memo.stats()
-        # Second pass: every line from the encode memo (no fetch, no
-        # dumps) on the server, every entry from the line memo (no
-        # loads, no from_dict) on the client.
-        assert warm_server["hits"] == cold_server["hits"] + 8
+        first = client.get_many(requests)
+        calls = []
+        to_dict = ExampleEntry.to_dict
+        monkeypatch.setattr(
+            ExampleEntry, "to_dict",
+            lambda entry: calls.append(entry) or to_dict(entry))
+        # Second pass: every line is the payload the served entry
+        # object already carries (no to_dict, no dumps) on the server,
+        # every entry comes from the line memo (no loads, no from_dict)
+        # on the client.
+        assert client.get_many(requests) == first
+        assert calls == []
         assert client.wire_cache_stats()["line_memo"]["hits"] == 8
 
-    def test_a_write_orphans_the_wire_memo_lines(self, served):
-        server, client = served
+    def test_a_stream_after_a_write_carries_the_new_entry(self, served):
+        _server, client = served
         client.add_many(entry_batch(2))
         client.get_many(["entry-0", "entry-1"])
         client.replace_latest(minimal_entry(title="ENTRY 0",
                                             overview="Patched."))
         entries = client.get_many(["entry-0", "entry-1"])
         assert entries[0].overview == "Patched."
-        # The token moved, so the warm lines were unfindable.
-        assert server.wire_memo.stats()["hits"] == 0
+        assert entries[1] == minimal_entry(title="ENTRY 1")
+
+    def test_a_file_backed_stream_has_no_blank_lines(self, tmp_path):
+        """File snapshots end in a newline; the payload an entry keeps
+        from them must not, or every NDJSON line would be followed by
+        an empty one."""
+        FileBackend(tmp_path / "repo").add_many(entry_batch(3))
+        service = RepositoryService(FileBackend(tmp_path / "repo"))
+        with RepositoryServer(service, close_service=True) as server:
+            raw = json.dumps(
+                {"requests": [f"entry-{i}" for i in range(3)]}).encode()
+            request = urllib.request.Request(
+                server.url + "/batch/get", data=raw,
+                headers={"Accept": "application/x-ndjson"})
+            with urllib.request.urlopen(request) as response:
+                lines = response.read().split(b"\n")
+        assert lines[-1] == b""
+        assert b"" not in lines[:-1]
+        assert [json.loads(line)["title"] for line in lines[:3]] == [
+            f"ENTRY {i}" for i in range(3)]
 
     def test_streamed_bodies_gzip_end_to_end(self, served):
         """The NDJSON stream negotiates gzip like sized bodies do, and
@@ -1668,12 +1697,13 @@ class TestObservability:
                 assert status == 500
                 assert len(internal_errors()) == 1
 
-    def test_stats_carries_the_change_token_and_wire_memo(self, served):
-        server, client = served
+    def test_stats_carries_the_change_token_and_the_backend_caches(
+            self, sqlite_served):
+        server, client = sqlite_served
         client.add(minimal_entry())
         payload = json.loads(fetch(server.url + "/stats")[2])
         assert isinstance(payload["change_token"], str)
-        assert "wire_memo" in payload["cache"]
+        assert payload["cache"] == server.service.cache_stats()
 
     def test_unrouted_requests_are_counted(self, served):
         server, _client = served
