@@ -44,7 +44,7 @@ from repro.repository import (
     ReplicatedBackend,
     RetryPolicy,
 )
-from repro.repository.backends import MemoryBackend
+from repro.repository.backends import MemoryBackend, SQLiteBackend
 from repro.repository.client import HTTPBackend
 from repro.repository.codec import LineMemo
 from repro.repository.query import Q
@@ -336,18 +336,24 @@ class TestServingTargets:
         print(f"\nwarm HTTP point read: {per_request * 1000:.2f}ms")
         assert per_request < 0.02  # 20ms: an order below the stall
 
-    def test_304_revalidation_at_least_10x_the_full_fetch(self):
+    @pytest.mark.parametrize("store", ["memory", "sqlite"])
+    def test_304_revalidation_at_least_10x_the_full_fetch(self, store,
+                                                          tmp_path):
         """The conditional-read floor on a ~1MB entry.
 
         A revalidated read moves two header blocks and zero body; a
         full fetch serialises, compresses, ships, and re-parses a
         megabyte.  10x is the floor — the measured gap on the CI
         containers is far wider, and it is exactly the work a 304
-        exists to skip.
+        exists to skip.  Over SQLite both answers also pay one row
+        read and one hash of the stored megabyte against its stored
+        digest.
         """
         big = replace(make_entry(0),
                       overview="wire " * LARGE_OVERVIEW_WORDS)
-        service = RepositoryService(MemoryBackend())
+        backend = (MemoryBackend() if store == "memory"
+                   else SQLiteBackend(tmp_path / "repo.db"))
+        service = RepositoryService(backend)
         service.add(big)
         server = RepositoryServer(service).start()
         client = HTTPBackend(server.url)
@@ -372,7 +378,7 @@ class TestServingTargets:
             server.stop()
             service.close()
         ratio = full / revalidated
-        print(f"\n~1MB point read: 200 {full * 1000:.2f}ms, "
+        print(f"\n~1MB point read ({store}): 200 {full * 1000:.2f}ms, "
               f"304 {revalidated * 1000:.3f}ms ({ratio:.0f}x)")
         assert ratio >= 10.0
 

@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence, Union
 
 from repro.core.errors import EntryNotFound
+from repro.repository.codec import encode_entry, entry_digest
 from repro.repository.entry import ExampleEntry
 from repro.repository.query import (
     Query,
@@ -82,6 +83,20 @@ class StorageBackend(ABC):
     @abstractmethod
     def get(self, identifier: str, version: Version | None = None) -> ExampleEntry:
         """The entry at ``version`` (default: latest)."""
+
+    def get_payload(
+        self, identifier: str, version: Version | None = None
+    ) -> tuple[str, str]:
+        """The entry's canonical codec payload and its digest.
+
+        What the HTTP entry GET serves: the payload is the 200 body and
+        the digest its ETag.  The default encodes the entry ``get``
+        returns (both are kept on the entry object); a backend that
+        stores payloads may answer from storage instead, as long as it
+        returns exactly these bytes.
+        """
+        entry = self.get(identifier, version)
+        return encode_entry(entry), entry_digest(entry)
 
     @abstractmethod
     def add(self, entry: ExampleEntry) -> None:

@@ -10,6 +10,21 @@ whole bulk load in one transaction instead of one rename per snapshot.
 tests and benchmarks; any path gives a durable single-file store in WAL
 mode.
 
+Each snapshot row keeps its canonical codec ``payload`` and, written
+by the same statement, that payload's ``digest``
+(:func:`~repro.repository.codec.entry_digest`, the HTTP entry
+validator).  A trigger clears the digest whenever an update changes
+the payload without writing a new digest — a build from before the
+column sharing the file, a hand edit — so a stored digest is always
+its row's.  :meth:`SQLiteBackend.get_payload`, the entry GET's read,
+therefore serves a canonical row that has a digest as stored: no
+``json.loads``, no ``from_dict``, no re-hash.  Any other row (one
+written before the column existed, or one rewritten behind its
+digest) is decoded first, exactly as :meth:`get` decodes it, so a
+corrupt or newer-codec row stays a typed error and a stale digest can
+never validate.  Opening a database from before the column adds it,
+NULL for the old rows, and the trigger.
+
 Query pushdown — the backend natively executes
 :class:`~repro.repository.query.QueryPlan` trees
 (``supports_native_query = True``).  Alongside the snapshots it
@@ -72,7 +87,13 @@ from repro.core.errors import (
     StorageError,
 )
 from repro.repository.backends.base import StorageBackend, _split_request
-from repro.repository.codec import DecodeMemo, decode_entry, encode_entry
+from repro.repository.codec import (
+    CANONICAL_PREFIX,
+    DecodeMemo,
+    decode_entry,
+    encode_entry,
+    entry_digest,
+)
 from repro.repository.concurrency import Mutex
 from repro.repository.entry import ExampleEntry
 from repro.repository.query import (
@@ -107,6 +128,7 @@ CREATE TABLE IF NOT EXISTS entries (
     major      INTEGER NOT NULL,
     minor      INTEGER NOT NULL,
     payload    TEXT    NOT NULL,
+    digest     TEXT,
     PRIMARY KEY (identifier, major, minor)
 );
 CREATE TABLE IF NOT EXISTS meta (
@@ -152,6 +174,20 @@ CREATE INDEX IF NOT EXISTS latest_terms_by_identifier
 CREATE TABLE IF NOT EXISTS dirty (
     identifier TEXT PRIMARY KEY
 );
+"""
+
+#: Clears the digest of a row whose payload an update changed without
+#: writing a new digest.  Stored in the database, so it fires for every
+#: build that writes the file, those from before the column included.
+_DIGEST_TRIGGER = """
+CREATE TRIGGER IF NOT EXISTS entries_digest_follows_payload
+AFTER UPDATE OF payload ON entries
+WHEN NEW.digest IS OLD.digest AND NEW.payload IS NOT OLD.payload
+BEGIN
+    UPDATE entries SET digest = NULL
+    WHERE identifier = NEW.identifier
+    AND major = NEW.major AND minor = NEW.minor;
+END
 """
 
 _AUX_TABLES = (
@@ -200,7 +236,22 @@ class SQLiteBackend(StorageBackend):
                 "INSERT OR IGNORE INTO meta (key, value) "
                 "VALUES ('change_counter', 0)"
             )
+            self._migrate_digest_column()
             self._migrate_latest_tables()
+
+    def _migrate_digest_column(self) -> None:
+        """Adopt a database written before rows kept their digest.
+
+        Adds the nullable ``digest`` column and its trigger; the old rows
+        keep NULL and are served through the decode until a write
+        replaces them.  Runs inside the opening transaction, whose insert
+        above already holds the write lock, so two processes adopting one
+        file cannot both add the column.
+        """
+        columns = {row[1] for row in self._conn.execute("PRAGMA table_info(entries)")}
+        if "digest" not in columns:
+            self._conn.execute("ALTER TABLE entries ADD COLUMN digest TEXT")
+        self._conn.execute(_DIGEST_TRIGGER)
 
     def _migrate_latest_tables(self) -> None:
         """Adopt a pre-pushdown database: mark unindexed rows dirty.
@@ -292,10 +343,27 @@ class SQLiteBackend(StorageBackend):
 
     def get(self, identifier: str, version: Version | None = None) -> ExampleEntry:
         def fetch(conn) -> ExampleEntry:
-            _major, _minor, payload = self._get_row(conn, identifier, version)
-            return self._hydrate(payload)
+            return self._hydrate(self._get_row(conn, identifier, version)[2])
 
         return self._run_read(fetch)
+
+    def get_payload(
+        self, identifier: str, version: Version | None = None
+    ) -> tuple[str, str]:
+        """The stored payload and digest, from one row read.
+
+        A canonical row with a digest is served as stored, with no
+        decode (the trigger keeps that digest its payload's); any other
+        row is decoded (through the memo) and answered as :meth:`get`
+        would be.
+        """
+        _major, _minor, payload, digest = self._run_read(
+            lambda conn: self._get_row(conn, identifier, version)
+        )
+        if digest is not None and payload.startswith(CANONICAL_PREFIX):
+            return payload, digest
+        entry = self._hydrate(payload)
+        return encode_entry(entry), entry_digest(entry)
 
     def get_many(self, requests) -> list[ExampleEntry]:
         """Resolve many entries with one latest-version query.
@@ -601,10 +669,11 @@ class SQLiteBackend(StorageBackend):
                 )
             payload = encode_entry(entry)
             self._conn.execute(
-                "UPDATE entries SET payload = ? WHERE identifier = ? "
-                "AND major = ? AND minor = ?",
+                "UPDATE entries SET payload = ?, digest = ? "
+                "WHERE identifier = ? AND major = ? AND minor = ?",
                 (
                     payload,
+                    entry_digest(entry),
                     entry.identifier,
                     entry.version.major,
                     entry.version.minor,
@@ -640,23 +709,24 @@ class SQLiteBackend(StorageBackend):
                 ).fetchone()
                 if clash is not None:
                     raise DuplicateEntry(clash[0])
-            payloads = [encode_entry(entry) for entry in batch]
             self._conn.executemany(
-                "INSERT INTO entries (identifier, major, minor, payload) "
-                "VALUES (?, ?, ?, ?)",
+                "INSERT INTO entries "
+                "(identifier, major, minor, payload, digest) "
+                "VALUES (?, ?, ?, ?, ?)",
                 [
                     (
                         entry.identifier,
                         entry.version.major,
                         entry.version.minor,
-                        payload,
+                        encode_entry(entry),
+                        entry_digest(entry),
                     )
-                    for entry, payload in zip(batch, payloads, strict=True)
+                    for entry in batch
                 ],
             )
             self._mark_dirty([entry.identifier for entry in batch])
-            for entry, payload in zip(batch, payloads, strict=True):
-                self._memo.put(payload, entry)
+            for entry in batch:
+                self._memo.put(encode_entry(entry), entry)
         return len(batch)
 
     # ------------------------------------------------------------------
@@ -685,10 +755,10 @@ class SQLiteBackend(StorageBackend):
 
     def _get_row(
         self, conn: sqlite3.Connection, identifier: str, version: Version | None
-    ) -> tuple[int, int, str]:
+    ) -> tuple[int, int, str, str | None]:
         if version is None:
             row = conn.execute(
-                "SELECT major, minor, payload FROM entries "
+                "SELECT major, minor, payload, digest FROM entries "
                 "WHERE identifier = ? "
                 "ORDER BY major DESC, minor DESC LIMIT 1",
                 (identifier,),
@@ -697,7 +767,7 @@ class SQLiteBackend(StorageBackend):
                 raise EntryNotFound(identifier)
         else:
             row = conn.execute(
-                "SELECT major, minor, payload FROM entries "
+                "SELECT major, minor, payload, digest FROM entries "
                 "WHERE identifier = ? AND major = ? AND minor = ?",
                 (identifier, version.major, version.minor),
             ).fetchone()
@@ -711,13 +781,14 @@ class SQLiteBackend(StorageBackend):
         """Insert one snapshot row and prime the memo with its payload."""
         payload = encode_entry(entry)
         self._conn.execute(
-            "INSERT INTO entries (identifier, major, minor, payload) "
-            "VALUES (?, ?, ?, ?)",
+            "INSERT INTO entries (identifier, major, minor, payload, digest) "
+            "VALUES (?, ?, ?, ?, ?)",
             (
                 entry.identifier,
                 entry.version.major,
                 entry.version.minor,
                 payload,
+                entry_digest(entry),
             ),
         )
         self._memo.put(payload, entry)

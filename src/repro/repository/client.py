@@ -229,13 +229,11 @@ def _shed_error(headers: Headers, raw: bytes) -> StorageError:
 class _ValidationCache(_KeyedLRU):
     """Conditional-read state: request path -> (etag, entry snapshot).
 
-    The server's ETag needs no invalidation protocol here.  Over a
-    store that keeps encoded entries (SQLite) it digests the entry's
-    stored bytes, so only a write to *that* entry misses the next
-    revalidation; otherwise it embeds the repository's change token,
-    which any write moves.  Either way a miss is one full 200 that
-    replaces the stale pair.  Entries are immutable value objects, so
-    handing the cached snapshot back on a 304 is safe.
+    The server's ETag needs no invalidation protocol here.  On every
+    backend it digests the entry's canonical payload, so only a write
+    to *that* entry misses the next revalidation, and a miss is one
+    full 200 that replaces the stale pair.  Entries are immutable value
+    objects, so handing the cached snapshot back on a 304 is safe.
     """
 
     def __init__(self, maxsize: int = 1024) -> None:

@@ -32,12 +32,16 @@ The wire itself is kept as cheap as the caches behind it:
   ETag is a digest of the entry's canonical codec payload (kept on the
   entry object, see :mod:`repro.repository.codec`), which is also the
   200 body.  A write to one entry leaves every other entry's ETag
-  valid, and two servers over one store mint the same tag; a 304 costs
-  one ``get`` (the digest is kept on the entry object too).  The wiki
+  valid, and two servers over one store mint the same tag.  The
+  handler asks the backend for ``get_payload`` — ``(payload, digest)``
+  — so a 200 and a 304 cost the same read: over SQLite one row read
+  that serves the stored payload and its stored digest, with no
+  decode; elsewhere one ``get``, whose entry keeps both.  The wiki
   endpoint uses the render cache's per-identifier validator,
   ``/stats`` the change token.
 * **Compression** — ``Accept-Encoding: gzip`` is negotiated and bodies
-  above a threshold are gzipped (small payloads skip the CPU);
+  of ``GZIP_MIN_BYTES`` (one Ethernet segment) or more are gzipped:
+  a smaller body saves no packet by shrinking, so it skips the CPU;
   request bodies may arrive with ``Content-Encoding: gzip``.  An
   Accept-Encoding that rules out every supported coding is a 406, an
   unknown Content-Encoding a 415 — structured errors, like the rest.
@@ -99,7 +103,6 @@ from repro.repository.codec import (
     GZIP_MIN_BYTES,
     NDJSON_TYPE,
     encode_entry,
-    entry_digest,
 )
 from repro.repository.render_cache import RenderCache
 from repro.repository.resilience import Deadline, deadline_scope
@@ -816,16 +819,17 @@ class _Handler(BaseHTTPRequestHandler):
         if requested:
             version = Version.parse(requested[0])
         slot = requested[0] if requested else "latest"
-        entry = self.server.repository.get(identifier, version)
+        payload, digest = self.server.repository.get_payload(
+            identifier, version)
         # The entry's codec bytes are both the body and the validator,
         # so the ETag moves exactly when this entry's representation
         # does, and every server over the same store mints the same one.
-        etag = _make_etag(entry_digest(entry), slot)
+        etag = _make_etag(digest, slot)
         if self._precondition_hit(etag):
             self._send_not_modified(etag)
             return
         self._send_bytes(
-            200, b'{"entry":' + encode_entry(entry).encode("utf-8") + b"}",
+            200, b'{"entry":' + payload.encode("utf-8") + b"}",
             "application/json", etag=etag)
 
     def _handle_stats(self, query_string: str = "") -> None:

@@ -270,6 +270,11 @@ class RepositoryService(StorageBackend):
         # token bump, so a token read first never labels an older entry.
         return self.backend.get(identifier, version)
 
+    def get_payload(self, identifier: str,
+                    version: Version | None = None) -> tuple[str, str]:
+        # No read lock, for the same reason as get.
+        return self.backend.get_payload(identifier, version)
+
     def get_many(self,
                  requests: Sequence[GetRequest]) -> list[ExampleEntry]:
         """Resolve many entries in one backend ``get_many`` call (one

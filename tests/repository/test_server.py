@@ -38,8 +38,13 @@ from repro.repository.backends import (
     MemoryBackend,
     SQLiteBackend,
 )
+from repro.repository.backends import sqlite as sqlite_module
 from repro.repository.client import HTTPBackend
-from repro.repository.codec import CODEC_VERSION, encode_entry
+from repro.repository.codec import (
+    CANONICAL_PREFIX,
+    CODEC_VERSION,
+    encode_entry,
+)
 from repro.repository.entry import ExampleEntry
 from repro.repository.server import (
     STREAM_PAGE_SIZE,
@@ -1028,6 +1033,210 @@ class TestPerEntryValidators:
         assert "codec version" in detail["message"]
         with pytest.raises(StorageError, match="codec version"):
             client.get("demo-example")
+
+
+def rewrite_raw_payload(db_path, identifier: str, payload: str) -> None:
+    """Rewrite one row's payload behind the backend's back and leave its
+    stored digest alone, as a build that predates the digest column
+    would."""
+    connection = sqlite3.connect(db_path)
+    try:
+        with connection:
+            connection.execute(
+                "UPDATE entries SET payload = ? WHERE identifier = ?",
+                (payload, identifier))
+    finally:
+        connection.close()
+
+
+def stored_digests(db_path) -> dict:
+    """identifier -> the digest column of its row (one version each)."""
+    connection = sqlite3.connect(db_path)
+    try:
+        return dict(connection.execute(
+            "SELECT identifier, digest FROM entries"))
+    finally:
+        connection.close()
+
+
+def expected_answer(entry, slot: str = "latest"):
+    """The 200 body and ETag every backend serves for ``entry``."""
+    payload = encode_entry(entry).encode("utf-8")
+    digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
+    return b'{"entry":' + payload + b"}", f'W/"{digest}/{slot}"'
+
+
+#: The ``entries`` table as databases from before the digest column
+#: declare it.
+PRE_DIGEST_ENTRIES_DDL = """
+CREATE TABLE entries (
+    identifier TEXT    NOT NULL,
+    major      INTEGER NOT NULL,
+    minor      INTEGER NOT NULL,
+    payload    TEXT    NOT NULL,
+    PRIMARY KEY (identifier, major, minor)
+)
+"""
+
+
+class TestStoredPayloads:
+    """Over SQLite the entry GET serves the stored row: its payload is
+    the body and its stored digest the validator, with no decode, as
+    long as the row has a digest.  A payload rewritten without one
+    loses it, and every row without one is decoded and answered as
+    before."""
+
+    @pytest.mark.parametrize("write", ["add", "add_many", "replace_latest",
+                                       "replace_latest with the same bytes"])
+    def test_an_entry_get_does_no_codec_work(self, tmp_path, monkeypatch,
+                                             write):
+        entry = minimal_entry(overview=f"Stored by {write}.")
+        expected_body, expected_etag = expected_answer(entry)
+        with SQLiteBackend(tmp_path / "repo.db") as writer:
+            if write == "add_many":
+                writer.add_many([entry])
+            elif write == "replace_latest":
+                writer.add(minimal_entry())
+                writer.replace_latest(entry)
+            else:
+                writer.add(entry)
+                if write != "add":
+                    writer.replace_latest(entry)
+        calls = []
+        decode, from_dict = sqlite_module.decode_entry, ExampleEntry.from_dict
+        to_dict = ExampleEntry.to_dict
+        monkeypatch.setattr(
+            sqlite_module, "decode_entry",
+            lambda payload: calls.append("decode_entry") or decode(payload))
+        monkeypatch.setattr(
+            ExampleEntry, "from_dict",
+            staticmethod(lambda data: calls.append("from_dict")
+                         or from_dict(data)))
+        monkeypatch.setattr(
+            ExampleEntry, "to_dict",
+            lambda self: calls.append("to_dict") or to_dict(self))
+        # A fresh backend: its decode memo is cold.
+        service = RepositoryService(SQLiteBackend(tmp_path / "repo.db"))
+        with RepositoryServer(service, close_service=True) as server:
+            status, headers, body = raw_get(server.port,
+                                            "/entries/demo-example")
+            revalidated, _h, empty = raw_get(
+                server.port, "/entries/demo-example",
+                **{"If-None-Match": headers["ETag"]})
+        assert (status, body, headers["ETag"]) == (
+            200, expected_body, expected_etag)
+        assert (revalidated, empty) == (304, b"")
+        assert calls == []
+
+    def test_a_row_without_a_digest_is_served_canonical(
+            self, sqlite_served, tmp_path):
+        server, client = sqlite_served
+        entry = minimal_entry()
+        insert_raw_row(tmp_path / "repo.db", entry.identifier,
+                       encode_entry(entry))
+        assert stored_digests(tmp_path / "repo.db") == {
+            entry.identifier: None}
+        _s, headers, body = raw_get(server.port, "/entries/demo-example")
+        assert (body, headers["ETag"]) == expected_answer(entry)
+        assert client.get("demo-example") == entry
+
+    def test_a_payload_rewritten_behind_its_digest_is_decoded(
+            self, sqlite_served, tmp_path):
+        server, client = sqlite_served
+        client.add(minimal_entry())
+        _s, before, _b = raw_get(server.port, "/entries/demo-example")
+        rewritten = minimal_entry(overview="Rewritten behind the back.")
+        rewrite_raw_payload(tmp_path / "repo.db", "demo-example",
+                            encode_entry(rewritten))
+        # The stored digest is stale: it must not validate the old tag,
+        # and the answer is the rewritten row's own bytes and digest.
+        status, after, body = raw_get(
+            server.port, "/entries/demo-example",
+            **{"If-None-Match": before["ETag"]})
+        assert status == 200
+        assert (body, after["ETag"]) == expected_answer(rewritten)
+        assert client.get("demo-example") == rewritten
+
+    def test_a_rewritten_payload_that_no_longer_decodes_is_a_typed_error(
+            self, sqlite_served, tmp_path):
+        server, client = sqlite_served
+        entry = minimal_entry()
+        client.add(entry)
+        broken = encode_entry(entry).replace('"title":"DEMO EXAMPLE"',
+                                             '"title":5')
+        assert broken.startswith(CANONICAL_PREFIX)
+        assert broken != encode_entry(entry)
+        rewrite_raw_payload(tmp_path / "repo.db", "demo-example", broken)
+        status, _h, body = raw_get(server.port, "/entries/demo-example")
+        assert status == 400
+        detail = json.loads(body)["error"]
+        assert detail["type"] == "TemplateError"
+        assert "title" in detail["message"]
+
+    def test_every_backend_serves_the_same_bytes_and_etags(self, tmp_path):
+        entry = minimal_entry(overview="Über-élan " * 200,
+                              version=Version(1, 0))
+        backends = {
+            "memory": MemoryBackend(),
+            "file": FileBackend(tmp_path / "repo"),
+            "sqlite": SQLiteBackend(tmp_path / "repo.db"),
+        }
+        paths = ("/entries/demo-example", "/entries/demo-example?version=1.0")
+        answers = {}
+        for name, backend in backends.items():
+            with RepositoryServer(RepositoryService(backend),
+                                  close_service=True) as server:
+                client = HTTPBackend(server.url)
+                client.add(entry)
+                client.close()
+                answers[name] = [raw_get(server.port, path)[1:]
+                                 for path in paths]
+        # A second SQLite server over the same file reads it cold.
+        with RepositoryServer(
+                RepositoryService(SQLiteBackend(tmp_path / "repo.db")),
+                close_service=True) as server:
+            answers["sqlite, cold"] = [raw_get(server.port, path)[1:]
+                                       for path in paths]
+        for name, answer in answers.items():
+            served = [(body, headers["ETag"]) for headers, body in answer]
+            assert served == [expected_answer(entry),
+                              expected_answer(entry, "1.0")], name
+
+    def test_a_database_from_before_the_digest_column_opens(self, tmp_path):
+        database = tmp_path / "old.db"
+        old = [minimal_entry(title=f"OLD {index}") for index in range(3)]
+        connection = sqlite3.connect(database)
+        try:
+            with connection:
+                connection.execute(PRE_DIGEST_ENTRIES_DDL)
+                connection.executemany(
+                    "INSERT INTO entries VALUES (?, 0, 1, ?)",
+                    [(entry.identifier, encode_entry(entry))
+                     for entry in old])
+        finally:
+            connection.close()
+        service = RepositoryService(SQLiteBackend(database))
+        with RepositoryServer(service, close_service=True) as server:
+            for entry in old:
+                _s, headers, body = raw_get(
+                    server.port, f"/entries/{entry.identifier}")
+                assert (body, headers["ETag"]) == expected_answer(entry)
+            assert stored_digests(database) == dict.fromkeys(
+                (entry.identifier for entry in old), None)
+            client = HTTPBackend(server.url)
+            revised = minimal_entry(title="OLD 0", overview="Revised.")
+            added = minimal_entry(title="NEW")
+            client.replace_latest(revised)
+            client.add(added)
+            client.close()
+            digests = stored_digests(database)
+            for entry in (revised, added):
+                _s, headers, body = raw_get(
+                    server.port, f"/entries/{entry.identifier}")
+                assert (body, headers["ETag"]) == expected_answer(entry)
+                digest = digests[entry.identifier]
+                assert headers["ETag"] == f'W/"{digest}/latest"'
+            assert digests["old-1"] is None and digests["old-2"] is None
 
 
 class TestReadConnections:
