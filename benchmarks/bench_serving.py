@@ -28,6 +28,7 @@ trend records the whole threads/throughput curve per PR.
 
 from __future__ import annotations
 
+import statistics
 import threading
 import time
 import tracemalloc
@@ -347,7 +348,14 @@ class TestServingTargets:
         containers is far wider, and it is exactly the work a 304
         exists to skip.  Over SQLite both answers also pay one row
         read and one hash of the stored megabyte against its stored
-        digest.
+        digest.  The two reads are timed in interleaved rounds (one
+        full fetch, then a few revalidations) and their medians are
+        compared, so load from elsewhere on the host spoils a few
+        samples of each instead of one whole side.  A round holds more
+        than one revalidation because the first one after a fetch
+        meets a host that idled through the fetch's client-side decode
+        (a cold wake-up, over a millisecond on a loaded VM), and a
+        strict 1:1 alternation would time only those.
         """
         big = replace(make_entry(0),
                       overview="wire " * LARGE_OVERVIEW_WORDS)
@@ -359,24 +367,27 @@ class TestServingTargets:
         client = HTTPBackend(server.url)
         identifier = big.identifier
         rounds = 25
+        revalidations_per_round = 5
+        revalidations: list[float] = []
+        fetches: list[float] = []
         try:
-            client.get(identifier)  # 200: primes the validation cache
-            started = time.perf_counter()
-            for _round in range(rounds):
-                client.get(identifier)
-            revalidated = (time.perf_counter() - started) / rounds
-            assert client.wire_cache_stats()["validation"]["hits"] \
-                >= rounds
-
-            started = time.perf_counter()
             for _round in range(rounds):
                 client._validation.clear()  # forget the ETag: full 200
-                client.get(identifier)
-            full = (time.perf_counter() - started) / rounds
+                started = time.perf_counter()
+                client.get(identifier)  # 200: primes the validation cache
+                fetches.append(time.perf_counter() - started)
+                for _read in range(revalidations_per_round):
+                    started = time.perf_counter()
+                    client.get(identifier)  # 304
+                    revalidations.append(time.perf_counter() - started)
+            assert client.wire_cache_stats()["validation"]["hits"] \
+                == rounds * revalidations_per_round
         finally:
             client.close()
             server.stop()
             service.close()
+        revalidated = statistics.median(revalidations)
+        full = statistics.median(fetches)
         ratio = full / revalidated
         print(f"\n~1MB point read ({store}): 200 {full * 1000:.2f}ms, "
               f"304 {revalidated * 1000:.3f}ms ({ratio:.0f}x)")

@@ -1,14 +1,15 @@
 """Rule 9 — one response per request.
 
-Once ``send_response_only`` has put a status line on the wire, the
-server's handler sets ``_response_started``; a second response after
-that lands inside the first one's body and desyncs the connection.  An
-``except`` block is where a second response hides: the failure may have
-come after the first one started.  So in ``server.py`` every
-``self._send_*``, ``self.send_response`` or ``self.send_error`` call
-inside an ``except`` block must either sit under an
-``if not self._response_started:`` guard or follow, in the same block,
-an ``if self._response_started: ... return`` early exit.
+Once a status line is on its way, the server's handler sets
+``_response_started`` (``_send_message`` does for every answer the
+handler builds, ``send_response_only`` for a ``send_error``); a second
+response after that lands inside the first one's body and desyncs the
+connection.  An ``except`` block is where a second response hides: the
+failure may have come after the first one started.  So in
+``server.py`` every ``self._send_*``, ``self.send_response`` or
+``self.send_error`` call inside an ``except`` block must either sit
+under an ``if not self._response_started:`` guard or follow, in the
+same block, an ``if self._response_started: ... return`` early exit.
 
 Nested ``def``/``lambda`` bodies are skipped: they do not run inside
 the handler.

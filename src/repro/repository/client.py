@@ -24,10 +24,13 @@ with their message.  An unrecognised error type degrades to
 un-catchable.
 
 Connections are keep-alive :class:`~repro.repository.wire.Connection`
-objects (``http.client`` connections whose response heads are read by
-:func:`~repro.repository.wire.read_headers`), one per calling thread
-(the connection object is not thread-safe; a thread-local keeps the
-hot path allocation-free).  A connection idle
+objects, one per calling thread (the connection object is not
+thread-safe; a thread-local keeps the hot path allocation-free).  Each
+owns one socket and one buffered reader for its whole life: a request
+is one write of head and body, and every response is read from that
+reader, its head by :func:`~repro.repository.wire.read_headers`.  An
+answer that closes the connection drops its socket, and the next
+request opens a fresh one.  A connection idle
 past ``idle_reuse_limit`` is replaced *before* reuse — servers close
 idle connections, and that close often surfaces only at response time,
 where a write cannot be safely retried.  Residual failures run under
@@ -77,7 +80,6 @@ from __future__ import annotations
 import gzip
 import http.client
 import json
-import socket
 import threading
 import time
 import weakref
@@ -332,14 +334,7 @@ class HTTPBackend(StorageBackend):
             connection = Connection(
                 self.host, self.port, timeout=self.timeout
             )
-            # A request with a body is two small writes (head, body);
-            # with Nagle on, the second stalls behind the server's
-            # delayed ACK (~40ms each on loopback).  The server disables
-            # Nagle for its streams too.
             connection.connect()
-            connection.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
             self._local.connection = connection
             with self._connections_mutex:
                 self._connections.add(connection)

@@ -141,9 +141,14 @@ def decode_entry(payload: str | bytes) -> ExampleEntry:
     decoding a shape it cannot vouch for.  A canonical ``str`` payload
     (one that opens with :data:`CANONICAL_PREFIX`; trailing newlines
     dropped) stays on the entry, so :func:`encode_entry` returns it as
-    stored; a legacy one is re-encoded canonical on first use.
+    stored; a legacy one is re-encoded canonical on first use.  A
+    payload that is not JSON (a cut-short row, bytes that are not
+    UTF-8) raises :class:`~repro.core.errors.StorageError` too.
     """
-    data = json.loads(payload)
+    try:
+        data = json.loads(payload)
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+        raise StorageError(f"entry payload is not JSON: {error}") from error
     if not isinstance(data, dict):
         raise StorageError(
             f"entry payload is not an object: {type(data).__name__}")

@@ -57,6 +57,15 @@ The wire itself is kept as cheap as the caches behind it:
   stored bytes) streams its payload as is — no ``to_dict``, no
   ``dumps``.  Without the Accept header the endpoints answer the PR-5
   buffered JSON bodies unchanged.
+* **One pass per answer** — every answer but the stdlib's
+  ``send_error`` to a refused head leaves through
+  :meth:`_Handler._send_message`: the status line and the fields are
+  formatted in one pass (the fields and order the stdlib's
+  ``send_response``/``send_header`` sequence wrote, with ``Date``
+  formatted once a second) and sent with the body in one write.  The
+  request side is as lean: an origin-form target splits without
+  ``urlsplit``, and the deadline scope is entered only for a request
+  that carries ``X-Deadline-Ms``.
 
 Errors travel as ``{"error": {"type": ..., "message": ..., ...}}`` with
 a faithful status (404 EntryNotFound, 409 DuplicateEntry, 400 for the
@@ -78,12 +87,15 @@ locking of its own.
 from __future__ import annotations
 
 import argparse
+import functools
 import gzip
 import json
 import logging
 import re
 import threading
+import time
 import zlib
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, quote, unquote, urlsplit
@@ -115,10 +127,15 @@ __all__ = ["RepositoryServer", "main"]
 
 _log = logging.getLogger("repro.repository.server")
 
-#: ``ROUTES`` compiled once, per method, in table order.
-_DISPATCH: dict[str, list[tuple[re.Pattern, Route]]] = {
-    method: [(route.pattern(), route) for route in ROUTES.values()
-             if route.method == method]
+#: ``ROUTES`` compiled once, per method, in table order: the path
+#: matcher, the row, its ``/stats`` counter key and, for a row without
+#: ``serve``, the name of its ``_handle_<name>`` method.
+_DISPATCH: dict[str, list[tuple]] = {
+    method: [
+        (route.pattern().match, route, f"{method} {route.name}",
+         None if route.serve is not None else f"_handle_{route.name}")
+        for route in ROUTES.values() if route.method == method
+    ]
     for method in {route.method for route in ROUTES.values()}
 }
 
@@ -146,9 +163,13 @@ def _wire_error(status: int, message: str) -> StorageError:
     return error
 
 
+@functools.lru_cache(maxsize=16)
 def _http_version(text: str) -> tuple[int, int] | None:
     """``HTTP/x.y`` as numbers, or None: the stdlib's rules (one dot,
-    decimal components of at most ten digits, leading zeros ignored)."""
+    decimal components of at most ten digits, leading zeros ignored).
+
+    Memoised: nearly every request line ends in ``HTTP/1.1``.
+    """
     if not text.startswith("HTTP/"):
         return None
     components = text[5:].split(".")
@@ -165,20 +186,116 @@ _ETAG_MEMBER_RE = re.compile(r'\s*(\*|(?:W/)?"[^"]*")\s*(?:,|$)')
 _QVALUE_RE = re.compile(r"^q\s*=\s*(\d(?:\.\d{0,3})?)$")
 
 
+#: What ``quote(part, safe="")`` leaves as it is.
+_URL_SAFE = re.compile(r"[A-Za-z0-9_.~-]*")
+
+
 def _make_etag(*parts: str) -> str:
     """A weak ETag from opaque parts (percent-quoted, '/'-joined).
 
     Weak because the same snapshot has several byte representations
     (gzip vs identity, and the wiki page vs the entry behind it);
-    quoting keeps identifiers from smuggling '"' into the header.
+    quoting keeps identifiers from smuggling '"' into the header.  A
+    part that quoting would leave unchanged (a hex digest, a version)
+    skips it.
     """
-    opaque = "/".join(quote(part, safe="") for part in parts)
+    opaque = "/".join(part if _URL_SAFE.fullmatch(part)
+                      else quote(part, safe="") for part in parts)
     return f'W/"{opaque}"'
 
 
 def _etag_opaque(tag: str) -> str:
     """The comparison form of an ETag: weak-prefix stripped."""
     return tag[2:] if tag.startswith("W/") else tag
+
+
+def _revalidates(header: str, etag: str) -> bool:
+    """Whether an If-None-Match ``header`` names ``etag`` (weak compare).
+
+    Parsed strictly: anything that is not a comma-separated list of
+    ``*`` / quoted (optionally ``W/``-weak) tags is a 400 — silently
+    ignoring a malformed validator would turn every request from that
+    client into a full 200 without anyone noticing the cache stopped
+    working.  ``*`` is accepted syntactically but never matches: it is
+    the lost-update guard for writes, and honouring it on reads would
+    304 a resource that does not even exist.
+    """
+    tags: list[str] = []
+    position = 0
+    for match in _ETAG_MEMBER_RE.finditer(header):
+        if match.start() != position:
+            break
+        position = match.end()
+        tags.append(match.group(1))
+    if position != len(header) or not tags:
+        raise _wire_error(400, f"malformed If-None-Match header: {header!r}")
+    opaque = _etag_opaque(etag)
+    return any(tag != "*" and _etag_opaque(tag) == opaque for tag in tags)
+
+
+@functools.lru_cache(maxsize=64)
+def _response_encoding(header: str | None) -> str:
+    """Negotiate the response coding from an Accept-Encoding value.
+
+    ``gzip`` and ``identity`` are the supported codings; unknown ones
+    are ignored per RFC 9110 (they simply never win).  The client's
+    q-values are respected — ties go to gzip, identity is implicitly
+    acceptable unless explicitly zeroed — and a header that rules out
+    *both* supported codings is a 406 up front, before any handler
+    work.  Malformed q-values are a 400.  Memoised: clients send the
+    same few values over and over, and a refusal is not cached.
+    """
+    if header is None or not header.strip():
+        return "identity"
+    weights: dict[str, float] = {}
+    for part in header.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        name, _, params = part.partition(";")
+        quality = 1.0
+        params = params.strip()
+        if params:
+            match = _QVALUE_RE.match(params)
+            if match is None:
+                raise _wire_error(400, f"malformed Accept-Encoding: {header!r}")
+            quality = float(match.group(1))
+        weights[name.strip().lower()] = quality
+    gzip_q = weights.get("gzip", weights.get("*", 0.0))
+    identity_q = weights.get("identity", weights.get("*", 1.0))
+    if gzip_q <= 0 and identity_q <= 0:
+        raise _wire_error(
+            406,
+            "Accept-Encoding rules out both gzip and identity; "
+            "this server supports no other content coding")
+    return "gzip" if gzip_q >= identity_q and gzip_q > 0 else "identity"
+
+
+def _split_target(target: str) -> tuple[str, str]:
+    """The path and query of a request target, as ``urlsplit`` gives
+    them for any target a request line can carry (one that holds no
+    whitespace).  An origin-form target (``/path?query#fragment``)
+    splits at its first ``#`` and ``?``; any other form goes through
+    ``urlsplit``.
+    """
+    if target[:1] == "/" and target[:2] != "//":
+        path, _, query = target.partition("#")[0].partition("?")
+        return path, query
+    split = urlsplit(target)
+    return split.path, split.query
+
+
+#: Every answer's ``Server`` field, as ``version_string()`` spells it.
+_SERVER_FIELD = (f"Server: {BaseHTTPRequestHandler.server_version} "
+                 f"{BaseHTTPRequestHandler.sys_version}\r\n")
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` field value ``date_time_string()`` gives during
+    ``second``.  The field has one-second resolution, so it is
+    formatted once per second."""
+    return formatdate(second, usegmt=True)
 
 
 def _error_status(error: Exception) -> int:
@@ -445,8 +562,8 @@ class _Handler(BaseHTTPRequestHandler):
     #: A buffered response is one write, but a stream is a head and
     #: then chunks.  With Nagle on, a later small write stalls behind
     #: the peer's delayed ACK — ~40ms per request on loopback, a 100x
-    #: throughput cliff.  The client sets TCP_NODELAY for its own
-    #: multi-write requests.
+    #: throughput cliff.  The client sets TCP_NODELAY on its own socket
+    #: in ``wire.Connection.connect``.
     disable_nagle_algorithm = True
 
     # The server instance carries the repository objects (see
@@ -584,7 +701,7 @@ class _Handler(BaseHTTPRequestHandler):
                         retry_after=retry_after)
 
     def _routed_dispatch(self, method: str) -> None:
-        split = urlsplit(self.path)
+        path, query = _split_target(self.path)
         self._body_consumed = False
         self._response_started = False
         # Error replies must stay sendable even when the *negotiation*
@@ -595,32 +712,31 @@ class _Handler(BaseHTTPRequestHandler):
         # inside an identifier stays one path segment; only the
         # captured groups are decoded.  (Decoding first would mis-route
         # "a%2Fb" as two segments.)
-        for pattern, route in _DISPATCH.get(method, ()):
-            match = pattern.match(split.path)
+        for match_path, route, counter, special in _DISPATCH[method]:
+            match = match_path(path)
             if match:
-                self.server.metrics.count_route(f"{method} {route.name}")
+                self.server.metrics.count_route(counter)
                 operands = {key: unquote(value)
                             for key, value in match.groupdict().items()}
                 try:
-                    self._negotiated_encoding = self._response_encoding()
+                    self._negotiated_encoding = _response_encoding(
+                        self.headers.get("Accept-Encoding"))
                     # The client's clock, propagated over the wire: an
                     # already-expired deadline is a fast 504 before any
                     # handler work, and the scope re-establishes the
                     # ambient deadline for everything the handler calls
                     # (the sharded fan-out's per-shard bound, a nested
-                    # HTTPBackend in a proxy topology).
+                    # HTTPBackend in a proxy topology).  Without one
+                    # there is no scope to enter: a handler thread
+                    # starts with no ambient deadline, and every scope
+                    # restores the one before it.
                     deadline = self._request_deadline()
-                    if deadline is not None:
-                        deadline.check(f"{method} {split.path}")
-                    with deadline_scope(deadline):
-                        if route.serve is None:
-                            handler = getattr(self, f"_handle_{route.name}")
-                            handler(query_string=split.query, **operands)
-                        else:
-                            body = (self._read_body() if method != "GET"
-                                    else None)
-                            self._send_json(*route.serve(
-                                self.server.repository, body, **operands))
+                    if deadline is None:
+                        self._serve(route, special, query, operands)
+                    else:
+                        deadline.check(f"{method} {path}")
+                        with deadline_scope(deadline):
+                            self._serve(route, special, query, operands)
                 except (BrokenPipeError, ConnectionResetError):
                     raise  # the peer hung up: _dispatch closes and counts
                 except Exception as error:  # noqa: BLE001 - wire boundary
@@ -637,7 +753,7 @@ class _Handler(BaseHTTPRequestHandler):
                             self.server.metrics.count_client_aborted()
                         elif status == 500:
                             _log.exception("internal error on %s %s",
-                                           method, split.path)
+                                           method, path)
                         return
                     if isinstance(error, DeadlineExceeded):
                         self.server.metrics.count_deadline_rejected()
@@ -645,7 +761,7 @@ class _Handler(BaseHTTPRequestHandler):
                         # Only an untyped failure is a server bug; a
                         # typed 503/504 is an expected answer.
                         _log.exception("internal error on %s %s",
-                                       method, split.path)
+                                       method, path)
                     self._consume_body()
                     self._send_json(
                         status, _error_payload(error),
@@ -663,8 +779,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(
             404,
             {"error": {"type": "StorageError",
-                       "message": f"no route {method} {split.path}"}},
+                       "message": f"no route {method} {path}"}},
         )
+
+    def _serve(self, route: Route, special: str | None, query: str,
+               operands: dict) -> None:
+        """Run one routed request: its ``_handle_<name>`` method, or the
+        row's ``serve`` with the decoded JSON body."""
+        if special is not None:
+            getattr(self, special)(query_string=query, **operands)
+            return
+        body = self._read_body() if route.method != "GET" else None
+        self._send_json(*route.serve(self.server.repository, body, **operands))
 
     #: Unread request bodies above this size close the connection
     #: instead of being drained.
@@ -704,43 +830,6 @@ class _Handler(BaseHTTPRequestHandler):
     # Wire conditions: content negotiation and conditional reads.
     # ------------------------------------------------------------------
 
-    def _response_encoding(self) -> str:
-        """Negotiate the response coding from Accept-Encoding.
-
-        ``gzip`` and ``identity`` are the supported codings; unknown
-        ones are ignored per RFC 9110 (they simply never win).  The
-        client's q-values are respected — ties go to gzip, identity is
-        implicitly acceptable unless explicitly zeroed — and a header
-        that rules out *both* supported codings is a 406 up front,
-        before any handler work.  Malformed q-values are a 400.
-        """
-        header = self.headers.get("Accept-Encoding")
-        if header is None or not header.strip():
-            return "identity"
-        weights: dict[str, float] = {}
-        for part in header.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, _, params = part.partition(";")
-            quality = 1.0
-            params = params.strip()
-            if params:
-                match = _QVALUE_RE.match(params)
-                if match is None:
-                    raise _wire_error(
-                        400, f"malformed Accept-Encoding: {header!r}")
-                quality = float(match.group(1))
-            weights[name.strip().lower()] = quality
-        gzip_q = weights.get("gzip", weights.get("*", 0.0))
-        identity_q = weights.get("identity", weights.get("*", 1.0))
-        if gzip_q <= 0 and identity_q <= 0:
-            raise _wire_error(
-                406,
-                "Accept-Encoding rules out both gzip and identity; "
-                "this server supports no other content coding")
-        return "gzip" if gzip_q >= identity_q and gzip_q > 0 else "identity"
-
     def _request_deadline(self) -> Deadline | None:
         """The ``X-Deadline-Ms`` header as a Deadline, or None.
 
@@ -760,53 +849,22 @@ class _Handler(BaseHTTPRequestHandler):
             ) from None
         return Deadline.after(remaining_ms / 1000.0)
 
-    def _if_none_match(self) -> list[str] | None:
-        """The If-None-Match tags, or None when the header is absent.
-
-        Parsed strictly: anything that is not a comma-separated list
-        of ``*`` / quoted (optionally ``W/``-weak) tags is a 400 —
-        silently ignoring a malformed validator would turn every
-        request from that client into a full 200 without anyone
-        noticing the cache stopped working.
-        """
+    def _precondition_hit(self, etag: str) -> bool:
+        """Whether If-None-Match revalidates ``etag`` (see
+        :func:`_revalidates`); counted as a conditional request only
+        when the header is present at all.  A header that is exactly
+        ``etag`` (what a revalidating client sends) skips the parse,
+        which would answer the same."""
         header = self.headers.get("If-None-Match")
         if header is None:
-            return None
-        tags: list[str] = []
-        position = 0
-        for match in _ETAG_MEMBER_RE.finditer(header):
-            if match.start() != position:
-                break
-            position = match.end()
-            tags.append(match.group(1))
-        if position != len(header) or not tags:
-            raise _wire_error(
-                400, f"malformed If-None-Match header: {header!r}")
-        return tags
-
-    def _precondition_hit(self, etag: str) -> bool:
-        """Whether If-None-Match revalidates ``etag`` (weak compare).
-
-        ``*`` is accepted syntactically but never matches: it is the
-        lost-update guard for writes, and honouring it on reads would
-        304 a resource that does not even exist.  Only counted as a
-        conditional request when the header is present at all.
-        """
-        tags = self._if_none_match()
-        if tags is None:
             return False
-        opaque = _etag_opaque(etag)
-        hit = any(tag != "*" and _etag_opaque(tag) == opaque
-                  for tag in tags)
+        hit = header == etag or _revalidates(header, etag)
         self.server.metrics.count_conditional(hit)
         return hit
 
     def _send_not_modified(self, etag: str) -> None:
         """A 304: headers only, the peer's cached body stays valid."""
-        self.send_response(304)
-        self.send_header("ETag", etag)
-        self.send_header("Content-Length", "0")
-        self._send_head()
+        self._send_message(304, f"ETag: {etag}\r\nContent-Length: 0\r\n")
 
     # ------------------------------------------------------------------
     # Special routes: the ROUTES rows without a ``serve`` function.
@@ -815,7 +873,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_get_entry(self, identifier: str,
                           query_string: str = "") -> None:
         version = None
-        requested = parse_qs(query_string).get("version")
+        requested = (parse_qs(query_string).get("version")
+                     if query_string else None)
         if requested:
             version = Version.parse(requested[0])
         slot = requested[0] if requested else "latest"
@@ -966,12 +1025,11 @@ class _Handler(BaseHTTPRequestHandler):
         except StopIteration:
             first, iterator = [], iter(())
         compress = self._negotiated_encoding == "gzip"
-        self.send_response(200)
-        self.send_header("Content-Type", NDJSON_TYPE)
-        if compress:
-            self.send_header("Content-Encoding", "gzip")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
+        self._send_message(
+            200,
+            f"Content-Type: {NDJSON_TYPE}\r\n"
+            + ("Content-Encoding: gzip\r\n" if compress else "")
+            + "Transfer-Encoding: chunked\r\n")
         stream = _ChunkedStream(self.wfile, compress=compress)
         count = 0
         try:
@@ -1090,7 +1148,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_bytes(self, status: int, body: bytes, content_type: str,
                     *, etag: str | None = None,
                     retry_after: float | None = None) -> None:
-        encoding = None
+        fields = f"Content-Type: {content_type}\r\n"
+        if etag is not None:
+            fields += f"ETag: {etag}\r\n"
+        if retry_after is not None:
+            fields += f"Retry-After: {retry_after:g}\r\n"
         if (self._negotiated_encoding == "gzip"
                 and len(body) >= GZIP_MIN_BYTES):
             # Below the threshold the gzip CPU costs more than the
@@ -1098,31 +1160,34 @@ class _Handler(BaseHTTPRequestHandler):
             raw_size = len(body)
             body = gzip.compress(body, compresslevel=GZIP_LEVEL)
             self.server.metrics.count_gzip(raw_size, len(body))
-            encoding = "gzip"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        if etag is not None:
-            self.send_header("ETag", etag)
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:g}")
-        if encoding is not None:
-            self.send_header("Content-Encoding", encoding)
-        self.send_header("Content-Length", str(len(body)))
-        self._send_head(body)
+            fields += "Content-Encoding: gzip\r\n"
+        self._send_message(
+            status, f"{fields}Content-Length: {len(body)}\r\n", body)
 
-    def _send_head(self, body: bytes = b"") -> None:
-        """End the buffered head and send it with ``body`` in one write
-        (``end_headers`` would send the head on its own)."""
+    def _send_message(self, status: int, fields: str,
+                      body: bytes = b"") -> None:
+        """Send one answer: the status line, ``Server``, ``Date``, the
+        ``fields`` (whole lines) and the body, formatted in one pass and
+        sent in one write.  Every answer but the stdlib's
+        :meth:`send_error` goes out through here."""
+        # From now on a failure must close the connection, not send a
+        # second response.
+        self._response_started = True
+        if _log.isEnabledFor(logging.DEBUG):
+            self.log_request(status)
         if self.request_version == "HTTP/0.9":  # no head at all
             self.wfile.write(body)
             return
-        self._headers_buffer.append(b"\r\n")
-        self._headers_buffer.append(body)
-        self.flush_headers()
+        date = _http_date(int(time.time()))
+        # The status line as send_response_only writes it.
+        head = (f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n{_SERVER_FIELD}"
+                f"Date: {date}\r\n{fields}\r\n")
+        self.wfile.write(head.encode("latin-1") + body)
 
     def send_response_only(self, code: int,
                            message: str | None = None) -> None:
-        # Every status line goes through here: from now on a failure
+        # The status line of a send_error answer: from now on a failure
         # must close the connection, not send a second response.
         self._response_started = True
         super().send_response_only(code, message)

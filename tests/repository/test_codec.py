@@ -67,6 +67,13 @@ class TestWireFormat:
         with pytest.raises(StorageError, match="not an object"):
             decode_entry("[1, 2, 3]")
 
+    @pytest.mark.parametrize("payload", [
+        CANONICAL_PREFIX + '"title":', "", b'{"title": "\xff"}'],
+        ids=["cut-short", "empty", "not-utf-8"])
+    def test_a_payload_that_is_not_json_is_a_storage_error(self, payload):
+        with pytest.raises(StorageError, match="not JSON"):
+            decode_entry(payload)
+
     def test_canonical_prefix_opens_every_encoded_entry(self):
         assert encode_entry(minimal_entry()).startswith(CANONICAL_PREFIX)
 

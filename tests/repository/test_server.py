@@ -184,7 +184,9 @@ class TestRouting:
         write after every idle gap dies with 'unreachable')."""
         _server, client = served
         client.add(minimal_entry())
-        client._local.connection.sock.close()  # simulate the idle drop
+        # Simulate the idle drop: the connection's reader holds the
+        # socket open past close(), so shut it down instead.
+        client._local.connection.sock.shutdown(socket.SHUT_RDWR)
         client.add_version(minimal_entry(version=Version(0, 2)))
         assert client.versions("demo-example") == \
             [Version(0, 1), Version(0, 2)]
@@ -1033,6 +1035,43 @@ class TestPerEntryValidators:
         assert "codec version" in detail["message"]
         with pytest.raises(StorageError, match="codec version"):
             client.get("demo-example")
+
+    def test_a_corrupt_stored_row_is_a_typed_error(self, sqlite_served,
+                                                   tmp_path, caplog):
+        server, client = sqlite_served
+        client.add(minimal_entry())
+        rewrite_raw_payload(tmp_path / "repo.db", "demo-example",
+                            CANONICAL_PREFIX + '"title":')
+        assert_corrupt_entry_is_a_typed_error(server, client, caplog)
+
+    def test_a_corrupt_entry_file_is_a_typed_error(self, tmp_path, caplog):
+        with FileBackend(tmp_path / "repo") as writer:
+            writer.add(minimal_entry())
+        (tmp_path / "repo" / "entries" / "demo-example" / "0.1.json"
+         ).write_text(CANONICAL_PREFIX + '"title":', encoding="utf-8")
+        server = RepositoryServer(
+            RepositoryService(FileBackend(tmp_path / "repo")),
+            close_service=True).start()
+        client = HTTPBackend(server.url)
+        try:
+            assert_corrupt_entry_is_a_typed_error(server, client, caplog)
+        finally:
+            client.close()
+            server.stop()
+
+
+def assert_corrupt_entry_is_a_typed_error(server, client, caplog) -> None:
+    """A stored payload that is not JSON answers a typed 400 and logs no
+    internal error."""
+    status, _h, body = raw_get(server.port, "/entries/demo-example")
+    assert status == 400
+    detail = json.loads(body)["error"]
+    assert detail["type"] == "StorageError"
+    assert "not JSON" in detail["message"]
+    with pytest.raises(StorageError, match="not JSON"):
+        client.get("demo-example")
+    assert not [record for record in caplog.records
+                if "internal error" in record.getMessage()]
 
 
 def rewrite_raw_payload(db_path, identifier: str, payload: str) -> None:

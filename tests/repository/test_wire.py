@@ -1,10 +1,13 @@
-"""The HTTP message head on both ends of the wire.
+"""The HTTP message on both ends of the wire.
 
 ``read_headers`` is pinned line by line, then over real sockets: a
 server fed every prefix of a request head keeps serving, a malformed
 head gets exactly one answer and a close, a buffered response leaves in
-one write, and a client handed a response head cut short at any byte
-raises the typed error and recovers on a fresh connection.
+one write with the fields ``send_response``/``send_header`` wrote, and a
+client handed a response head cut short at any byte raises the typed
+error and recovers on a fresh connection.  The client's ``Connection``
+writes the bytes ``http.client`` writes, refuses what it refuses before
+sending anything, and reads every answer from one reader.
 """
 
 from __future__ import annotations
@@ -12,19 +15,45 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import re
 import socket
+import time
+from email.utils import formatdate
+from http.server import BaseHTTPRequestHandler
+from urllib.parse import quote, urlsplit
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import BackendUnavailableError
-from repro.repository.backends import SQLiteBackend
+from repro.repository.backends import MemoryBackend, SQLiteBackend
 from repro.repository.client import HTTPBackend
-from repro.repository.resilience import RetryPolicy
-from repro.repository.server import RepositoryServer, _Handler
+from repro.repository.resilience import (
+    Deadline,
+    RetryPolicy,
+    current_deadline,
+    deadline_scope,
+)
+from repro.repository.routes import ROUTES
+from repro.repository.server import (
+    RepositoryServer,
+    _Handler,
+    _http_date,
+    _make_etag,
+    _revalidates,
+    _split_target,
+)
 from repro.repository.service import RepositoryService
-from repro.repository.wire import MAX_FIELDS, MAX_LINE, BadHead, read_headers
+from repro.repository.wire import (
+    MAX_FIELDS,
+    MAX_LINE,
+    BadHead,
+    Connection,
+    read_headers,
+)
 from tests.repository.test_entry import minimal_entry
-from tests.repository.test_server import ScriptedServer
+from tests.repository.test_server import ScriptedServer, scripted_response
 
 
 def head(*lines: bytes) -> io.BytesIO:
@@ -459,3 +488,375 @@ class TestClientHeadPath:
         finally:
             client.close()
             fake.close()
+
+
+# ----------------------------------------------------------------------
+# The server's answer heads, field for field.
+# ----------------------------------------------------------------------
+
+
+def stdlib_head(status: int, *fields: tuple[str, str]) -> bytes:
+    """The head ``send_response(status)``, one ``send_header`` per
+    field and ``end_headers`` produce, as the server used to send it."""
+    handler = BaseHTTPRequestHandler.__new__(BaseHTTPRequestHandler)
+    handler.request_version = handler.protocol_version = "HTTP/1.1"
+    handler.requestline = "GET / HTTP/1.1"
+    handler.log_message = lambda *args: None
+    handler.send_response(status)
+    for name, value in fields:
+        handler.send_header(name, value)
+    return b"".join(handler._headers_buffer) + b"\r\n"
+
+
+def without_date(head: bytes) -> bytes:
+    return re.sub(rb"\r\nDate: [^\r]*\r\n", b"\r\nDate: -\r\n", head)
+
+
+def answer_head(port: int, request: bytes) -> tuple[bytes, dict]:
+    """The head of the one answer to ``request``, and its fields."""
+    received, _closed = exchange(port, request)
+    head = received[:received.index(b"\r\n\r\n") + 4]
+    return head, read_headers(io.BytesIO(head.split(b"\r\n", 1)[1]))
+
+
+class TestAnswerHeads:
+    """Every kind of answer carries the status line and the fields the
+    stdlib's ``send_response``/``send_header`` sequence wrote, in the
+    same order (``Date`` aside, which moves with the clock)."""
+
+    def request(self, target: bytes, *fields: bytes,
+                method: bytes = b"GET", body: bytes = b"") -> bytes:
+        head = method + b" " + target + b" HTTP/1.1\r\nHost: test\r\n"
+        if body:
+            head += b"Content-Length: %d\r\n" % len(body)
+        return (head + b"".join(field + b"\r\n" for field in fields)
+                + b"Connection: close\r\n\r\n" + body)
+
+    def test_a_200(self, sqlite_server):
+        head, fields = answer_head(
+            sqlite_server.port, self.request(b"/entries/demo-example"))
+        assert without_date(head) == without_date(stdlib_head(
+            200, ("Content-Type", "application/json"),
+            ("ETag", fields["etag"]),
+            ("Content-Length", fields["content-length"])))
+
+    def test_a_gzip_200(self, sqlite_server):
+        sqlite_server.service.add(minimal_entry(title="LONG EXAMPLE",
+                                                overview="long " * 400))
+        head, fields = answer_head(
+            sqlite_server.port,
+            self.request(b"/entries/long-example", b"Accept-Encoding: gzip"))
+        assert without_date(head) == without_date(stdlib_head(
+            200, ("Content-Type", "application/json"),
+            ("ETag", fields["etag"]), ("Content-Encoding", "gzip"),
+            ("Content-Length", fields["content-length"])))
+
+    def test_a_304(self, sqlite_server):
+        _head, fields = answer_head(
+            sqlite_server.port, self.request(b"/entries/demo-example"))
+        head, _fields = answer_head(
+            sqlite_server.port,
+            self.request(b"/entries/demo-example",
+                         b"If-None-Match: " + fields["etag"].encode()))
+        assert without_date(head) == without_date(stdlib_head(
+            304, ("ETag", fields["etag"]), ("Content-Length", "0")))
+
+    def test_a_404(self, sqlite_server):
+        head, fields = answer_head(sqlite_server.port,
+                                   self.request(b"/entries/missing"))
+        assert without_date(head) == without_date(stdlib_head(
+            404, ("Content-Type", "application/json"),
+            ("Content-Length", fields["content-length"])))
+
+    def test_a_503_shed(self, sqlite_server):
+        sqlite_server.set_max_inflight(0)
+        head, fields = answer_head(sqlite_server.port,
+                                   self.request(b"/entries/demo-example"))
+        assert without_date(head) == without_date(stdlib_head(
+            503, ("Content-Type", "application/json"),
+            ("Retry-After", "1"),
+            ("Content-Length", fields["content-length"])))
+
+    @pytest.mark.parametrize("coding", [None, b"gzip"])
+    def test_an_ndjson_stream_head(self, sqlite_server, coding):
+        accept = [b"Accept: application/x-ndjson"]
+        if coding:
+            accept.append(b"Accept-Encoding: " + coding)
+        head, _fields = answer_head(
+            sqlite_server.port,
+            self.request(b"/batch/get", *accept, method=b"POST",
+                         body=b'{"requests": ["demo-example"]}'))
+        expected = [("Content-Type", "application/x-ndjson")]
+        if coding:
+            expected.append(("Content-Encoding", "gzip"))
+        expected.append(("Transfer-Encoding", "chunked"))
+        assert without_date(head) == without_date(stdlib_head(200, *expected))
+
+    def test_the_date_is_the_stdlib_date(self):
+        now = time.time()
+        assert _http_date(int(now)) == formatdate(now, usegmt=True)
+        assert _http_date(int(now) + 1) == formatdate(now + 1, usegmt=True)
+
+
+# ----------------------------------------------------------------------
+# The short-cuts in front of the server's parses answer as the parses.
+# ----------------------------------------------------------------------
+
+
+#: Request targets as a request line carries them: no whitespace.
+targets = st.text().filter(lambda text: text.split() == [text])
+
+
+class TestShortCuts:
+    @given(st.lists(st.text(), min_size=1, max_size=3))
+    def test_an_etag_quotes_as_quote_does(self, parts):
+        quoted = "/".join(quote(part, safe="") for part in parts)
+        assert _make_etag(*parts) == f'W/"{quoted}"'
+
+    @given(st.lists(st.text(), min_size=1, max_size=3))
+    def test_an_if_none_match_of_exactly_the_tag_revalidates_it(self, parts):
+        etag = _make_etag(*parts)
+        assert _revalidates(etag, etag)
+
+    @given(targets)
+    def test_a_target_splits_as_urlsplit_splits_it(self, target):
+        split = urlsplit(target)
+        assert _split_target(target) == (split.path, split.query)
+
+    @pytest.mark.parametrize("target", [
+        "/entries/a?version=0.1", "/entries/a#top?x", "/entries/a?b?c#d",
+        "/", "*", "entries/a?x", "http://host/entries/a?version=1",
+        "/entries/a%2Fb?", "//double"])
+    def test_targets_of_every_form_split_as_urlsplit_splits_them(
+            self, target):
+        split = urlsplit(target)
+        assert _split_target(target) == (split.path, split.query)
+
+
+# ----------------------------------------------------------------------
+# The client's request writer.
+# ----------------------------------------------------------------------
+
+
+def sent_bytes(connection, *args, **kwargs) -> bytes:
+    """What ``connection.request(*args, **kwargs)`` writes."""
+    ours, peer = socket.socketpair()
+    with ours, peer:
+        connection.sock = ours
+        connection.request(*args, **kwargs)
+        ours.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := peer.recv(65536):
+            received += chunk
+    connection.sock = None
+    return received
+
+
+class TestRequestWriter:
+    @pytest.mark.parametrize("host, port, host_field", [
+        ("127.0.0.1", 8080, b"127.0.0.1:8080"),
+        ("localhost", 80, b"localhost"),
+        ("::1", 8080, b"[::1]:8080"),
+        ("fe80::1%eth0", 80, b"[fe80::1]"),
+        ("bücher.example", 8080, b"xn--bcher-kva.example:8080")])
+    @pytest.mark.parametrize("method, body, headers", [
+        ("GET", None, {"Accept-Encoding": "gzip"}),
+        ("GET", None, {"Accept-Encoding": "gzip",
+                       "If-None-Match": 'W/"0f/latest"',
+                       "X-Deadline-Ms": "250"}),
+        ("POST", b'{"entry": {}}', {"Accept-Encoding": "gzip",
+                                    "Content-Type": "application/json"}),
+        ("POST", None, {"Accept-Encoding": "gzip"}),
+        ("PUT", None, {"Accept-Encoding": "gzip"}),
+        ("POST", b"\x1f\x8b" + bytes(range(256)),
+         {"Accept-Encoding": "gzip", "Content-Type": "application/json",
+          "Content-Encoding": "gzip", "Accept": "application/x-ndjson"}),
+    ], ids=["get", "conditional-get", "post", "bodiless-post",
+            "bodiless-put", "gzip-post"])
+    def test_a_request_is_the_bytes_http_client_sends(
+            self, host, port, host_field, method, body, headers):
+        """Same request line, ``Content-Length`` and fields in the same
+        order, and the body, in one write.  ``Host`` is held to a fixed
+        value: ``http.client`` before Python 3.12 keeps an IPv6 zone in
+        it, which RFC 6874 and 3.12 leave out."""
+        host_line = b"Host: " + host_field + b"\r\n"
+        stdlib = http.client.HTTPConnection(host, port)
+        expected = re.sub(
+            rb"\r\nHost: [^\r]*\r\n", lambda _: b"\r\n" + host_line,
+            sent_bytes(stdlib, method, "/entries/a%2Fb?version=0.1",
+                       body=body, headers=headers), count=1)
+        sent = sent_bytes(Connection(host, port), method,
+                          "/entries/a%2Fb?version=0.1", body=body,
+                          headers=headers)
+        assert host_line in sent
+        assert sent == expected
+
+    @pytest.mark.parametrize("value", [
+        "a\r\nX-Injected: 1", "a\nX-Injected: 1", "a\rb", "a\r\n"])
+    def test_a_cr_or_lf_in_a_field_raises_before_any_byte(self, value):
+        ours, peer = socket.socketpair()
+        with ours, peer:
+            connection = Connection("127.0.0.1", 8080)
+            connection.sock = ours
+            for headers in ({"If-None-Match": value},
+                            {"Accept-Encoding": "gzip", value: "x"}):
+                with pytest.raises(ValueError):
+                    connection.request("GET", "/entries/a", headers=headers)
+            peer.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                peer.recv(1)
+
+    @pytest.mark.parametrize("target", [
+        "/entries/a b", "/entries/a\x00", "/entries/a\x7f",
+        "/entries/a\r\nX-Injected: 1", "/entries/a\tb"])
+    def test_a_control_character_in_the_target_raises_before_any_byte(
+            self, target):
+        ours, peer = socket.socketpair()
+        with ours, peer:
+            connection = Connection("127.0.0.1", 8080)
+            connection.sock = ours
+            with pytest.raises(http.client.InvalidURL):
+                connection.request("GET", target)
+            peer.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                peer.recv(1)
+
+
+@pytest.fixture()
+def echo_server(monkeypatch):
+    """A server whose entry GET answers with what it received: the
+    identifier its route decoded and the If-None-Match field."""
+    def echo(self, identifier, query_string=""):
+        self._send_json(200, {
+            "identifier": identifier,
+            "if_none_match": self.headers.get("If-None-Match")})
+    monkeypatch.setattr(_Handler, "_handle_get_entry", echo)
+    service = RepositoryService(MemoryBackend())
+    server = RepositoryServer(service, close_service=True).start()
+    client = HTTPBackend(server.url)
+    yield client
+    client.close()
+    server.stop()
+
+
+#: Field values a peer can send back: no CR, LF or NUL, and no
+#: leading or trailing whitespace, which a head reader strips.
+field_values = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0xFF,
+                  blacklist_characters="\x7f"),
+    min_size=1,
+).map(lambda text: text.strip(" \t")).filter(bool)
+
+
+class TestWhatTheServerReceives:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(identifier=st.text(min_size=1), etag=field_values)
+    def test_the_target_and_if_none_match_arrive_as_meant(
+            self, echo_server, identifier, etag):
+        status, _headers, raw = echo_server._round_trip(
+            "GET", ROUTES["get_entry"].url(identifier),
+            extra_headers={"If-None-Match": etag})
+        assert status == 200
+        assert json.loads(raw) == {"identifier": identifier,
+                                   "if_none_match": etag}
+
+
+# ----------------------------------------------------------------------
+# One reader per client connection.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture()
+def makefile_calls(monkeypatch):
+    """The sockets ``socket.makefile`` is called on, by peer port."""
+    calls: list[int] = []
+    makefile = socket.socket.makefile
+
+    def counting(sock, *args, **kwargs):
+        try:
+            calls.append(sock.getpeername()[1])
+        except OSError:
+            calls.append(-1)
+        return makefile(sock, *args, **kwargs)
+    monkeypatch.setattr(socket.socket, "makefile", counting)
+    return calls
+
+
+class TestOneReaderPerConnection:
+    def test_sequential_gets_open_one_reader(self, sqlite_server,
+                                             makefile_calls):
+        entries = [minimal_entry(title=f"READ EXAMPLE {index}")
+                   for index in range(5)]
+        for entry in entries:
+            sqlite_server.service.add(entry)
+        client = HTTPBackend(sqlite_server.url)
+        try:
+            for number in range(500):  # 200s first, then 304s
+                entry = entries[number % len(entries)]
+                assert client.get(entry.identifier) == entry
+        finally:
+            client.close()
+        # The server's side of the connection opens its own reader.
+        assert makefile_calls.count(sqlite_server.port) == 1
+        assert sqlite_server.metrics.snapshot()["conditional"][
+            "not_modified"] == 495
+
+    def test_a_connection_close_answer_opens_a_fresh_socket(self):
+        def answer(connection):
+            body = {"entry": minimal_entry().to_dict()}
+            scripted_response(connection, json.dumps(body).encode("utf-8"))
+
+        fake = ScriptedServer(answer, answer)
+        client = HTTPBackend(fake.url,
+                             retry_policy=RetryPolicy(max_attempts=1))
+        try:
+            assert client.get("demo-example") == minimal_entry()
+            first = client._local.connection
+            assert first.sock is None  # dropped by the close answer
+            assert client.get("demo-example") == minimal_entry()
+            assert client._local.connection is not first
+        finally:
+            client.close()
+            fake.close()
+        assert len(fake.requests) == 2
+
+    def test_an_abandoned_stream_drops_its_connection(self, sqlite_server,
+                                                      makefile_calls):
+        for index in range(4):
+            sqlite_server.service.add(
+                minimal_entry(title=f"STREAM EXAMPLE {index}"))
+        client = HTTPBackend(sqlite_server.url)
+        try:
+            identifiers = [f"stream-example-{index}" for index in range(4)]
+            iterator = client.iter_many(identifiers)
+            assert next(iterator).identifier == "stream-example-0"
+            iterator.close()
+            assert client._local.connection is None
+            assert [entry.identifier for entry in
+                    client.get_many(identifiers)] == identifiers
+        finally:
+            client.close()
+        assert makefile_calls.count(sqlite_server.port) == 2
+
+
+class TestDeadlineScope:
+    def test_a_request_without_a_deadline_runs_with_none(
+            self, sqlite_server, monkeypatch):
+        """On one keep-alive connection, a request after one that
+        carried ``X-Deadline-Ms`` sees no ambient deadline."""
+        seen = []
+
+        def record(self, identifier, query_string=""):
+            seen.append(current_deadline())
+            self._send_json(200, {"has": False})
+        monkeypatch.setattr(_Handler, "_handle_wiki", record)
+        client = HTTPBackend(sqlite_server.url)
+        try:
+            with deadline_scope(Deadline.after(5.0)):
+                client._request("GET", ROUTES["wiki"].url("a"))
+            client._request("GET", ROUTES["wiki"].url("a"))
+        finally:
+            client.close()
+        assert isinstance(seen[0], Deadline)
+        assert seen[1] is None
