@@ -173,7 +173,11 @@ class FileBackend(StorageBackend):
         path = self._version_path(identifier, version)
         if not path.is_file():
             raise EntryNotFound(identifier, str(version))
-        entry = decode_entry(path.read_text(encoding="utf-8"))
+        try:
+            payload = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as error:
+            raise StorageError(f"entry payload is not UTF-8: {error}") from error
+        entry = decode_entry(payload)
         if entry.identifier != identifier:
             raise StorageError(
                 f"file {path} contains entry {entry.identifier!r}, "

@@ -301,21 +301,32 @@ class SQLiteBackend(StorageBackend):
         return self._group_owner == threading.get_ident()
 
     def _run_read(self, operation):
-        if self._in_own_group():
-            # The thread owning an open write group already holds the
-            # lock; read on the open transaction (and see the group's
-            # own staged writes).  For durable databases a pooled WAL
-            # reader could not see the uncommitted transaction; for
-            # ":memory:" taking the lock again would deadlock.
-            return operation(self._conn)
-        if self._memory:
-            with self._lock:
-                return operation(self._conn)
-        conn = self._read_conn()
+        """Run ``operation`` on a read connection.
+
+        A stored TEXT value that is not UTF-8 (a row written behind the
+        backend's back) fails sqlite3's decode of the fetched row; that
+        is a typed :class:`StorageError`, like any other corrupt payload.
+        """
         try:
-            return operation(conn)
-        finally:
-            self._release_read_conn(conn)
+            if self._in_own_group():
+                # The thread owning an open write group already holds the
+                # lock; read on the open transaction (and see the group's
+                # own staged writes).  For durable databases a pooled WAL
+                # reader could not see the uncommitted transaction; for
+                # ":memory:" taking the lock again would deadlock.
+                return operation(self._conn)
+            if self._memory:
+                with self._lock:
+                    return operation(self._conn)
+            conn = self._read_conn()
+            try:
+                return operation(conn)
+            finally:
+                self._release_read_conn(conn)
+        except sqlite3.OperationalError as error:
+            if str(error).startswith("Could not decode to UTF-8"):
+                raise StorageError(f"stored text is not UTF-8: {error}") from error
+            raise
 
     # ------------------------------------------------------------------
     # Reads.

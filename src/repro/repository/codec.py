@@ -143,7 +143,10 @@ def decode_entry(payload: str | bytes) -> ExampleEntry:
     dropped) stays on the entry, so :func:`encode_entry` returns it as
     stored; a legacy one is re-encoded canonical on first use.  A
     payload that is not JSON (a cut-short row, bytes that are not
-    UTF-8) raises :class:`~repro.core.errors.StorageError` too.
+    UTF-8) raises :class:`~repro.core.errors.StorageError` too; JSON of
+    the wrong shape raises the :class:`~repro.core.errors.TemplateError`
+    of ``ExampleEntry.from_dict``, which checks every value at every
+    depth.
     """
     try:
         data = json.loads(payload)

@@ -20,13 +20,19 @@ The sub-structures mirror the template's composite fields:
 * :class:`Artefact` — a pointer to auxiliary material (code, diagrams,
   sample data); for catalogue examples the locator is the dotted path of
   the executable bx.
+
+``to_dict``/``from_dict`` are one walk over the dataclass fields,
+compiled once per class; ``from_dict`` type-checks every value at every
+depth (nested records and list items too), so an entry it returns is
+one every reader can render.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from operator import attrgetter
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from repro.core.errors import TemplateError
 from repro.repository.template import EntryType
@@ -65,15 +71,6 @@ class ModelDescription:
     description: str
     metamodel: str = ""
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "description": self.description,
-                "metamodel": self.metamodel}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "ModelDescription":
-        return ModelDescription(data["name"], data["description"],
-                                data.get("metamodel", ""))
-
 
 @dataclass(frozen=True)
 class RestorationSpec:
@@ -90,16 +87,6 @@ class RestorationSpec:
     def is_empty(self) -> bool:
         return not (self.forward or self.backward or self.combined)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"forward": self.forward, "backward": self.backward,
-                "combined": self.combined}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "RestorationSpec":
-        return RestorationSpec(data.get("forward", ""),
-                               data.get("backward", ""),
-                               data.get("combined", ""))
-
 
 @dataclass(frozen=True)
 class PropertyClaim:
@@ -115,14 +102,6 @@ class PropertyClaim:
         # The paper capitalises property bullets.
         return text[0].upper() + text[1:]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "holds": self.holds, "note": self.note}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "PropertyClaim":
-        return PropertyClaim(data["name"], data.get("holds", True),
-                             data.get("note", ""))
-
 
 @dataclass(frozen=True)
 class Variant:
@@ -130,13 +109,6 @@ class Variant:
 
     name: str
     description: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "description": self.description}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "Variant":
-        return Variant(data["name"], data["description"])
 
 
 @dataclass(frozen=True)
@@ -147,14 +119,6 @@ class Reference:
     doi: str = ""
     note: str = ""
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"text": self.text, "doi": self.doi, "note": self.note}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "Reference":
-        return Reference(data["text"], data.get("doi", ""),
-                         data.get("note", ""))
-
 
 @dataclass(frozen=True)
 class Comment:
@@ -163,13 +127,6 @@ class Comment:
     author: str
     date: str
     text: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"author": self.author, "date": self.date, "text": self.text}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "Comment":
-        return Comment(data["author"], data["date"], data["text"])
 
 
 @dataclass(frozen=True)
@@ -185,15 +142,6 @@ class Artefact:
     kind: str
     locator: str
     description: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "kind": self.kind,
-                "locator": self.locator, "description": self.description}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "Artefact":
-        return Artefact(data["name"], data["kind"], data["locator"],
-                        data.get("description", ""))
 
 
 @dataclass(frozen=True)
@@ -255,80 +203,124 @@ class ExampleEntry:
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form, JSON-ready; inverse of :meth:`from_dict`."""
-        return {
-            "title": self.title,
-            "version": str(self.version),
-            "types": [t.value for t in self.types],
-            "overview": self.overview,
-            "models": [m.to_dict() for m in self.models],
-            "consistency": self.consistency,
-            "restoration": self.restoration.to_dict(),
-            "properties": [p.to_dict() for p in self.properties],
-            "variants": [v.to_dict() for v in self.variants],
-            "discussion": self.discussion,
-            "references": [r.to_dict() for r in self.references],
-            "authors": list(self.authors),
-            "reviewers": list(self.reviewers),
-            "comments": [c.to_dict() for c in self.comments],
-            "artefacts": [a.to_dict() for a in self.artefacts],
-        }
+        return _encode_entry(self)
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "ExampleEntry":
-        try:
-            return ExampleEntry(
-                title=_text(data, "title"),
-                version=Version.parse(data["version"]),
-                types=tuple(EntryType(t) for t in _items(data, "types")),
-                overview=_text(data, "overview"),
-                models=tuple(ModelDescription.from_dict(m)
-                             for m in _items(data, "models")),
-                consistency=_text(data, "consistency"),
-                restoration=RestorationSpec.from_dict(data["restoration"]),
-                properties=tuple(
-                    PropertyClaim.from_dict(p)
-                    for p in _items(data, "properties", optional=True)),
-                variants=tuple(
-                    Variant.from_dict(v)
-                    for v in _items(data, "variants", optional=True)),
-                discussion=_text(data, "discussion"),
-                references=tuple(
-                    Reference.from_dict(r)
-                    for r in _items(data, "references", optional=True)),
-                authors=tuple(_items(data, "authors")),
-                reviewers=tuple(_items(data, "reviewers", optional=True)),
-                comments=tuple(
-                    Comment.from_dict(c)
-                    for c in _items(data, "comments", optional=True)),
-                artefacts=tuple(
-                    Artefact.from_dict(a)
-                    for a in _items(data, "artefacts", optional=True)),
-            )
-        except KeyError as exc:
-            raise TemplateError(
-                f"entry dict missing required key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise TemplateError(f"malformed entry dict: {exc}") from exc
+        """Hydrate and type-check an entry dict; unknown keys are ignored."""
+        return _decode_entry(data)
 
 
-def _text(data: dict[str, Any], key: str) -> str:
-    """A required string field of an entry dict."""
-    value = data[key]
-    if not isinstance(value, str):
-        raise TemplateError(
-            f"entry field {key!r} must be a string, not "
-            f"{type(value).__name__}")
-    return value
+# ----------------------------------------------------------------------
+# The codec: one walk over the dataclass fields, compiled once per class.
+# ----------------------------------------------------------------------
 
 
-def _items(data: dict[str, Any], key: str,
-           optional: bool = False) -> list | tuple:
-    """A list field of an entry dict (absent optional ones are empty).
+class _Malformed(Exception):
+    """A missing key or a wrong type.  ``path`` grows as the walk unwinds
+    (innermost step first), so a well-formed dict builds no path."""
 
-    A string is refused rather than read as a list of its characters.
-    """
-    value = data.get(key, ()) if optional else data[key]
-    if not isinstance(value, (list, tuple)):
-        raise TemplateError(
-            f"entry field {key!r} must be a list, not {type(value).__name__}")
-    return value
+    def __init__(self, problem: str, *path: str | int) -> None:
+        super().__init__(problem)
+        self.path = list(path)
+
+
+def _exactly(kind: type, noun: str) -> Callable:
+    def check(value: Any) -> Any:
+        if type(value) is kind:
+            return value
+        raise _Malformed(f"must be {noun}, not {type(value).__name__}")
+    return check
+
+
+def _entry_type(value: Any) -> EntryType:
+    try:
+        return EntryType(value)
+    except ValueError:
+        raise _Malformed(f"must be one of {[t.value for t in EntryType]}, "
+                         f"not {value!r}") from None
+
+
+#: Leaf type -> (encode, decode); an encode of None keeps the value as is.
+#: A bad version string stays a VersioningError (``Version.parse``).
+_LEAVES: dict[Any, tuple[Callable | None, Callable]] = {
+    str: (None, _exactly(str, "a string")),
+    bool: (None, _exactly(bool, "true or false")),
+    EntryType: (attrgetter("value"), _entry_type),
+    Version: (str, Version.parse),
+}
+
+
+def _codec(hint: Any) -> tuple[Callable | None, Callable]:
+    """Compile the (encode, decode) pair for one field annotation."""
+    if hint in _LEAVES:
+        return _LEAVES[hint]
+    if get_origin(hint) is tuple:
+        item, _ellipsis = get_args(hint)
+        return _sequence_codec(*_codec(item))
+    if is_dataclass(hint):
+        return _record_codec(hint)
+    raise TypeError(f"no entry codec for {hint!r}")
+
+
+def _sequence_codec(encode_item, decode_item) -> tuple[Callable, Callable]:
+    """``tuple[T, ...]``: a JSON list, never a string."""
+
+    def decode(value: Any) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _Malformed(f"must be a list, not {type(value).__name__}")
+        items = []
+        for index, item in enumerate(value):
+            try:
+                items.append(decode_item(item))
+            except _Malformed as error:
+                error.path.append(index)
+                raise
+        return tuple(items)
+
+    if encode_item is None:
+        return list, decode
+    return (lambda items: [encode_item(item) for item in items]), decode
+
+
+def _record_codec(cls: type) -> tuple[Callable, Callable]:
+    """A template dataclass: a JSON object with one key per field.  A
+    field with a default may be absent; the default is checked too."""
+    hints = get_type_hints(cls)
+    members = [(spec.name, *_codec(hints[spec.name]), spec.default)
+               for spec in fields(cls)]
+
+    def encode(record: Any) -> dict[str, Any]:
+        return {name: getattr(record, name) if encode_field is None
+                else encode_field(getattr(record, name))
+                for name, encode_field, _decode, _default in members}
+
+    def decode(data: Any) -> Any:
+        if not isinstance(data, dict):
+            raise _Malformed(f"must be an object, not {type(data).__name__}")
+        values = []
+        for name, _encode, decode_field, default in members:
+            value = data.get(name, default)
+            if value is MISSING:
+                raise _Malformed("is missing", name)
+            try:
+                values.append(decode_field(value))
+            except _Malformed as error:
+                error.path.append(name)
+                raise
+        return cls(*values)
+
+    return encode, decode
+
+
+_encode_entry, _decode_walk = _codec(ExampleEntry)
+
+
+def _decode_entry(data: Any) -> ExampleEntry:
+    try:
+        return _decode_walk(data)
+    except _Malformed as error:
+        where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}"
+                        for step in reversed(error.path)).lstrip(".")
+        subject = f"entry field {where!r}" if where else "entry dict"
+        raise TemplateError(f"{subject} {error}") from None

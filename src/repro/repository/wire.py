@@ -59,6 +59,12 @@ class Headers(dict):
     def get(self, name: str, default=None):
         return dict.get(self, name.lower(), default)
 
+    def get_all(self, name: str, failobj=None):
+        """``[value]`` as :meth:`get` reads it, or ``failobj``; what the
+        inherited ``HTTPResponse.getheader`` calls."""
+        value = self.get(name)
+        return failobj if value is None else [value]
+
 
 def read_headers(fp) -> Headers:
     """Read field lines from ``fp`` through the blank line ending the head."""

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.errors import (
     CurationError,
     PermissionDenied,
+    StorageError,
     ValidationError,
+    VersioningError,
 )
-from repro.repository.backends import MemoryBackend
+from repro.repository.backends import FileBackend, MemoryBackend, SQLiteBackend
 from repro.repository.curation import (
     CuratedRepository,
     CurationPolicy,
@@ -158,6 +162,88 @@ class TestRevision:
     def test_major_revision_with_reviewers_ok(self, seeded):
         revised = minimal_entry(version=Version(1, 0), reviewers=("Rex",))
         assert seeded.revise(CURATOR, revised).version == Version(1, 0)
+
+
+def race(repo: CuratedRepository, calls) -> tuple[list, list]:
+    """Run every call on its own thread: (results, errors).
+
+    Each racer is held after its read until all have read, so every one
+    writes against the same snapshot: the interleaving that loses an
+    update if anything does.
+    """
+    read = threading.Barrier(len(calls))
+    get = repo.store.get
+    results, errors = [], []
+
+    def held_get(*args, **kwargs):
+        entry = get(*args, **kwargs)
+        read.wait(10)
+        return entry
+
+    def run(call):
+        try:
+            results.append(call())
+        except Exception as error:  # sorted by the caller
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(call,)) for call in calls]
+    repo.store.get = held_get
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        del repo.store.get
+    return results, errors
+
+
+class TestConcurrentVersionWrites:
+    """Racing writes of one next version store it exactly once: eight
+    threads read version 0.1, then each writes its own next version.
+    The one that lands first wins; every other gets a typed refusal of
+    a version that does not increase, from the backend (StorageError,
+    DuplicateEntry) or from the version history (VersioningError)."""
+
+    @pytest.fixture(params=["memory", "file", "sqlite"])
+    def racing(self, request, tmp_path):
+        backend = {
+            "memory": MemoryBackend,
+            "file": lambda: FileBackend(tmp_path / "repo"),
+            "sqlite": lambda: SQLiteBackend(tmp_path / "repo.db"),
+        }[request.param]()
+        repo = CuratedRepository(backend)
+        repo.submit(ANN, minimal_entry())
+        yield repo
+        repo.store.close()
+
+    def assert_one_winner(self, repo, results, errors, version):
+        assert len(results) == 1, (results, errors)
+        assert len(errors) == 7
+        for error in errors:
+            assert isinstance(error, (StorageError, VersioningError)), error
+            if type(error) is StorageError:
+                assert "does not increase" in str(error)
+        assert repo.store.versions("demo-example") == [Version(0, 1), version]
+        assert repo.get("demo-example") == results[0]
+
+    def test_eight_approvals_store_one_version(self, racing):
+        reviewers = [User(f"Reviewer {index}", Role.REVIEWER)
+                     for index in range(8)]
+        results, errors = race(racing, [
+            lambda user=user: racing.approve(user, "demo-example")
+            for user in reviewers])
+        self.assert_one_winner(racing, results, errors, Version(1, 0))
+        assert len(racing.reviewers_of("demo-example")) == 1
+
+    def test_eight_revisions_store_one_version(self, racing):
+        revisions = [minimal_entry(overview=f"Revision {index}.",
+                                   version=Version(0, 2))
+                     for index in range(8)]
+        results, errors = race(racing, [
+            lambda entry=entry: racing.revise(ANN, entry)
+            for entry in revisions])
+        self.assert_one_winner(racing, results, errors, Version(0, 2))
 
 
 class TestPolicyCustomisation:

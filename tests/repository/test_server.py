@@ -1036,39 +1036,61 @@ class TestPerEntryValidators:
         with pytest.raises(StorageError, match="codec version"):
             client.get("demo-example")
 
-    def test_a_corrupt_stored_row_is_a_typed_error(self, sqlite_served,
-                                                   tmp_path, caplog):
+    @pytest.mark.parametrize("stored, problem", [
+        (f"'{CANONICAL_PREFIX}\"title\":'", "not JSON"),
+        ("CAST(X'7B22FF' AS TEXT)", "not UTF-8"),
+    ], ids=["cut short", "not UTF-8"])
+    def test_a_corrupt_stored_row_is_a_typed_error(
+            self, sqlite_served, tmp_path, caplog, stored, problem):
         server, client = sqlite_served
         client.add(minimal_entry())
-        rewrite_raw_payload(tmp_path / "repo.db", "demo-example",
-                            CANONICAL_PREFIX + '"title":')
-        assert_corrupt_entry_is_a_typed_error(server, client, caplog)
+        connection = sqlite3.connect(tmp_path / "repo.db")
+        try:
+            with connection:
+                connection.execute(
+                    f"UPDATE entries SET payload = {stored} "
+                    "WHERE identifier = 'demo-example'")
+        finally:
+            connection.close()
+        assert_corrupt_entry_is_a_typed_error(server, client, caplog, problem)
+        with SQLiteBackend(tmp_path / "repo.db") as backend:
+            for read in (backend.get, backend.get_payload,
+                         lambda identifier: backend.get_many([identifier])):
+                with pytest.raises(StorageError, match=problem):
+                    read("demo-example")
 
-    def test_a_corrupt_entry_file_is_a_typed_error(self, tmp_path, caplog):
+    @pytest.mark.parametrize("stored, problem", [
+        ((CANONICAL_PREFIX + '"title":').encode("utf-8"), "not JSON"),
+        (b'{"\xff', "not UTF-8"),
+    ], ids=["cut short", "not UTF-8"])
+    def test_a_corrupt_entry_file_is_a_typed_error(self, tmp_path, caplog,
+                                                   stored, problem):
         with FileBackend(tmp_path / "repo") as writer:
             writer.add(minimal_entry())
         (tmp_path / "repo" / "entries" / "demo-example" / "0.1.json"
-         ).write_text(CANONICAL_PREFIX + '"title":', encoding="utf-8")
+         ).write_bytes(stored)
         server = RepositoryServer(
             RepositoryService(FileBackend(tmp_path / "repo")),
             close_service=True).start()
         client = HTTPBackend(server.url)
         try:
-            assert_corrupt_entry_is_a_typed_error(server, client, caplog)
+            assert_corrupt_entry_is_a_typed_error(server, client, caplog,
+                                                  problem)
         finally:
             client.close()
             server.stop()
 
 
-def assert_corrupt_entry_is_a_typed_error(server, client, caplog) -> None:
+def assert_corrupt_entry_is_a_typed_error(server, client, caplog,
+                                          problem: str) -> None:
     """A stored payload that is not JSON answers a typed 400 and logs no
     internal error."""
     status, _h, body = raw_get(server.port, "/entries/demo-example")
     assert status == 400
     detail = json.loads(body)["error"]
     assert detail["type"] == "StorageError"
-    assert "not JSON" in detail["message"]
-    with pytest.raises(StorageError, match="not JSON"):
+    assert problem in detail["message"]
+    with pytest.raises(StorageError, match=problem):
         client.get("demo-example")
     assert not [record for record in caplog.records
                 if "internal error" in record.getMessage()]

@@ -50,6 +50,7 @@ from repro.repository.wire import (
     MAX_LINE,
     BadHead,
     Connection,
+    Response,
     read_headers,
 )
 from tests.repository.test_entry import minimal_entry
@@ -69,6 +70,17 @@ class TestReadHeaders:
         assert headers.get("X-TAG") == "one"
         assert headers.get("Missing") is None
         assert headers.get("Missing", "") == ""
+
+    def test_getheader_reads_a_parsed_200_head(self):
+        response = Response(io.BytesIO(
+            b'HTTP/1.1 200 OK\r\nETag: W/"abc/latest"\r\n'
+            b"etag: second\r\nContent-Length: 2\r\n\r\n{}"))
+        response.begin()
+        assert response.getheader("ETag") == 'W/"abc/latest"'
+        assert response.getheader("etag") == 'W/"abc/latest"'
+        assert response.getheader("X-Missing") is None
+        assert response.getheader("X-Missing", "-") == "-"
+        assert response.read() == b"{}"
 
     def test_bare_lf_line_ends_are_read(self):
         headers = read_headers(io.BytesIO(b"Host: a\nAccept: b\n\n"))
