@@ -7,7 +7,9 @@ Layout::
 
 Writes are atomic per file (write to a temp name, then rename), so a
 crashed writer can leave behind at most a ``*.json.tmp`` fragment or an
-empty entry directory — both of which every read path ignores.
+empty entry directory — both of which every read path ignores.  They
+survive a process crash, not a power loss: nothing here calls
+``fsync``, on a file or a directory.
 
 The read path is cached at two levels, both keyed by the durable
 change counter (``<root>/change-counter``), which bumps on every write
@@ -194,7 +196,7 @@ class FileBackend(StorageBackend):
     def write_group(self) -> Iterator["FileBackend"]:
         """Group commit: two counter-file writes for the whole group.
 
-        A standalone write costs two durable counter updates (the
+        A standalone write costs two counter-file updates (the
         crash-safe bump-write-bump sequence below); a group pays that
         price once for all its writes — the leading bump opens the
         crash window for the whole group, each write inside is just

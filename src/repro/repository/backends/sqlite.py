@@ -507,18 +507,21 @@ class SQLiteBackend(StorageBackend):
         return self._run_read(fetch)
 
     def _stats_on(self, conn, terms: Sequence[str]) -> QueryStats:
+        # One statement reads one snapshot, so a write from another
+        # connection cannot land between the count and the frequencies.
         unique = list(dict.fromkeys(terms))
-        (count,) = conn.execute("SELECT COUNT(*) FROM latest").fetchone()
         frequency = dict.fromkeys(unique, 0)
-        if unique:
-            marks = ",".join("?" * len(unique))
-            frequency.update(
-                conn.execute(
-                    "SELECT term, COUNT(*) FROM latest_terms "
-                    f"WHERE term IN ({marks}) GROUP BY term",
-                    unique,
-                )
-            )
+        marks = ",".join("?" * len(unique))
+        for term, found in conn.execute(
+            "SELECT NULL, COUNT(*) FROM latest UNION ALL "
+            "SELECT term, COUNT(*) FROM latest_terms "
+            f"WHERE term IN ({marks}) GROUP BY term",
+            unique,
+        ):
+            if term is None:
+                count = found
+            else:
+                frequency[term] = found
         return QueryStats(count, frequency)
 
     def _facets_on(self, conn, match_rows: list) -> dict[str, dict[str, int]]:

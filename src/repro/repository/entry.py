@@ -21,20 +21,20 @@ The sub-structures mirror the template's composite fields:
   sample data); for catalogue examples the locator is the dotted path of
   the executable bx.
 
-``to_dict``/``from_dict`` are one walk over the dataclass fields,
-compiled once per class; ``from_dict`` type-checks every value at every
-depth (nested records and list items too), so an entry it returns is
-one every reader can render.
+``to_dict``/``from_dict`` are the shared schema walk
+(:mod:`repro.repository.schema`) over the dataclass fields;
+``from_dict`` type-checks every value at every depth (nested records and
+list items too), so an entry it returns is one every reader can render.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from operator import attrgetter
-from typing import Any, Callable, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.core.errors import TemplateError
+from repro.repository.schema import wire
 from repro.repository.template import EntryType
 from repro.repository.versioning import Version
 
@@ -211,116 +211,4 @@ class ExampleEntry:
         return _decode_entry(data)
 
 
-# ----------------------------------------------------------------------
-# The codec: one walk over the dataclass fields, compiled once per class.
-# ----------------------------------------------------------------------
-
-
-class _Malformed(Exception):
-    """A missing key or a wrong type.  ``path`` grows as the walk unwinds
-    (innermost step first), so a well-formed dict builds no path."""
-
-    def __init__(self, problem: str, *path: str | int) -> None:
-        super().__init__(problem)
-        self.path = list(path)
-
-
-def _exactly(kind: type, noun: str) -> Callable:
-    def check(value: Any) -> Any:
-        if type(value) is kind:
-            return value
-        raise _Malformed(f"must be {noun}, not {type(value).__name__}")
-    return check
-
-
-def _entry_type(value: Any) -> EntryType:
-    try:
-        return EntryType(value)
-    except ValueError:
-        raise _Malformed(f"must be one of {[t.value for t in EntryType]}, "
-                         f"not {value!r}") from None
-
-
-#: Leaf type -> (encode, decode); an encode of None keeps the value as is.
-#: A bad version string stays a VersioningError (``Version.parse``).
-_LEAVES: dict[Any, tuple[Callable | None, Callable]] = {
-    str: (None, _exactly(str, "a string")),
-    bool: (None, _exactly(bool, "true or false")),
-    EntryType: (attrgetter("value"), _entry_type),
-    Version: (str, Version.parse),
-}
-
-
-def _codec(hint: Any) -> tuple[Callable | None, Callable]:
-    """Compile the (encode, decode) pair for one field annotation."""
-    if hint in _LEAVES:
-        return _LEAVES[hint]
-    if get_origin(hint) is tuple:
-        item, _ellipsis = get_args(hint)
-        return _sequence_codec(*_codec(item))
-    if is_dataclass(hint):
-        return _record_codec(hint)
-    raise TypeError(f"no entry codec for {hint!r}")
-
-
-def _sequence_codec(encode_item, decode_item) -> tuple[Callable, Callable]:
-    """``tuple[T, ...]``: a JSON list, never a string."""
-
-    def decode(value: Any) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            raise _Malformed(f"must be a list, not {type(value).__name__}")
-        items = []
-        for index, item in enumerate(value):
-            try:
-                items.append(decode_item(item))
-            except _Malformed as error:
-                error.path.append(index)
-                raise
-        return tuple(items)
-
-    if encode_item is None:
-        return list, decode
-    return (lambda items: [encode_item(item) for item in items]), decode
-
-
-def _record_codec(cls: type) -> tuple[Callable, Callable]:
-    """A template dataclass: a JSON object with one key per field.  A
-    field with a default may be absent; the default is checked too."""
-    hints = get_type_hints(cls)
-    members = [(spec.name, *_codec(hints[spec.name]), spec.default)
-               for spec in fields(cls)]
-
-    def encode(record: Any) -> dict[str, Any]:
-        return {name: getattr(record, name) if encode_field is None
-                else encode_field(getattr(record, name))
-                for name, encode_field, _decode, _default in members}
-
-    def decode(data: Any) -> Any:
-        if not isinstance(data, dict):
-            raise _Malformed(f"must be an object, not {type(data).__name__}")
-        values = []
-        for name, _encode, decode_field, default in members:
-            value = data.get(name, default)
-            if value is MISSING:
-                raise _Malformed("is missing", name)
-            try:
-                values.append(decode_field(value))
-            except _Malformed as error:
-                error.path.append(name)
-                raise
-        return cls(*values)
-
-    return encode, decode
-
-
-_encode_entry, _decode_walk = _codec(ExampleEntry)
-
-
-def _decode_entry(data: Any) -> ExampleEntry:
-    try:
-        return _decode_walk(data)
-    except _Malformed as error:
-        where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}"
-                        for step in reversed(error.path)).lstrip(".")
-        subject = f"entry field {where!r}" if where else "entry dict"
-        raise TemplateError(f"{subject} {error}") from None
+_encode_entry, _decode_entry = wire(ExampleEntry, "entry", TemplateError)

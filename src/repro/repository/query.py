@@ -24,9 +24,10 @@ composable surface:
   and the companion plan/stats/result pairs) turning every piece of a
   retrieval round-trip into JSON-ready plain dicts — what the HTTP
   serving layer (``repro.repository.server`` /
-  ``repro.repository.client``) ships over the network.  The format is
-  versioned implicitly by the ``op`` tags; an unknown tag fails loudly
-  with :class:`~repro.core.errors.StorageError` instead of guessing.
+  ``repro.repository.client``) ships over the network: the shared
+  schema walk (:mod:`repro.repository.schema`), with nodes tagged by
+  ``op``.  Any malformed value fails loudly with
+  :class:`~repro.core.errors.StorageError` naming its path.
 
 Execution lives behind ``StorageBackend.execute_query`` so each backend
 does the work where it is cheapest: SQLite compiles the filter tree to
@@ -65,10 +66,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from repro.core.errors import StorageError
 from repro.repository.entry import ExampleEntry
+from repro.repository.schema import wire
 from repro.repository.template import EntryType
 
 __all__ = [
@@ -172,7 +174,8 @@ def inverse_document_frequency(document_frequency: int,
 
 
 class Query:
-    """Base of the query AST; composes with ``&``, ``|`` and ``~``."""
+    """Base of the query AST; composes with ``&``, ``|`` and ``~``.  Each
+    node class names its wire tag in ``op``."""
 
     def __and__(self, other: "Query") -> "Query":
         return And((self, other))
@@ -188,6 +191,8 @@ class Query:
 class All(Query):
     """Matches every entry (the identity for ``&``)."""
 
+    op: ClassVar[str] = "all"
+
 
 @dataclass(frozen=True)
 class Text(Query):
@@ -198,6 +203,7 @@ class Text(Query):
     contributes relevance score — see the module docstring.
     """
 
+    op: ClassVar[str] = "text"
     terms: tuple[str, ...]
 
 
@@ -205,13 +211,15 @@ class Text(Query):
 class TypeIs(Query):
     """Entries whose Type field includes the given class."""
 
-    entry_type: EntryType
+    op: ClassVar[str] = "type"
+    entry_type: EntryType = field(metadata={"key": "type"})
 
 
 @dataclass(frozen=True)
 class HasProperty(Query):
     """Entries claiming a property, optionally with a given polarity."""
 
+    op: ClassVar[str] = "property"
     name: str
     holds: bool | None = None
 
@@ -220,6 +228,7 @@ class HasProperty(Query):
 class ByAuthor(Query):
     """Entries a given author contributed (exact name match)."""
 
+    op: ClassVar[str] = "author"
     author: str
 
 
@@ -227,21 +236,25 @@ class ByAuthor(Query):
 class IsReviewed(Query):
     """Entries at version >= 1.0 (``True``) or still 0.x (``False``)."""
 
+    op: ClassVar[str] = "reviewed"
     reviewed: bool = True
 
 
 @dataclass(frozen=True)
 class And(Query):
+    op: ClassVar[str] = "and"
     parts: tuple[Query, ...]
 
 
 @dataclass(frozen=True)
 class Or(Query):
+    op: ClassVar[str] = "or"
     parts: tuple[Query, ...]
 
 
 @dataclass(frozen=True)
 class Not(Query):
+    op: ClassVar[str] = "not"
     part: Query
 
 
@@ -320,16 +333,39 @@ def _walk_terms(query: Query, out: list[str], *, positive_only: bool,
 # ----------------------------------------------------------------------
 
 
+#: The largest filter tree a plan takes, in nodes along one path and in
+#: all, so that every backend runs every tree it takes.  SQLite 3.40's
+#: parser stack overflows on a right-nested ``Or((atom, Or(...)))`` 28
+#: nodes deep, and an ``Or`` of 1000 atoms passes its expression limit.
+MAX_QUERY_DEPTH = 24
+MAX_QUERY_NODES = 256
+
+
+def _check_tree(where: Query) -> None:
+    """Refuse a tree past either bound, level by level, not recursively."""
+    level, depth, nodes = [where], 0, 0
+    while level:
+        depth, nodes = depth + 1, nodes + len(level)
+        if depth > MAX_QUERY_DEPTH or nodes > MAX_QUERY_NODES:
+            raise StorageError(
+                f"query tree is deeper than {MAX_QUERY_DEPTH} nodes or "
+                f"larger than {MAX_QUERY_NODES}")
+        level = [part for node in level for part in (
+            node.parts if isinstance(node, (And, Or))
+            else (node.part,) if isinstance(node, Not) else ())]
+
+
 @dataclass(frozen=True)
 class QueryPlan:
     """One executable retrieval request: filter tree + order + page."""
 
-    where: Query
+    where: Query = All()
     sort: str = "relevance"
     offset: int = 0
     limit: int | None = None
 
     def __post_init__(self) -> None:
+        _check_tree(self.where)
         if self.sort not in SORT_ORDERS:
             raise StorageError(
                 f"unknown sort order {self.sort!r}; "
@@ -366,9 +402,16 @@ class QueryStats:
     """
 
     document_count: int
-    document_frequency: Mapping[str, int] = field(default_factory=dict)
-    _idf_cache: dict = field(default_factory=dict, compare=False,
-                             repr=False)
+    document_frequency: dict[str, int] = field(default_factory=dict)
+    _idf_cache: dict = field(default_factory=dict, init=False,
+                             compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.document_count < 0 or not all(
+                0 <= count <= self.document_count
+                for count in self.document_frequency.values()):
+            raise StorageError(
+                "query stats need 0 <= document frequency <= document_count")
 
     def idf(self, term: str) -> float:
         cached = self._idf_cache.get(term)
@@ -415,6 +458,10 @@ class QueryResult:
     hits: tuple[SearchHit, ...]
     total: int
     facets: dict[str, dict[str, int]]
+
+    def __post_init__(self) -> None:
+        for group in FACET_GROUPS:
+            self.facets.setdefault(group, {})
 
     @property
     def identifiers(self) -> list[str]:
@@ -605,184 +652,9 @@ def merge_results(parts: Sequence[QueryResult],
 # ----------------------------------------------------------------------
 
 
-def query_to_dict(query: Query) -> dict:
-    """Serialise a filter tree to a JSON-ready dict (op-tagged nodes).
-
-    The inverse of :func:`query_from_dict`; together they are the
-    Q-AST wire format the HTTP serving layer ships in ``POST /query``
-    bodies.  Every node carries an ``"op"`` tag; composites nest their
-    children under ``"parts"`` / ``"part"``.
-    """
-    if isinstance(query, All):
-        return {"op": "all"}
-    if isinstance(query, Text):
-        return {"op": "text", "terms": list(query.terms)}
-    if isinstance(query, TypeIs):
-        return {"op": "type", "type": query.entry_type.value}
-    if isinstance(query, HasProperty):
-        return {"op": "property", "name": query.name, "holds": query.holds}
-    if isinstance(query, ByAuthor):
-        return {"op": "author", "author": query.author}
-    if isinstance(query, IsReviewed):
-        return {"op": "reviewed", "reviewed": query.reviewed}
-    if isinstance(query, And):
-        return {"op": "and",
-                "parts": [query_to_dict(part) for part in query.parts]}
-    if isinstance(query, Or):
-        return {"op": "or",
-                "parts": [query_to_dict(part) for part in query.parts]}
-    if isinstance(query, Not):
-        return {"op": "not", "part": query_to_dict(query.part)}
-    raise StorageError(f"unknown query node {type(query).__name__}")
-
-
-def query_from_dict(data: object) -> Query:
-    """Rebuild a filter tree from its wire form; loud on junk.
-
-    Every malformed shape — a non-dict node, a missing or unknown
-    ``op``, a bad entry-type value — raises
-    :class:`~repro.core.errors.StorageError` so a server never
-    half-executes a plan it misread.
-    """
-    if not isinstance(data, dict):
-        raise StorageError(
-            f"query node is not an object: {type(data).__name__}")
-    op = data.get("op")
-    try:
-        if op == "all":
-            return All()
-        if op == "text":
-            terms = data["terms"]
-            # A bare string would iterate per character and silently
-            # match garbage; the wire format is a list, full stop.
-            if not isinstance(terms, list) or not all(
-                    isinstance(term, str) for term in terms):
-                raise StorageError("text terms must be a list of strings")
-            return Text(tuple(terms))
-        if op == "type":
-            return TypeIs(EntryType(data["type"]))
-        if op == "property":
-            holds = data.get("holds")
-            if holds is not None and not isinstance(holds, bool):
-                raise StorageError("property 'holds' must be bool or null")
-            name = data["name"]
-            if not isinstance(name, str):
-                raise StorageError("property 'name' must be a string")
-            return HasProperty(name, holds)
-        if op == "author":
-            author = data["author"]
-            if not isinstance(author, str):
-                raise StorageError("author must be a string")
-            return ByAuthor(author)
-        if op == "reviewed":
-            reviewed = data.get("reviewed", True)
-            # bool() would turn the string "false" into True — the
-            # exact silent misread the codec promises never to make.
-            if not isinstance(reviewed, bool):
-                raise StorageError("'reviewed' must be a boolean")
-            return IsReviewed(reviewed)
-        if op == "and":
-            return And(tuple(query_from_dict(part)
-                             for part in data["parts"]))
-        if op == "or":
-            return Or(tuple(query_from_dict(part)
-                            for part in data["parts"]))
-        if op == "not":
-            return Not(query_from_dict(data["part"]))
-    except StorageError:
-        raise
-    except (KeyError, TypeError, ValueError) as error:
-        raise StorageError(
-            f"malformed query node for op {op!r}: {error}") from error
-    raise StorageError(f"unknown query op {op!r}")
-
-
-def plan_to_dict(query_plan: QueryPlan) -> dict:
-    """One :class:`QueryPlan` as a JSON-ready dict (filter + page)."""
-    return {
-        "where": query_to_dict(query_plan.where),
-        "sort": query_plan.sort,
-        "offset": query_plan.offset,
-        "limit": query_plan.limit,
-    }
-
-
-def plan_from_dict(data: object) -> QueryPlan:
-    """Rebuild a plan; the QueryPlan validators re-run on the way in."""
-    if not isinstance(data, dict):
-        raise StorageError(
-            f"query plan is not an object: {type(data).__name__}")
-    offset = data.get("offset", 0)
-    limit = data.get("limit")
-    if not isinstance(offset, int) or isinstance(offset, bool):
-        raise StorageError(f"plan offset must be an integer, got {offset!r}")
-    if limit is not None and (not isinstance(limit, int)
-                              or isinstance(limit, bool)):
-        raise StorageError(f"plan limit must be an integer, got {limit!r}")
-    return QueryPlan(
-        where=query_from_dict(data.get("where", {"op": "all"})),
-        sort=data.get("sort", "relevance"),
-        offset=offset,
-        limit=limit,
-    )
-
-
-def stats_to_dict(stats: QueryStats) -> dict:
-    """Corpus statistics as a JSON-ready dict (counts only)."""
-    return {
-        "document_count": stats.document_count,
-        "document_frequency": dict(stats.document_frequency),
-    }
-
-
-def stats_from_dict(data: object) -> QueryStats:
-    """Rebuild :class:`QueryStats`; the IDF cache starts empty."""
-    if not isinstance(data, dict):
-        raise StorageError(
-            f"query stats is not an object: {type(data).__name__}")
-    try:
-        count = int(data["document_count"])
-        frequency = {str(term): int(df)
-                     for term, df in data["document_frequency"].items()}
-    except (KeyError, TypeError, ValueError) as error:
-        raise StorageError(f"malformed query stats: {error}") from error
-    return QueryStats(count, frequency)
-
-
-def result_to_dict(result: QueryResult) -> dict:
-    """A full :class:`QueryResult` as a JSON-ready dict.
-
-    Hits carry the complete entry dict (scores survive the JSON float
-    round-trip exactly: Python serialises the shortest repr that
-    parses back to the same double).
-    """
-    return {
-        "hits": [{"identifier": hit.identifier,
-                  "score": hit.score,
-                  "entry": hit.entry.to_dict()}
-                 for hit in result.hits],
-        "total": result.total,
-        "facets": {group: dict(buckets)
-                   for group, buckets in result.facets.items()},
-    }
-
-
-def result_from_dict(data: object) -> QueryResult:
-    """Rebuild a :class:`QueryResult`, hydrating the hit entries."""
-    if not isinstance(data, dict):
-        raise StorageError(
-            f"query result is not an object: {type(data).__name__}")
-    try:
-        hits = tuple(
-            SearchHit(hit["identifier"], float(hit["score"]),
-                      ExampleEntry.from_dict(hit["entry"]))
-            for hit in data["hits"])
-        total = int(data["total"])
-        facets = {str(group): {str(label): int(count)
-                               for label, count in buckets.items()}
-                  for group, buckets in data["facets"].items()}
-    except (KeyError, TypeError, ValueError) as error:
-        raise StorageError(f"malformed query result: {error}") from error
-    for group in FACET_GROUPS:
-        facets.setdefault(group, {})
-    return QueryResult(hits=hits, total=total, facets=facets)
+query_to_dict, query_from_dict = wire(Query, "query", StorageError)
+plan_to_dict, plan_from_dict = wire(QueryPlan, "query plan", StorageError)
+stats_to_dict, stats_from_dict = wire(QueryStats, "query stats",
+                                      StorageError)
+result_to_dict, result_from_dict = wire(QueryResult, "query result",
+                                        StorageError)

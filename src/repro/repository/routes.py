@@ -31,6 +31,7 @@ from repro.repository.query import (
     stats_from_dict,
     stats_to_dict,
 )
+from repro.repository.schema import wire
 
 __all__ = ["ROUTES", "Route", "field"]
 
@@ -139,10 +140,11 @@ def _query(repository, body):
     return 200, result_to_dict(repository.execute_query(plan, stats))
 
 
+_, _terms_from_dict = wire(tuple[str, ...], "query stats terms", StorageError)
+
+
 def _query_stats(repository, body):
-    terms = field(body, "terms", list)
-    if not all(isinstance(term, str) for term in terms):
-        raise StorageError("query stats terms must be strings")
+    terms = _terms_from_dict(body.get("terms"))
     return 200, stats_to_dict(repository.query_stats(terms))
 
 

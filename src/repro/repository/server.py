@@ -1125,7 +1125,7 @@ class _Handler(BaseHTTPRequestHandler):
                     f"{self._MAX_BODY}-byte limit after decompression")
         try:
             body = json.loads(raw)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:
             raise StorageError(
                 f"malformed JSON body: {error}") from error
         if not isinstance(body, dict):

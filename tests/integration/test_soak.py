@@ -100,7 +100,13 @@ class TestDirectSoak:
         assert report.fault_names() == ["shard-kill-1"]
 
 
+#: The HTTP soak's injected outages are untyped ``ConnectionError``s,
+#: which the server still answers with a logged 500 (ROADMAP item 2).
+soak_outages_log_500s = pytest.mark.internal_error
+
+
 class TestHttpSoak:
+    @soak_outages_log_500s
     def test_full_schedule_with_server_bounce(self, http_stack):
         runner = SoakRunner(http_stack, short_config(2.0))
         report = runner.run()
@@ -114,6 +120,7 @@ class TestHttpSoak:
         assert bounce.details["probe_attempts"] >= 1
         assert bounce.details["port"] == http_stack.server.port
 
+    @soak_outages_log_500s
     def test_expected_failures_only_inside_fault_windows(self, http_stack):
         """Traffic errors during an outage are expected (counted, not
         violations); outside the windows every op must succeed."""
@@ -217,6 +224,7 @@ class TestCli:
         assert "injecting shard-kill-0" in log_path.read_text()
         assert "soak OK" in capsys.readouterr().out
 
+    @soak_outages_log_500s
     def test_main_http_tier(self, tmp_path):
         code = main(["--seconds", "1.2", "--entries", "300",
                      "--http", "--root", str(tmp_path / "root")])

@@ -157,14 +157,17 @@ class TestArgumentErrors:
         ("/entries", entry_body(discussion=None), "TemplateError"),
         ("/entries", entry_body(authors="Ann"), "TemplateError"),
         ("/entries", entry_body(reviewers="Bob"), "TemplateError"),
+        # json.loads raises RecursionError on a body nested this deep
+        ("/entries", b"[" * 10_000 + b"]" * 10_000, "StorageError"),
     ], ids=["batch-version", "bulk-entry", "version", "types", "models",
             "restoration", "authors", "title", "overview", "consistency",
-            "discussion", "authors-string", "reviewers-string"])
+            "discussion", "authors-string", "reviewers-string",
+            "nested-past-json-limit"])
     def test_a_malformed_argument_is_a_typed_400(self, remote, caplog, path,
                                                  body, error):
         service, client = remote
         caplog.set_level(logging.ERROR, logger="repro.repository.server")
-        raw = json.dumps(body).encode("utf-8")
+        raw = body if isinstance(body, bytes) else json.dumps(body).encode()
         port = int(client.base_url.rsplit(":", 1)[1])
         received, _closed = exchange(
             port,

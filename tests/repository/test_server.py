@@ -695,7 +695,8 @@ class TestFailureAfterHeaders:
         (TimeoutError("timed out"), False, 1),
         (ConnectionAbortedError("aborted"), False, 1),
         (EntryNotFound("gone"), False, 0),
-        (RuntimeError("handler bug"), True, 0),
+        pytest.param(RuntimeError("handler bug"), True, 0,
+                     marks=pytest.mark.internal_error),
     ], ids=["timeout", "aborted", "typed", "untyped"])
     def test_exactly_one_response_then_close(self, served, monkeypatch,
                                              caplog, error, logged,
@@ -1939,6 +1940,7 @@ class TestObservability:
         assert peer.asked
         assert caplog.records[-1].getMessage() == "127.0.0.1 - GET /entries"
 
+    @pytest.mark.internal_error
     def test_only_an_untyped_failure_logs_an_internal_error(self, caplog):
         """A typed 503 (here a breaker that is open) is an expected
         answer with a Retry-After, not a server bug: no traceback.  An
