@@ -12,16 +12,16 @@ Boots the PR-5 serving stack end to end, in one process:
    HTTP/JSON API);
 3. an `HTTPBackend` client — the same `StorageBackend` interface,
    but over the wire — writing, querying and reading back;
-4. `GET /wiki/{id}` served from the event-driven render cache:
-   a second fetch is a cache hit;
+4. `GET /wiki/{id}` revalidated by its ETag (the entry's digest):
+   a second fetch that sends it back is a bodiless 304;
 5. a thread pool fanning concurrent reads out over the *same*
    service the HTTP handlers used, then closing it at the end.
 """
 
 from __future__ import annotations
 
+import http.client
 import tempfile
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -62,17 +62,22 @@ def main() -> None:
         print(f"wrote {new_version.identifier!r} "
               f"v{new_version.version} through HTTP")
 
-        # 4. Wiki pages from the render cache.
-        def wiki(identifier: str) -> str:
-            with urllib.request.urlopen(
-                    f"{server.url}/wiki/{identifier}") as response:
-                return response.read().decode("utf-8")
+        # 4. A wiki page, then the same page revalidated by its ETag.
+        def wiki(identifier: str, **headers: str):
+            peer = http.client.HTTPConnection("127.0.0.1", server.port)
+            try:
+                peer.request("GET", f"/wiki/{identifier}", headers=headers)
+                response = peer.getresponse()
+                return response, response.read()
+            finally:
+                peer.close()
 
-        page = wiki(first.identifier)
-        wiki(first.identifier)  # warm: served without re-rendering
-        stats = server.render_cache.cache_stats()
-        print(f"GET /wiki/{first.identifier}: {len(page)} bytes "
-              f"(cache hits={stats['hits']}, misses={stats['misses']})")
+        first_page, page = wiki(first.identifier)
+        again, body = wiki(first.identifier,
+                           **{"If-None-Match": first_page.headers["ETag"]})
+        print(f"GET /wiki/{first.identifier}: {first_page.status}, "
+              f"{len(page)} bytes; resent with its ETag: {again.status}, "
+              f"{len(body)} bytes")
 
         client.close()
 

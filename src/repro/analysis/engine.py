@@ -68,7 +68,7 @@ class Finding:
         """Content-based identity: rule + path + stripped source line.
 
         Line numbers are deliberately left out so unrelated edits above
-        a baselined site do not invalidate its baseline entry.
+        a baselined site do not void its baseline entry.
         """
         payload = f"{self.rule}\n{self.path}\n{self.source}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

@@ -162,9 +162,9 @@ class StorageBackend(ABC):
         * a failing write inside the group raises at that write and
           affects only itself — earlier writes in the group remain
           staged (transactional backends commit them together at exit);
-        * the change counter / change token observed *after* the group
-          reflects exactly one logical change, so memo/cache
-          invalidation is per group, not per entry;
+        * the change counter observed *after* the group reflects
+          exactly one logical change, so memo/cache invalidation is per
+          group, not per entry;
         * nesting a group inside an active group on the same thread
           joins the outer group.
 
@@ -206,28 +206,11 @@ class StorageBackend(ABC):
     def change_counter(self) -> int | None:
         """A persisted counter that increases on every write, or None.
 
-        The default :meth:`change_token` derives from it, and the
-        server reports it as ``GET /counter``; because it is persisted,
-        a write by another process moves it too.  Backends that cannot
-        provide a durable counter return None.
+        The server reports it as ``GET /counter``; because it is
+        persisted, a write by another process moves it too.  Backends
+        that cannot provide a durable counter return None.
         """
         return None
-
-    def change_token(self) -> str | None:
-        """An opaque validator that changes on every write, or None.
-
-        The wire layer's currency: HTTP ``ETag`` values, the server's
-        encode memo and the client's validation cache are all keyed by
-        this token.  The default derives it from the durable
-        :meth:`change_counter` (``"c<n>"``), so any backend with a
-        persisted counter — including one written by a foreign
-        process — validates for free.  Backends with no counter return
-        None; the service facade overlays an in-process epoch+sequence
-        token so a served repository always has a validator (see
-        :meth:`RepositoryService.change_token`).
-        """
-        counter = self.change_counter()
-        return f"c{counter}" if counter is not None else None
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """Hit/miss/eviction counters of this backend's read caches.

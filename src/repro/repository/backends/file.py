@@ -268,8 +268,8 @@ class FileBackend(StorageBackend):
 
         Lives in ``<root>/change-counter``, so a *later* process
         opening the same directory sees what earlier (serialised)
-        writers did — which is what lets the change token derived from
-        it (and ``GET /counter``) move on a foreign write.  Deliberately
+        writers did — which is what lets ``GET /counter`` (and the
+        memos keyed on it) move on a foreign write.  Deliberately
         re-read from disk on every
         call (never cached in memory): the counter is also the
         invalidation channel for the listing cache and decode memo, so
@@ -305,10 +305,10 @@ class FileBackend(StorageBackend):
         with self._rwlock.write_locked():
             # The counter bumps on *both* sides of the snapshot rename.
             # Before: a crash between bump and rename leaves an advanced
-            # counter and no new content, so a change token merely moves
-            # spuriously (one extra revalidation) — the opposite order
-            # would leave new content under an old counter, and an ETag
-            # minted from it would confirm stale bytes as fresh.  After:
+            # counter and no new content, so the counter-keyed memos
+            # merely miss once — the opposite order would leave new
+            # content under an old counter, and a memo entry keyed on it
+            # would serve stale bytes as fresh.  After:
             # a reader through another FileBackend over this root, racing
             # the rename, can have read the first-bumped counter and then
             # the *pre-rename* state — old bytes on a replace_latest, or

@@ -69,10 +69,8 @@ class MemoryBackend(StorageBackend):
 
     # change_counter: inherits the base's None.  An in-process counter
     # would be worse than none: a fresh process starts a fresh
-    # MemoryBackend at the same count, so a change token (an ETag)
-    # minted by a previous process would validate against a different
-    # corpus.  With None the service facade mints a per-instance token
-    # instead, which for an ephemeral backend is the only safe answer.
+    # MemoryBackend at the same count, so a count read from a previous
+    # process would name a different corpus.
 
     def _history(self, identifier: str) -> VersionHistory:
         history = self._histories.get(identifier)

@@ -420,8 +420,7 @@ class ReplicatedBackend(StorageBackend):
 
         Replica counters track replica writes and are not comparable,
         so no failover here: if the primary is down the counter is
-        simply unavailable, and the change token it derives falls back
-        to the service facade's in-process token.
+        simply unavailable.
         """
         try:
             return self.primary.change_counter()

@@ -50,8 +50,8 @@ write transaction records the written identifier in a ``dirty`` table
 query path first re-indexes exactly the dirty identifiers.  The marks
 commit with the write, so a crash can never lose index maintenance —
 at worst the next query redoes it.  A ``meta`` table carries the
-durable change counter, from which the change token derives and which
-the server reports as ``GET /counter``.  Databases
+durable change counter, which the server reports as
+``GET /counter``.  Databases
 written before these tables existed are adopted on open by marking
 their unindexed identifiers dirty.
 

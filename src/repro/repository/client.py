@@ -52,10 +52,12 @@ The wire itself is kept cheap in both directions (mirroring the
 server's side of the protocol):
 
 * **Conditional point reads** — every 200 from ``GET /entries/{id}``
-  carries an ``ETag``; the client remembers ``path -> (etag, entry)``
-  in a bounded validation cache and revalidates with
-  ``If-None-Match``.  A 304 answer returns the cached snapshot with
-  zero JSON decoded on either end.
+  carries an ``ETag`` built from the entry's digest (the server's one
+  validator, so only a write to that entry moves it, whichever server
+  over the store took the write); the client remembers
+  ``path -> (etag, entry)`` in a bounded validation cache and
+  revalidates with ``If-None-Match``.  A 304 answer returns the cached
+  snapshot with zero JSON decoded on either end.
 * **Compression** — every request advertises ``Accept-Encoding:
   gzip`` and transparently inflates compressed responses; request
   bodies above the shared threshold are gzipped on the way out.
@@ -742,16 +744,6 @@ class HTTPBackend(StorageBackend):
 
     def change_counter(self) -> int | None:
         return self._call("counter")["change_counter"]
-
-    def change_token(self) -> str | None:
-        """The server's change token (its ETags embed the same value).
-
-        Overridden rather than derived from :meth:`change_counter`:
-        the remote service overlays an epoch+sequence token when its
-        backend has no durable counter, and that token — not a local
-        reconstruction — is what the server's validators actually use.
-        """
-        return self._call("counter").get("change_token")
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """The *server's* read-path counters, namespaced ``server:...``.

@@ -251,10 +251,6 @@ class FlakyBackend(StorageBackend):
         self._trip()
         return self.inner.change_counter()
 
-    def change_token(self) -> str | None:
-        self._trip()
-        return self.inner.change_token()
-
     def cache_stats(self) -> dict[str, dict[str, int]]:
         # Introspection stays up during an outage: counters are local
         # bookkeeping, not a remote call.

@@ -177,11 +177,16 @@ class Query:
     """Base of the query AST; composes with ``&``, ``|`` and ``~``.  Each
     node class names its wire tag in ``op``."""
 
+    # A chain built with the operators extends one node, so it is as
+    # deep as the flat ``And``/``Or`` of the same parts, not as long.
+
     def __and__(self, other: "Query") -> "Query":
-        return And((self, other))
+        return And((self.parts if isinstance(self, And) else (self,))
+                   + (other,))
 
     def __or__(self, other: "Query") -> "Query":
-        return Or((self, other))
+        return Or((self.parts if isinstance(self, Or) else (self,))
+                  + (other,))
 
     def __invert__(self) -> "Query":
         return Not(self)

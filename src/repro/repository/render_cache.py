@@ -15,7 +15,10 @@ the written identifier** on every add / add_version / replace_latest.
 A warm call therefore renders only what changed since the last call.
 
 The cache always starts cold: pages render on first request and stay
-until a write event evicts them.
+until a write event evicts them.  It hears only the writes made
+through its own service, so it serves collections inside one process;
+the HTTP server keeps no page cache (``GET /wiki/{id}`` renders from
+the entry whose digest it validates by).
 
 Thread safety: events fire under the service's write lock while pages
 are requested by reader threads, so all cache state sits behind one
@@ -27,8 +30,6 @@ write wins, the cache stays coherent.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.repository.concurrency import Mutex
 from repro.repository.export import render_markdown, render_wikidot
@@ -55,11 +56,6 @@ class RenderCache:
         #: let a render that raced a write detect it lost.
         self._clock = 0
         self._evicted_at: dict[str, int] = {}
-        #: Per-instance epoch for :meth:`validator`: eviction clocks
-        #: restart at zero with every cache, so a validator must name
-        #: *which* cache minted it or a restarted server could confirm
-        #: a stale page from the previous serving period.
-        self._epoch = f"{time.time_ns():x}"
         self._unsubscribe = service.subscribe(self._on_event)
 
     # ------------------------------------------------------------------
@@ -74,26 +70,6 @@ class RenderCache:
             dropped_md = self._markdown.pop(event.identifier, None)
             if dropped_wiki is not None or dropped_md is not None:
                 self.invalidations += 1
-
-    def validator(self, identifier: str) -> str:
-        """An opaque per-identifier freshness validator (for ETags).
-
-        Changes exactly when the identifier's rendering can change:
-        the eviction clock bumps on every write event for *that*
-        identifier, so a write to entry B leaves entry A's validator —
-        and therefore A's ETag — intact.  This is strictly finer than
-        the global change token: the wiki endpoint keeps answering 304
-        for untouched pages while the corpus churns elsewhere.  The
-        epoch prefix pins the validator to this cache instance, so a
-        validator minted before a server restart can never confirm a
-        page served after it.
-
-        Capture the validator *before* fetching/rendering the page:
-        a write racing the render then yields a stale validator with
-        fresh content — one spurious revalidation, never a false 304.
-        """
-        with self._mutex:
-            return f"{self._epoch}.{self._evicted_at.get(identifier, 0)}"
 
     # ------------------------------------------------------------------
     # Single-page access.

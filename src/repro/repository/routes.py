@@ -98,14 +98,11 @@ def _has(repository, body, identifier):
 
 
 def _counter(repository, body):
-    # The hot-path subset of /stats: entry_count()/change_counter() sit
-    # on index-staleness and snapshot-stamping paths, change_token() is
-    # what the client's ETag cache revalidates by; /stats would recompute
-    # the full (possibly composite-recursive) cache-stats merge per call.
+    # The cheap subset of /stats, behind the client's entry_count() and
+    # change_counter(): /stats would also merge every cache's counters.
     return 200, {
         "entry_count": repository.entry_count(),
         "change_counter": repository.change_counter(),
-        "change_token": repository.change_token(),
     }
 
 
@@ -163,9 +160,9 @@ ROUTES: dict[str, Route] = {
         Route("has", "GET", "/entries/{identifier}/has", _has),
         # entry count, change counter, every cache counter on the read path
         Route("stats", "GET", "/stats"),
-        # just entry count, change counter and change token
+        # just entry count and change counter
         Route("counter", "GET", "/counter", _counter),
-        # the entry's wikidot page, as text, from the render cache
+        # the entry's wikidot page, as text, with the entry's digest as ETag
         Route("wiki", "GET", "/wiki/{identifier}"),
         # add one {"entry": ...} or bulk-load {"entries": [...]}
         Route("add", "POST", "/entries", _add),

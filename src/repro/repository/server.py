@@ -25,20 +25,22 @@ entry GET, the batch streams, ``/stats`` and ``/wiki`` by a
 
 The wire itself is kept as cheap as the caches behind it:
 
-* **Conditional reads** — ``GET /entries/{id}``, ``GET /wiki/{id}`` and
-  ``GET /stats`` send a weak ``ETag`` and honour ``If-None-Match``: a
-  match answers ``304 Not Modified`` with no body and no codec work on
-  either end.  Entry validators are per entry on every backend: the
-  ETag is a digest of the entry's canonical codec payload (kept on the
-  entry object, see :mod:`repro.repository.codec`), which is also the
-  200 body.  A write to one entry leaves every other entry's ETag
-  valid, and two servers over one store mint the same tag.  The
-  handler asks the backend for ``get_payload`` — ``(payload, digest)``
-  — so a 200 and a 304 cost the same read: over SQLite one row read
-  that serves the stored payload and its stored digest, with no
-  decode; elsewhere one ``get``, whose entry keeps both.  The wiki
-  endpoint uses the render cache's per-identifier validator,
-  ``/stats`` the change token.
+* **Conditional reads** — ``GET /entries/{id}`` and ``GET /wiki/{id}``
+  send a weak ``ETag`` and honour ``If-None-Match``: a match answers
+  ``304 Not Modified`` with no body and no codec work on either end.
+  There is one validator, the entry digest: a digest of the entry's
+  canonical codec payload (kept on the entry object, see
+  :mod:`repro.repository.codec`), which is also the entry's 200 body.
+  A write to one entry leaves every other entry's ETags valid, and two
+  servers over one store mint the same tags.  The entry handler asks
+  the backend for ``get_payload`` — ``(payload, digest)`` — so a 200
+  and a 304 cost the same read: over SQLite one row read that serves
+  the stored payload and its stored digest, with no decode; elsewhere
+  one ``get``, whose entry keeps both.  The wiki handler reads the
+  entry with one ``get`` and renders the page from it on every 200;
+  its ETag adds :data:`PAGE_EPOCH` to the digest, so a page rendered
+  by an older process never revalidates.  ``/stats`` is live counters
+  and sends no ETag.
 * **Compression** — ``Accept-Encoding: gzip`` is negotiated and bodies
   of ``GZIP_MIN_BYTES`` (one Ethernet segment) or more are gzipped:
   a smaller body saves no packet by shrinking, so it skips the CPU;
@@ -115,8 +117,9 @@ from repro.repository.codec import (
     GZIP_MIN_BYTES,
     NDJSON_TYPE,
     encode_entry,
+    entry_digest,
 )
-from repro.repository.render_cache import RenderCache
+from repro.repository.export import render_wikidot
 from repro.repository.resilience import Deadline, deadline_scope
 from repro.repository.routes import ROUTES, Route, field
 from repro.repository.service import RepositoryService
@@ -142,6 +145,12 @@ _DISPATCH: dict[str, list[tuple]] = {
 
 #: Entries per streamed NDJSON page: one get_many call, one chunk.
 STREAM_PAGE_SIZE = 256
+
+#: Minted once per process and part of every wiki ETag: the page is a
+#: function of the entry *and* of this process's renderer, so a page
+#: validated by a process that has since restarted (perhaps on a newer
+#: renderer) never revalidates.
+PAGE_EPOCH = f"{time.time_ns():x}"
 
 #: Seconds between the accept loop's shutdown checks: ``stop()`` waits
 #: at most this long for ``serve_forever`` to notice it (the stdlib
@@ -568,7 +577,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # The server instance carries the repository objects (see
     # RepositoryServer.start): self.server.repository is the
-    # RepositoryAPI facade, self.server.render_cache the wiki cache.
+    # RepositoryAPI facade.
 
     # ------------------------------------------------------------------
     # The request head.
@@ -892,39 +901,29 @@ class _Handler(BaseHTTPRequestHandler):
             "application/json", etag=etag)
 
     def _handle_stats(self, query_string: str = "") -> None:
+        # Live counters, so no ETag: a read moves them as much as a
+        # write does.
         repository = self.server.repository
-        token = repository.change_token()
-        etag = _make_etag(token, "stats") if token is not None else None
-        if etag is not None and self._precondition_hit(etag):
-            self._send_not_modified(etag)
-            return
         self._send_json(
             200,
             {
                 "entry_count": repository.entry_count(),
                 "change_counter": repository.change_counter(),
-                "change_token": token,
                 "cache": repository.cache_stats(),
-                "render_cache": self.server.render_cache.cache_stats(),
                 "server": self.server.metrics.snapshot(),
             },
-            etag=etag,
         )
 
     def _handle_wiki(self, identifier: str, query_string: str = "") -> None:
-        # The render cache's validator is deliberately finer than the
-        # service change token: it moves only when THIS identifier is
-        # written, so wiki ETags survive writes elsewhere in the
-        # corpus.  Validator before render: a write landing in between
-        # leaves a stale validator on a fresh page — one spurious
-        # revalidation later, never a false 304.
-        etag = _make_etag(
-            self.server.render_cache.validator(identifier), identifier)
+        # The ETag and the page come from the same entry, so they can
+        # never disagree, and every server over the store mints the
+        # same tag for it.
+        entry = self.server.repository.get(identifier)
+        etag = _make_etag(PAGE_EPOCH, entry_digest(entry))
         if self._precondition_hit(etag):
             self._send_not_modified(etag)
             return
-        page = self.server.render_cache.wiki_page(identifier)
-        self._send_text(200, page, etag=etag)
+        self._send_text(200, render_wikidot(entry), etag=etag)
 
     def _handle_batch_get(self, query_string: str = "") -> None:
         body = self._read_body()
@@ -1212,9 +1211,9 @@ class RepositoryServer:
     their writes into group commits).
 
     ``port=0`` binds an ephemeral port; read :attr:`port`/:attr:`url`
-    after :meth:`start`.  ``stop()`` tears the listener down and
-    detaches the render cache; the service itself stays open (the
-    caller owns its lifecycle) unless ``close_service=True`` was set.
+    after :meth:`start`.  ``stop()`` tears the listener down; the
+    service itself stays open (the caller owns its lifecycle) unless
+    ``close_service=True`` was set.
     """
 
     def __init__(
@@ -1248,12 +1247,6 @@ class RepositoryServer:
         #: savings) — exposed under "server" in GET /stats, surviving
         #: stop/start cycles like the tracker does.
         self.metrics = _ServerMetrics()
-        #: Wiki pages re-render only when their entry is written: the
-        #: PR-4 event-driven cache serves GET /wiki/{id}.  Created by
-        #: start(), not here — a cache subscribes to the service's
-        #: event stream, and a server that never starts must not leave
-        #: a subscriber (doing per-write eviction work forever) behind.
-        self.render_cache: RenderCache | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -1263,17 +1256,10 @@ class RepositoryServer:
         """Bind and serve on a daemon thread; returns self (chainable)."""
         if self._httpd is not None:
             return self
-        if self.render_cache is None:
-            # First start, or restart after stop(): stop() detaches
-            # its cache from the event stream, so each serving period
-            # gets a fresh, subscribed one — serving a detached cache
-            # would return stale pages forever.
-            self.render_cache = RenderCache(self.service)
         httpd = ThreadingHTTPServer(
             (self.host, self.requested_port), _Handler
         )
         httpd.repository = self.service
-        httpd.render_cache = self.render_cache
         httpd.request_tracker = self._tracker
         httpd.metrics = self.metrics
         httpd.shed_retry_after = self.shed_retry_after
@@ -1290,15 +1276,15 @@ class RepositoryServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, drain in-flight requests, detach the cache.
+        """Stop accepting and drain in-flight requests.
 
         Handler threads are daemons, so ``server_close()`` does not
         join them; the request tracker waits (bounded) until no request
-        is still inside a handler before the render cache — and, with
-        ``close_service=True``, the service — is torn down underneath
-        one.  An *idle* keep-alive connection is not waited for: its
-        next request fails with a connection error, which clients
-        handle as an ordinary peer shutdown.
+        is still inside a handler before, with ``close_service=True``,
+        the service is closed underneath one.  An *idle* keep-alive
+        connection is not waited for: its next request fails with a
+        connection error, which clients handle as an ordinary peer
+        shutdown.
         """
         if self._httpd is None:
             return
@@ -1315,8 +1301,6 @@ class RepositoryServer:
         self._thread = None
         if not self._tracker.wait_idle(timeout=10.0):
             _log.warning("stopping with requests still in flight")
-        self.render_cache.close()
-        self.render_cache = None  # start() builds a fresh, subscribed one
         if self.close_service:
             self.service.close()
 

@@ -16,12 +16,12 @@ facade adds, on top of any
   :class:`~repro.repository.concurrency.ReadWriteLock` lets any number
   of reader threads proceed concurrently (a sharded backend fans their
   requests out further) while each write is exclusive, so backend
-  write, token bump and event dispatch form one atomic step.  The lock
+  write and event dispatch form one atomic step.  The lock
   is writer-preference and writer-reentrant: subscribers called during
   a write may read back through the service.  Point reads (``get``)
   skip it: each backend's own point read is safe against a concurrent
   writer, so they never wait behind a lone write's event dispatch.
-  Batch reads, listings, queries and the change token keep it;
+  Batch reads, listings and queries keep it;
 * **group commit** — concurrent writers coalesce.  Each write joins a
   FIFO of pending writes and takes the write lock; whichever thread
   holds the lock (the *leader*) commits everything queued, up to
@@ -40,7 +40,10 @@ the backend, whose own caches (the SQLite decode memo keyed by the
 stored payload, the file backend's counter-keyed memo) can never serve
 a snapshot the backend itself would not return.  So two services over
 one durable store — in one process or several — always agree, and
-``replace_latest`` through either is visible through both.
+``replace_latest`` through either is visible through both.  Nor does
+it mint a validator: the wire's one validator is the digest an entry
+carries (:func:`~repro.repository.codec.entry_digest`), which every
+service over the same store computes alike.
 
 The service implements the full :class:`StorageBackend` interface
 itself, so everything that accepts a backend accepts a service too —
@@ -50,7 +53,6 @@ including another service, though stacking them buys nothing.
 from __future__ import annotations
 
 import contextvars
-import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -99,7 +101,6 @@ API_METHODS = (
     "add", "add_version", "replace_latest", "add_many",
     # queries
     "query", "execute_query", "query_stats", "change_counter",
-    "change_token",
     # introspection / lifecycle
     "cache_stats", "close",
 )
@@ -158,8 +159,6 @@ class RepositoryAPI(Protocol):
     def query_stats(self, terms: Sequence[str]) -> QueryStats: ...
 
     def change_counter(self) -> int | None: ...
-
-    def change_token(self) -> str | None: ...
 
     def cache_stats(self) -> dict[str, dict[str, int]]: ...
 
@@ -231,12 +230,6 @@ class RepositoryService(StorageBackend):
         self._subscribers_mutex = Mutex()
         self._search_index = None  # lazily built, then kept in sync
         self._search_unsubscribe: Callable[[], None] = _noop
-        #: The in-process half of :meth:`change_token`: a per-instance
-        #: epoch (so tokens from a previous process can never validate
-        #: against this one) plus a write sequence bumped under the
-        #: write lock on every write through the facade.
-        self._token_epoch = f"{time.time_ns():x}"
-        self._write_seq = 0
 
     # ------------------------------------------------------------------
     # Reads (any number may run concurrently).
@@ -266,8 +259,7 @@ class RepositoryService(StorageBackend):
     def get(self, identifier: str,
             version: Version | None = None) -> ExampleEntry:
         # No read lock: the backend's own get is safe against a
-        # concurrent writer, and the backend write lands before the
-        # token bump, so a token read first never labels an older entry.
+        # concurrent writer.
         return self.backend.get(identifier, version)
 
     def get_payload(self, identifier: str,
@@ -432,9 +424,8 @@ class RepositoryService(StorageBackend):
         that write; the caller decides whether the group continues.
         If the block itself escapes with an exception, the backend
         rolls the group back but per-entry event dispatch (index
-        upserts, token bumps) has already happened — so the facade
-        bumps the token once more and drops its search index to
-        restore coherence before re-raising.
+        upserts) has already happened — so the facade drops its search
+        index to restore coherence before re-raising.
 
         Other threads' writes stay queued while the block runs: it
         never commits them, so a block that raises cannot take them
@@ -446,7 +437,6 @@ class RepositoryService(StorageBackend):
                 with self.backend.write_group():
                     yield self
             except Exception:
-                self.invalidate()
                 self.disable_search()
                 raise
         finally:
@@ -470,11 +460,6 @@ class RepositoryService(StorageBackend):
         return unsubscribe
 
     def _after_write(self, kind: str, entry: ExampleEntry) -> None:
-        # The token sequence bumps under the write lock, so a reader can
-        # never observe the new entry under the old token (stale token,
-        # fresh entry is the safe direction: it costs one spurious
-        # revalidation, never a false 304).
-        self._write_seq += 1
         event = RepositoryEvent(kind, entry)
         with self._subscribers_mutex:
             listeners = list(self._subscribers)
@@ -524,24 +509,6 @@ class RepositoryService(StorageBackend):
     def change_counter(self) -> int | None:
         with self._rwlock.read_locked():
             return self.backend.change_counter()
-
-    def change_token(self) -> str:
-        """An opaque validator that changes on every write; never None.
-
-        The wire layer (ETags, the server's encode memo, the client's
-        validation cache) keys on this.  A backend with its own token —
-        a durable counter, or a remote server's validator — wins, so
-        foreign-process writes are visible; otherwise the facade's own
-        epoch + write sequence stands in, which covers every write that
-        can reach an in-process-only backend.  :meth:`invalidate` (the
-        escape hatch for mutating such a backend behind the facade)
-        bumps the sequence too.
-        """
-        with self._rwlock.read_locked():
-            token = self.backend.change_token()
-            if token is not None:
-                return token
-            return f"e{self._token_epoch}.{self._write_seq}"
 
     # ------------------------------------------------------------------
     # Search (incremental; built on the event hooks).
@@ -609,18 +576,6 @@ class RepositoryService(StorageBackend):
         """
         return self.backend.cache_stats()
 
-    def invalidate(self) -> None:
-        """Move the change token after a mutation behind the facade.
-
-        Reads always reach the backend, so nothing is cached here to
-        drop.  Backends with a durable counter already move the token
-        on a foreign write; for one without (an in-process backend
-        mutated directly), this bumps the in-process sequence so
-        validators minted before the mutation stop matching.
-        """
-        self._write_seq += 1
-
     def close(self) -> None:
         """Close the backend."""
         self.backend.close()
-

@@ -6,10 +6,13 @@ read (a 304 served from the client's validation cache), a gzip-compressed
 streamed batch round trip and a second revalidation after that bulk
 write (per-entry validators survive writes elsewhere).  Then a restart
 over the same file, the ``python -m repro.repository.server`` CLI over
-SQLite answering malformed heads and arguments with 400s, and the CLI's
-default memory scheme answering a 304 to an entry revalidated after a
-write to another entry.  The CLI runs in its own process, so this covers
-the packaging surface the in-process tests cannot.
+SQLite answering malformed heads and arguments with 400s and
+revalidating a ``/wiki`` page by its entry's digest (a 304 after a write
+elsewhere, a 200 after a write to the entry and after a CLI restart),
+and the CLI's default memory scheme answering a 304 to an entry
+revalidated after a write to another entry.  The CLI runs in its own
+process, so this covers the packaging surface the in-process tests
+cannot.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import socket
 import subprocess
 import sys
 import urllib.request
+from dataclasses import replace
 
 from repro.repository import (
     HTTPBackend,
@@ -51,6 +55,28 @@ def entry_named(title):
         consistency="They agree.",
         restoration=RestorationSpec(combined="Copy."),
         discussion="CI smoke.", authors=("CI",))
+
+
+def wiki_get(port, etag=None):
+    """``GET /wiki/smoke-example``, conditional on ``etag`` if given:
+    the status, the ETag and the page text."""
+    peer = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        peer.request("GET", "/wiki/smoke-example",
+                     headers={} if etag is None else {"If-None-Match": etag})
+        answer = peer.getresponse()
+        page = answer.read().decode("utf-8")
+    finally:
+        peer.close()
+    return answer.status, answer.headers["ETag"], page
+
+
+def boot_cli(*arguments):
+    """The server CLI in its own process, booted without a warning."""
+    return subprocess.Popen(
+        [sys.executable, "-u", "-W", "error::RuntimeWarning",
+         "-m", "repro.repository.server", *arguments, "--port", "0"],
+        stdout=subprocess.PIPE, text=True)
 
 
 def test_server_smoke(tmp_path, monkeypatch):
@@ -96,7 +122,7 @@ def test_server_smoke(tmp_path, monkeypatch):
     service.close()
 
     # Restart: a fresh service and server over the same file start
-    # cold (index and render cache) and still answer everything.
+    # cold (search index and decode memo) and still answer everything.
     expected = sorted(["smoke-example"]
                       + [e.identifier for e in batch])
     service = RepositoryService(SQLiteBackend("smoke.db"))
@@ -118,11 +144,7 @@ def test_server_smoke(tmp_path, monkeypatch):
     # (no read until EOF), and so is a malformed argument (a
     # version that is not a string); the server keeps serving.
     # The boot itself must not warn.
-    proc = subprocess.Popen(
-        [sys.executable, "-u", "-W", "error::RuntimeWarning",
-         "-m", "repro.repository.server",
-         "--scheme", "sqlite", "--path", "smoke.db", "--port", "0"],
-        stdout=subprocess.PIPE, text=True)
+    proc = boot_cli("--scheme", "sqlite", "--path", "smoke.db")
     try:
         url = proc.stdout.readline().split()[-1]
         port = int(url.rsplit(":", 1)[1])
@@ -156,6 +178,32 @@ def test_server_smoke(tmp_path, monkeypatch):
         peer.close()
         assert (answer.status, detail["type"]) == (400, "TemplateError"), \
             detail
+
+        # /wiki revalidates by the entry's digest: a write to another
+        # entry leaves the page's ETag valid, a write to this entry
+        # moves it and the 200 carries the new text.
+        status, etag, page = wiki_get(port)
+        assert status == 200 and etag.startswith('W/"'), status
+        client = HTTPBackend(url)
+        client.add(entry_named("SMOKE WIKI OTHER"))
+        status, again, _page = wiki_get(port, etag)
+        assert (status, again) == (304, etag), status
+        client.replace_latest(replace(entry, overview="Revised."))
+        client.close()
+        status, etag, page = wiki_get(port, etag)
+        assert status == 200 and "Revised." in page, status
+    finally:
+        proc.terminate()
+        proc.wait(10)
+
+    # A restarted CLI renders in a new process, so the page's ETag from
+    # before the restart is refused even though the entry is unchanged.
+    proc = boot_cli("--scheme", "sqlite", "--path", "smoke.db")
+    try:
+        port = int(proc.stdout.readline().split()[-1].rsplit(":", 1)[1])
+        status, fresh, page = wiki_get(port, etag)
+        assert status == 200 and fresh != etag, status
+        assert "Revised." in page, page
     finally:
         proc.terminate()
         proc.wait(10)
@@ -163,10 +211,7 @@ def test_server_smoke(tmp_path, monkeypatch):
     # The CLI's default scheme (memory) has per-entry validators
     # too: a write to another entry leaves smoke-example's ETag
     # valid, so the resent GET is a 304.
-    proc = subprocess.Popen(
-        [sys.executable, "-u", "-W", "error::RuntimeWarning",
-         "-m", "repro.repository.server", "--port", "0"],
-        stdout=subprocess.PIPE, text=True)
+    proc = boot_cli()
     try:
         url = proc.stdout.readline().split()[-1]
         port = int(url.rsplit(":", 1)[1])
@@ -189,4 +234,5 @@ def test_server_smoke(tmp_path, monkeypatch):
         proc.terminate()
         proc.wait(10)
     print("server smoke OK: write/query/read, 304 revalidation, "
-          "gzip streamed batch, restart, memory-scheme 304")
+          "gzip streamed batch, restart, /wiki revalidation across a CLI "
+          "restart, memory-scheme 304")

@@ -3,7 +3,9 @@ the lazily built index, and the consumers wired through it."""
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 
 import pytest
 
@@ -93,6 +95,53 @@ class TestAst:
 
     def test_tokenize_is_reexported_unchanged(self):
         assert tokenize("The Models of a Tree") == ["models", "tree"]
+
+
+#: Thirty atoms per chain: past ``MAX_QUERY_DEPTH`` if each operator
+#: nested a new node.
+CHAIN_ATOMS = {
+    "or": (operator.or_, Or, [Q.author(f"a{index}") for index in range(30)]),
+    "and": (operator.and_, And,
+            [~Q.author(f"a{index}") for index in range(30)]),
+}
+
+
+class TestOperatorChains:
+    """``a & b & c`` extends one ``And``: a chain built with the
+    operators is the flat node, however long."""
+
+    @pytest.mark.parametrize("op", sorted(CHAIN_ATOMS))
+    def test_a_chain_is_the_flat_node(self, op):
+        combine, node, atoms = CHAIN_ATOMS[op]
+        chained = functools.reduce(combine, atoms)
+        assert chained == node(tuple(atoms))
+        assert plan(chained) == plan(node(tuple(atoms)))
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    @pytest.mark.parametrize("op", sorted(CHAIN_ATOMS))
+    def test_a_chain_answers_like_the_flat_node(self, op, kind, tmp_path):
+        combine, node, atoms = CHAIN_ATOMS[op]
+        backend = (MemoryBackend() if kind == "memory"
+                   else open_durable(kind, tmp_path))
+        service = RepositoryService(backend)
+        service.add_many([minimal_entry(title=f"ENTRY {index}",
+                                        authors=(f"a{index * 20}",))
+                          for index in range(3)])
+        try:
+            chained = service.query(functools.reduce(combine, atoms),
+                                    sort="identifier")
+            flat = service.query(node(tuple(atoms)), sort="identifier")
+        finally:
+            service.close()
+        assert chained == flat
+        # a0 and a20 are among the atoms, a40 is not.
+        assert chained.identifiers == (["entry-0", "entry-1"] if op == "or"
+                                       else ["entry-2"])
+
+    def test_a_nested_operand_stays_a_part(self):
+        inner = Q.author("a") | Q.author("b")
+        query = Q.text("tree") & inner & Q.provisional()
+        assert query == And((Q.text("tree"), inner, Q.provisional()))
 
 
 class TestWireCodec:

@@ -1,5 +1,5 @@
-"""The event-driven render cache: exact invalidation, per-instance
-validators, and byte-identical output through the cached consumers."""
+"""The event-driven render cache: exact invalidation and byte-identical
+output through the cached consumers."""
 
 from __future__ import annotations
 
@@ -64,37 +64,6 @@ class TestRendering:
             render_wiki_pages(service, cache=cache)
         with pytest.raises(StorageError, match="different store"):
             render_repository_markdown(service, cache=cache)
-
-
-class TestValidator:
-    """The per-identifier freshness validator behind wiki ETags."""
-
-    def test_moves_only_with_the_written_identifier(self, service):
-        cache = RenderCache(service)
-        before_0 = cache.validator("entry-0")
-        before_1 = cache.validator("entry-1")
-        service.replace_latest(minimal_entry(title="ENTRY 1",
-                                             overview="Patched."))
-        # Entry 1's validator moved; entry 0's ETag stays revalidatable
-        # while the corpus churns elsewhere.
-        assert cache.validator("entry-1") != before_1
-        assert cache.validator("entry-0") == before_0
-
-    def test_stable_across_reads(self, service):
-        cache = RenderCache(service)
-        first = cache.validator("entry-0")
-        cache.wiki_page("entry-0")
-        assert cache.validator("entry-0") == first
-
-    def test_epoch_pins_the_validator_to_one_cache_instance(self, service):
-        first = RenderCache(service)
-        value = first.validator("entry-0")
-        first.close()
-        second = RenderCache(service)
-        # Same identifier, same (zero) eviction clock — but a validator
-        # minted before a restart must never confirm a page after it.
-        assert second.validator("entry-0") != value
-        second.close()
 
 
 class TestInvalidation:

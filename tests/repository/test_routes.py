@@ -55,7 +55,6 @@ CALLS = {
         plan(Q.text("entry"), sort="identifier")),
     "query_stats": lambda api: api.query_stats(["trees", "entry", "none"]),
     "change_counter": lambda api: api.change_counter(),
-    "change_token": lambda api: api.change_token(),
     "cache_stats": lambda api: api.cache_stats(),
     "close": lambda api: api.close(),
 }

@@ -1,10 +1,10 @@
-"""The HTTP serving layer: routing, wire fidelity, the wiki cache.
+"""The HTTP serving layer: routing, wire fidelity, the wiki endpoint.
 
 The conformance suites (test_backends.py, test_query_conformance.py)
 already hold HTTPBackend-through-RepositoryServer to the storage and
 query contracts; this file covers what only the HTTP layer itself can
-get wrong — routes, status codes, malformed input, the render-cache
-endpoint, concurrent handler threads, and lifecycle.
+get wrong — routes, status codes, malformed input, the wiki
+endpoint and its validator, concurrent handler threads, and lifecycle.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import http.client
 import json
 import logging
 import os
+import re
 import socket
 import sqlite3
 import struct
@@ -44,9 +45,12 @@ from repro.repository.codec import (
     CANONICAL_PREFIX,
     CODEC_VERSION,
     encode_entry,
+    entry_digest,
 )
 from repro.repository.entry import ExampleEntry
+from repro.repository.export import render_wikidot
 from repro.repository.server import (
+    PAGE_EPOCH,
     STREAM_PAGE_SIZE,
     RepositoryServer,
     _Handler,
@@ -212,16 +216,11 @@ class TestRouting:
         server, client = served
         client.add_many(entry_batch(3))
         payload = json.loads(fetch(server.url + "/counter")[2])
-        assert set(payload) == {"entry_count", "change_counter",
-                                "change_token"}
+        assert set(payload) == {"entry_count", "change_counter"}
         assert payload["entry_count"] == 3
         assert payload["change_counter"] is None  # memory backend
-        # ...but the service overlays its epoch+sequence token, so the
-        # wire always has a validator.
-        assert isinstance(payload["change_token"], str)
         assert client.entry_count() == 3
         assert client.change_counter() is None
-        assert client.change_token() == payload["change_token"]
 
     def test_get_with_explicit_version(self, served):
         _server, client = served
@@ -239,10 +238,11 @@ class TestStatsEndpoint:
         client.add_many(entry_batch(3))
         client.get("entry-0")
         payload = json.loads(fetch(server.url + "/stats")[2])
+        assert set(payload) == {"entry_count", "change_counter", "cache",
+                                "server"}
         assert payload["entry_count"] == 3
         assert payload["change_counter"] == 1  # one add_many transaction
         assert "decode_memo" in payload["cache"]
-        assert set(payload["render_cache"]) >= {"hits", "misses"}
 
     def test_client_namespaces_server_caches(self, sqlite_served):
         _server, client = sqlite_served
@@ -262,26 +262,22 @@ class TestWikiEndpoint:
         assert content_type == "text/plain"
         assert body.decode("utf-8").startswith("+ DEMO EXAMPLE")
 
-    def test_pages_come_from_the_render_cache(self, served):
+    def test_a_page_is_the_stored_entry_rendered(self, served):
         server, client = served
         client.add_many(entry_batch(2))
-        for _round in range(3):
-            fetch(server.url + "/wiki/entry-0")
-        stats = server.render_cache.cache_stats()
-        assert stats["misses"] == 1  # rendered once...
-        assert stats["hits"] == 2  # ...then served warm
+        for _round in range(2):
+            body = fetch(server.url + "/wiki/entry-0")[2].decode("utf-8")
+            assert body == render_wikidot(client.get("entry-0"))
 
-    def test_write_evicts_exactly_the_written_page(self, served):
+    def test_a_write_shows_on_the_written_page_only(self, served):
         server, client = served
         client.add_many(entry_batch(2))
         fetch(server.url + "/wiki/entry-0")
-        fetch(server.url + "/wiki/entry-1")
+        untouched = fetch(server.url + "/wiki/entry-1")[2]
         client.replace_latest(minimal_entry(title="ENTRY 0",
                                             overview="Patched."))
         assert "Patched." in fetch(server.url + "/wiki/entry-0")[2].decode()
-        stats = server.render_cache.cache_stats()
-        assert stats["invalidations"] == 1
-        assert stats["misses"] == 3  # entry-0 re-rendered, entry-1 not
+        assert fetch(server.url + "/wiki/entry-1")[2] == untouched
 
     def test_missing_page_is_a_404(self, served):
         server, _client = served
@@ -511,11 +507,10 @@ class TestLifecycle:
         service = RepositoryService(MemoryBackend())
         baseline = len(service._subscribers)
         server = RepositoryServer(service)
-        assert server.render_cache is None
         assert len(service._subscribers) == baseline
         server.stop()  # never started: a safe no-op
-        server.start()
-        assert len(service._subscribers) == baseline + 1
+        server.start()  # a serving server subscribes to nothing either
+        assert len(service._subscribers) == baseline
         server.stop()
         assert len(service._subscribers) == baseline
         service.close()
@@ -528,10 +523,9 @@ class TestLifecycle:
         client.close()
         plain.close()
 
-    def test_restart_resubscribes_the_render_cache(self):
-        """stop() detaches the render cache; a restarted server must
-        build a fresh, subscribed one — not serve stale pages that no
-        longer evict on writes."""
+    def test_a_restarted_server_serves_the_write(self):
+        """A page served before stop() must not come back after a
+        restart once its entry has been written."""
         service = RepositoryService(MemoryBackend())
         server = RepositoryServer(service).start()
         client = HTTPBackend(server.url)
@@ -545,7 +539,7 @@ class TestLifecycle:
         fresh = HTTPBackend(server.url)
         fresh.replace_latest(minimal_entry(overview="Patched."))
         page = fetch(server.url + "/wiki/demo-example")[2].decode()
-        assert "Patched." in page  # the new cache heard the write
+        assert "Patched." in page
         fresh.close()
         server.stop()
         service.close()
@@ -799,7 +793,7 @@ class TestConditionalReads:
         status, after, _b = raw_get(
             server.port, "/wiki/entry-0",
             **{"If-None-Match": before["ETag"]})
-        # Finer than the service token: entry-1's write leaves
+        # The validator is entry-0's digest: entry-1's write leaves
         # entry-0's page revalidatable.
         assert status == 304
         assert after["ETag"] == before["ETag"]
@@ -824,13 +818,21 @@ class TestConditionalReads:
                                  "/entries/demo-example?version=0.1")
         assert latest["ETag"] != pinned["ETag"]
 
-    def test_stats_is_conditional_too(self, served):
-        server, client = served
+    def test_stats_is_never_a_304(self, any_served):
+        """``/stats`` is live counters: reads move them as much as
+        writes do, so no validator can vouch for an earlier body."""
+        server, client = any_served
         client.add(minimal_entry())
         _s, headers, _b = raw_get(server.port, "/stats")
-        status, _h, _b = raw_get(server.port, "/stats",
-                                 **{"If-None-Match": headers["ETag"]})
-        assert status == 304
+        for _read in range(6):
+            raw_get(server.port, "/entries/demo-example")
+        status, _h, body = raw_get(
+            server.port, "/stats",
+            **{"If-None-Match": headers.get("ETag", "*")})
+        assert status == 200
+        requests = json.loads(body)["server"]["requests"]
+        assert requests["GET get_entry"] == 6
+        assert "ETag" not in headers
 
     def test_client_serves_304_hits_from_its_validation_cache(
             self, served):
@@ -869,28 +871,34 @@ class TestServersSharingOneDatabase:
     """Two servers over one SQLite file — two processes serving one
     repository — must both serve an in-place revision at once."""
 
+    @pytest.mark.parametrize("path", ["/entries/demo-example",
+                                      "/wiki/demo-example"],
+                             ids=["entry", "wiki"])
     def test_a_write_through_one_server_is_fresh_through_the_other(
-            self, tmp_path):
+            self, tmp_path, path):
         servers, clients = [], []
         for _side in ("a", "b"):
             service = RepositoryService(SQLiteBackend(tmp_path / "repo.db"))
             servers.append(
                 RepositoryServer(service, close_service=True).start())
             clients.append(HTTPBackend(servers[-1].url))
-        (_server_a, server_b), (client_a, client_b) = servers, clients
+        (server_a, server_b), (client_a, client_b) = servers, clients
         try:
             client_a.add(minimal_entry())
             assert client_b.get("demo-example").overview == "A demo."
-            _s, before, _b = raw_get(server_b.port, "/entries/demo-example")
+            _s, before, _b = raw_get(server_b.port, path)
             client_a.replace_latest(minimal_entry(overview="Revised."))
             # No false 304: the validator B minted before A's write
             # must not revalidate, and the 200 must carry the revision.
             status, after, body = raw_get(
-                server_b.port, "/entries/demo-example",
-                **{"If-None-Match": before["ETag"]})
+                server_b.port, path, **{"If-None-Match": before["ETag"]})
             assert status == 200
             assert after["ETag"] != before["ETag"]
-            assert json.loads(body)["entry"]["overview"] == "Revised."
+            assert "Revised." in body.decode("utf-8")
+            _s, _h, body = raw_get(server_b.port, path)
+            assert "Revised." in body.decode("utf-8")
+            # Both servers mint the one validator the stored entry has.
+            assert raw_get(server_a.port, path)[1]["ETag"] == after["ETag"]
             # B's own client revalidates its cached copy the same way.
             assert client_b.get("demo-example").overview == "Revised."
         finally:
@@ -981,6 +989,84 @@ class TestPerEntryValidators:
         assert body == b'{"entry":' + payload + b"}"
         assert latest["ETag"] == f'W/"{digest}/latest"'
         assert pinned["ETag"] == f'W/"{digest}/0.1"'
+
+    def test_a_wiki_page_is_tagged_with_the_epoch_and_its_entry_digest(
+            self, any_served):
+        server, client = any_served
+        entry = minimal_entry()
+        client.add(entry)
+        payload = encode_entry(entry).encode("utf-8")
+        digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
+        status, headers, body = raw_get(server.port, "/wiki/demo-example")
+        assert status == 200
+        assert headers["ETag"] == f'W/"{PAGE_EPOCH}/{digest}"'
+        assert body.decode("utf-8") == render_wikidot(entry)
+
+    def test_a_wiki_tag_holds_until_its_own_entry_is_written(
+            self, any_served):
+        server, client = any_served
+        client.add_many(entry_batch(2))
+        _s, before, _b = raw_get(server.port, "/wiki/entry-0")
+        client.replace_latest(minimal_entry(title="ENTRY 1",
+                                            overview="Elsewhere."))
+        status, _h, body = raw_get(server.port, "/wiki/entry-0",
+                                   **{"If-None-Match": before["ETag"]})
+        assert (status, body) == (304, b"")
+        client.replace_latest(minimal_entry(title="ENTRY 0",
+                                            overview="Patched."))
+        status, after, body = raw_get(server.port, "/wiki/entry-0",
+                                      **{"If-None-Match": before["ETag"]})
+        assert status == 200
+        assert after["ETag"] != before["ETag"]
+        assert "Patched." in body.decode("utf-8")
+
+    def test_a_wiki_tag_never_labels_another_generation(self, any_served):
+        """The page and its tag come from one read, so while a writer
+        races the readers every 200 carries the tag of the generation
+        it shows: a 304 for that tag can never hide a newer write."""
+        server, client = any_served
+        generations = [minimal_entry(overview=f"Generation {number}.")
+                       for number in range(40)]
+        tag_of = [f'W/"{PAGE_EPOCH}/{entry_digest(entry)}"'
+                  for entry in generations]
+        client.add(generations[0])
+        writer_done = threading.Event()
+        reads: list[tuple[str, str]] = []
+
+        def write() -> None:
+            try:
+                for entry in generations[1:]:
+                    client.replace_latest(entry)
+            finally:
+                writer_done.set()
+
+        def read() -> None:
+            while True:
+                finished = writer_done.is_set()
+                status, headers, body = raw_get(server.port,
+                                                "/wiki/demo-example")
+                assert status == 200
+                shown = int(re.search(r"Generation (\d+)\.",
+                                      body.decode("utf-8")).group(1))
+                reads.append((headers["ETag"], tag_of[shown]))
+                if finished:
+                    return
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        threads.append(threading.Thread(target=write))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(reads) >= 2  # each reader read at least once
+        assert [tag for tag, _expected in reads] == \
+            [expected for _tag, expected in reads]
 
     def test_servers_over_one_database_mint_the_same_etag(self, tmp_path):
         servers = [
@@ -1969,12 +2055,10 @@ class TestObservability:
                 assert status == 500
                 assert len(internal_errors()) == 1
 
-    def test_stats_carries_the_change_token_and_the_backend_caches(
-            self, sqlite_served):
+    def test_stats_carries_the_backend_caches(self, sqlite_served):
         server, client = sqlite_served
         client.add(minimal_entry())
         payload = json.loads(fetch(server.url + "/stats")[2])
-        assert isinstance(payload["change_token"], str)
         assert payload["cache"] == server.service.cache_stats()
 
     def test_unrouted_requests_are_counted(self, served):

@@ -71,50 +71,6 @@ class TestFacadeBasics:
         assert service.versions("demo-example") == [Version(0, 1)]
 
 
-class TestChangeToken:
-    """The wire validator: never None on a service, moves per write."""
-
-    def test_every_backend_has_a_token_through_the_facade(self, service):
-        token = service.change_token()
-        assert isinstance(token, str) and token
-
-    def test_token_moves_on_every_write_kind(self, service):
-        seen = {service.change_token()}
-        service.add(minimal_entry())
-        seen.add(service.change_token())
-        service.add_version(minimal_entry(version=Version(0, 2)))
-        seen.add(service.change_token())
-        service.replace_latest(
-            minimal_entry(version=Version(0, 2), overview="Patched."))
-        seen.add(service.change_token())
-        assert len(seen) == 4  # all distinct
-
-    def test_token_stable_across_reads(self, service):
-        service.add(minimal_entry())
-        token = service.change_token()
-        service.get("demo-example")
-        service.identifiers()
-        assert service.change_token() == token
-
-    def test_durable_counter_wins_when_available(self, service):
-        """Backends with a persisted counter expose it as ``c<n>`` —
-        so a foreign process's writes are visible in the token; the
-        epoch+sequence overlay only covers counterless backends."""
-        service.add(minimal_entry())
-        counter = service.change_counter()
-        token = service.change_token()
-        if counter is not None:
-            assert token == f"c{counter}"
-        else:
-            assert token.startswith("e")
-
-    def test_invalidate_moves_the_overlay_token(self):
-        service = RepositoryService(MemoryBackend())
-        token = service.change_token()
-        service.invalidate()
-        assert service.change_token() != token
-
-
 def memo_counts(service):
     """``(hits, misses)`` of the backend's decode memo; memory has none."""
     memo = service.cache_stats().get("decode_memo")
@@ -923,50 +879,6 @@ class TestLockFreePointReads:
         finally:
             release.set()
             join_all([writer, reader])
-
-    def test_a_fresh_token_never_labels_a_stale_entry(self, service):
-        """Read ``change_token()`` then ``get()``: the entry is at least
-        as new as the token says, so a validator built from the token
-        can never vouch for an older entry (no false 304).  The writer
-        records the token after each generation; a token it never
-        recorded was read mid-write and vouches for nothing."""
-        service.add(minimal_entry(overview="Generation 0."))
-        generation_of = {service.change_token(): 0}
-        generations = 500
-        writer_done = threading.Event()
-        reads: list[tuple[str, int]] = []
-
-        def write() -> None:
-            try:
-                for generation in range(1, generations + 1):
-                    service.replace_latest(minimal_entry(
-                        overview=f"Generation {generation}."))
-                    generation_of[service.change_token()] = generation
-            finally:
-                writer_done.set()
-
-        def read() -> None:
-            while not writer_done.is_set():
-                token = service.change_token()
-                entry = service.get("demo-example")
-                reads.append(
-                    (token, int(entry.overview.split()[1].rstrip("."))))
-
-        threads = [threading.Thread(target=read) for _ in range(2)]
-        threads.append(threading.Thread(target=write))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            join_all(threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(generation_of) == generations + 1  # every token moved
-        violations = [(token, actual) for token, actual in reads
-                      if generation_of.get(token, -1) > actual]
-        assert violations == []
-        assert reads  # the readers ran while the writer did
 
     def test_a_scan_racing_a_group_never_hides_its_writes(self, tmp_path):
         """FileBackend rebuilds its listing cache by scanning the tree.
