@@ -13,7 +13,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     locks,
     responses,
     retries,
-    txn,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "locks",
     "responses",
     "retries",
-    "txn",
 ]

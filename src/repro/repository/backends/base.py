@@ -137,14 +137,16 @@ class StorageBackend(ABC):
     def add_many(self, entries: Iterable[ExampleEntry]) -> int:
         """Store many brand-new entries; returns the count stored.
 
-        Non-atomic by default: entries are added one by one and a
-        failure leaves the earlier ones in place.  Transactional
-        backends (SQLite) override this with all-or-nothing semantics.
+        Non-atomic by default: entries are added one by one, in one
+        :meth:`write_group`, and a failure leaves the earlier ones in
+        place.  Transactional backends (SQLite) override this with
+        all-or-nothing semantics.
         """
         count = 0
-        for entry in entries:
-            self.add(entry)
-            count += 1
+        with self.write_group():
+            for entry in entries:
+                self.add(entry)
+                count += 1
         return count
 
     @contextmanager

@@ -27,6 +27,11 @@ change counter (``<root>/change-counter``), which bumps on every write
   version, counter)``, so a snapshot is parsed at most once between
   writes; writes prime it with the entry object they just encoded.
 
+Every write commits through :meth:`FileBackend.write_group`: a write
+outside any group is a group of one.  A group bumps the counter once
+before its first rename and once after its last, so one write and a
+group of many both cost two counter-file writes.
+
 Threads: reads share a readers-writer lock that a write, or a whole
 write group, holds alone, so no read sees a write half done.  Writers
 must still be serialised (``add`` is check-then-act), as the facade is.
@@ -196,17 +201,28 @@ class FileBackend(StorageBackend):
     def write_group(self) -> Iterator["FileBackend"]:
         """Group commit: two counter-file writes for the whole group.
 
-        A standalone write costs two counter-file updates (the
-        crash-safe bump-write-bump sequence below); a group pays that
-        price once for all its writes — the leading bump opens the
-        crash window for the whole group, each write inside is just
-        temp-write + rename, and the trailing bump publishes
-        everything as one logical change.  A write that fails
-        mid-group raises at that write and affects only itself; the
-        trailing bump still lands (in ``finally``), so whatever *did*
-        rename in is published coherently and every cache keyed by the
-        counter revalidates.  Re-entering on the owning thread joins
-        the open group.
+        The one commit path: every write runs inside it, so a write
+        outside any group is a group of one.  The counter bumps on
+        *both* sides of the group's renames.  Before: a crash between
+        the bump and a rename leaves an advanced counter and no new
+        content, so the counter-keyed memos merely miss once — the
+        opposite order would leave new content under an old counter,
+        and a memo entry keyed on it would serve stale bytes as fresh.
+        After: a reader through another FileBackend over this root,
+        racing a rename, can have read the first-bumped counter and
+        then the *pre-rename* state — old bytes on a replace_latest, or
+        the entry's absence on an add — and cached it under that
+        counter; the second bump orphans it.
+
+        Each write inside is just temp-write + rename, and the trailing
+        bump publishes them all as one logical change.  A write that
+        fails mid-group raises at that write and affects only itself;
+        the trailing bump still lands (in ``finally``), so whatever
+        *did* rename in is published coherently and every cache keyed
+        by the counter revalidates.  A group in which nothing renamed
+        in changed no content and skips the trailing bump, which is the
+        state a crash before the first rename leaves.  Re-entering on
+        the owning thread joins the open group.
         """
         if self._group_owner == threading.get_ident():
             yield self
@@ -226,18 +242,19 @@ class FileBackend(StorageBackend):
             finally:
                 entries, self._group_entries = self._group_entries, []
                 self._group_owner = None
-                counter = previous + 2
-                self._bump_counter(counter)
-                if self._listing_map is not None and (
-                    self._listing_counter == previous + 1
-                ):
-                    # _write maintained the map per entry; re-stamp it.
-                    self._listing_counter = counter
-                else:
-                    self._listing_map = None
-                for entry in entries:
-                    key = (entry.identifier, str(entry.version), counter)
-                    self._memo.put(key, entry)
+                if entries:  # appended right after each rename
+                    counter = previous + 2
+                    self._bump_counter(counter)
+                    if self._listing_map is not None and (
+                        self._listing_counter == previous + 1
+                    ):
+                        # _write maintained the map per entry; re-stamp it.
+                        self._listing_counter = counter
+                    else:
+                        self._listing_map = None
+                    for entry in entries:
+                        key = (entry.identifier, str(entry.version), counter)
+                        self._memo.put(key, entry)
 
     def add(self, entry: ExampleEntry) -> None:
         if self.has(entry.identifier):
@@ -299,23 +316,15 @@ class FileBackend(StorageBackend):
     # ------------------------------------------------------------------
 
     def _write(self, entry: ExampleEntry) -> None:
-        if self._group_owner == threading.get_ident():
-            self._write_in_group(entry)
-            return
-        with self._rwlock.write_locked():
-            # The counter bumps on *both* sides of the snapshot rename.
-            # Before: a crash between bump and rename leaves an advanced
-            # counter and no new content, so the counter-keyed memos
-            # merely miss once — the opposite order would leave new
-            # content under an old counter, and a memo entry keyed on it
-            # would serve stale bytes as fresh.  After:
-            # a reader through another FileBackend over this root, racing
-            # the rename, can have read the first-bumped counter and then
-            # the *pre-rename* state — old bytes on a replace_latest, or
-            # the entry's absence on an add — and cached it under that
-            # counter; the second bump orphans it.
-            previous = self.change_counter()
-            self._bump_counter(previous + 1)
+        """One write in the open group (a group of one if none is open).
+
+        Rename only, no counter I/O: the group's leading bump already
+        opened the crash window (advanced counter, content trailing).
+        The listing cache and decode memo are maintained at the group's
+        working counter so in-group reads (duplicate and version
+        checks) stay coherent without a rescan.
+        """
+        with self.write_group():
             path = self._version_path(entry.identifier, entry.version)
             temp = path.with_suffix(".json.tmp")
             temp.write_text(encode_entry(entry) + "\n", encoding="utf-8")
@@ -325,45 +334,17 @@ class FileBackend(StorageBackend):
                 # which every read path ignores.
                 self.fault_hook("pre-rename")
             temp.replace(path)
-            counter = previous + 2
-            self._bump_counter(counter)
-            # Keep the listing cache coherent without a rescan (only when
-            # the cache was current up to this very write).
-            if self._listing_map is not None and self._listing_counter == previous:
+            self._group_entries.append(entry)
+            working = self._group_base + 1
+            if self._listing_map is not None and self._listing_counter == working:
                 stored = self._listing_map.setdefault(entry.identifier, [])
                 if entry.version not in stored:
                     bisect.insort(stored, entry.version)
-                self._listing_counter = counter
             else:
                 self._listing_map = None
             # The bytes just written came from this very object: prime the
             # memo so the next read skips the decode entirely.
-            self._memo.put((entry.identifier, str(entry.version), counter), entry)
-
-    def _write_in_group(self, entry: ExampleEntry) -> None:
-        """One write inside an open group: rename only, no counter I/O.
-
-        The group's leading bump already opened the crash window
-        (advanced counter, content trailing), so the per-write bumps
-        are skipped; the listing cache and decode memo are maintained
-        at the group's working counter so in-group reads (duplicate
-        and version checks) stay coherent without a rescan.
-        """
-        path = self._version_path(entry.identifier, entry.version)
-        temp = path.with_suffix(".json.tmp")
-        temp.write_text(encode_entry(entry) + "\n", encoding="utf-8")
-        if self.fault_hook is not None:
-            self.fault_hook("pre-rename")
-        temp.replace(path)
-        working = self._group_base + 1
-        if self._listing_map is not None and self._listing_counter == working:
-            stored = self._listing_map.setdefault(entry.identifier, [])
-            if entry.version not in stored:
-                bisect.insort(stored, entry.version)
-        else:
-            self._listing_map = None
-        self._memo.put((entry.identifier, str(entry.version), working), entry)
-        self._group_entries.append(entry)
+            self._memo.put((entry.identifier, str(entry.version), working), entry)
 
     def _bump_counter(self, counter: int) -> None:
         # Atomic per write (temp + rename), like the snapshots.

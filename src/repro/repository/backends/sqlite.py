@@ -10,6 +10,11 @@ whole bulk load in one transaction instead of one rename per snapshot.
 tests and benchmarks; any path gives a durable single-file store in WAL
 mode.
 
+Every write commits through :meth:`SQLiteBackend.write_group`: a write
+outside any group is a group of one (one transaction, one counter
+bump), and a write inside an open group on the same thread joins that
+group's transaction.
+
 Each snapshot row keeps its canonical codec ``payload`` and, written
 by the same statement, that payload's ``digest``
 (:func:`~repro.repository.codec.entry_digest`, the HTTP entry
@@ -603,32 +608,18 @@ class SQLiteBackend(StorageBackend):
         return latest
 
     # ------------------------------------------------------------------
-    # Writes (serialised; each is one transaction, unless an open
-    # write group on the same thread absorbs it — see write_group()).
+    # Writes (serialised).  Every write commits through write_group():
+    # a standalone write is a group of one, and a write inside an open
+    # group on the same thread joins it.
     # ------------------------------------------------------------------
-
-    @contextmanager
-    def _write_txn(self) -> Iterator[None]:
-        """One write's transactional context: standalone or grouped.
-
-        Standalone: take the writer lock, run the body in its own
-        transaction and bump the counter once.  Inside an open group
-        owned by the calling thread: just run the body — the group
-        already holds the lock and the open transaction, and it bumps
-        the counter once, at commit.
-        """
-        if self._in_own_group():
-            yield
-            return
-        with self._lock, self._conn:
-            yield
-            self._bump_counter()
 
     @contextmanager
     def write_group(self) -> Iterator["SQLiteBackend"]:
         """Group commit: every write in the block shares one transaction.
 
-        The group takes the writer lock once, stages each write's
+        The one commit path: each write method runs inside it, so a
+        write outside any group is a group of one.  The group takes the
+        writer lock once, stages each write's
         inserts and dirty marks in a single transaction and bumps the
         change counter once at exit.  A write that fails
         mid-group (duplicate identifier, non-increasing version) raises
@@ -652,14 +643,14 @@ class SQLiteBackend(StorageBackend):
                 self._group_owner = None
 
     def add(self, entry: ExampleEntry) -> None:
-        with self._write_txn():
+        with self.write_group():
             if self._has(self._conn, entry.identifier):
                 raise DuplicateEntry(entry.identifier)
             self._insert(entry)
             self._mark_dirty([entry.identifier])
 
     def add_version(self, entry: ExampleEntry) -> None:
-        with self._write_txn():
+        with self.write_group():
             latest = self._latest_row(entry.identifier)
             if latest is None:
                 raise EntryNotFound(entry.identifier)
@@ -672,7 +663,7 @@ class SQLiteBackend(StorageBackend):
             self._mark_dirty([entry.identifier])
 
     def replace_latest(self, entry: ExampleEntry) -> None:
-        with self._write_txn():
+        with self.write_group():
             latest = self._latest_row(entry.identifier)
             if latest is None:
                 raise EntryNotFound(entry.identifier)
@@ -706,7 +697,7 @@ class SQLiteBackend(StorageBackend):
         group).
         """
         batch = list(entries)
-        with self._write_txn():
+        with self.write_group():
             seen: set[str] = set()
             for entry in batch:
                 if entry.identifier in seen:

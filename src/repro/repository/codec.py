@@ -253,8 +253,8 @@ class DecodeMemo(_KeyedLRU):
       bumps the counter and orphans every older key; orphans age out
       through the LRU bound.  A write must leave its final counter
       value unseen by any reader who could still fetch the pre-write
-      bytes, which is why ``FileBackend._write`` bumps once more after
-      the content rename.
+      bytes, which is why ``FileBackend.write_group`` bumps once more
+      after the content renames.
 
     Backends prime the memo on their own writes with the entry object
     they just encoded, so bytes this process produced are never parsed.

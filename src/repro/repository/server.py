@@ -57,8 +57,9 @@ The wire itself is kept as cheap as the caches behind it:
   bulk read never materialises the whole corpus as one JSON body on
   either end, and an entry object already encoded (or decoded from
   stored bytes) streams its payload as is — no ``to_dict``, no
-  ``dumps``.  Without the Accept header the endpoints answer the PR-5
-  buffered JSON bodies unchanged.
+  ``dumps``.  Without the Accept header the endpoints answer one
+  buffered JSON body; the batch get splices the same kept payloads
+  into its ``{"entries": [...]}``.
 * **One pass per answer** — every answer but the stdlib's
   ``send_error`` to a refused head leaves through
   :meth:`_Handler._send_message`: the status line and the fields are
@@ -931,10 +932,13 @@ class _Handler(BaseHTTPRequestHandler):
         if self._wants_ndjson():
             self._stream_ndjson(self._entry_pages(requests))
             return
-        entries = self.server.repository.get_many(requests)
-        self._send_json(
-            200, {"entries": [entry.to_dict() for entry in entries]}
-        )
+        # Each entry's kept payload, spliced in as is: no to_dict, no
+        # json.dumps of the whole batch.
+        payloads = [encode_entry(entry)
+                    for entry in self.server.repository.get_many(requests)]
+        self._send_bytes(
+            200, ('{"entries":[' + ",".join(payloads) + "]}").encode("utf-8"),
+            "application/json")
 
     def _handle_batch_versions(self, query_string: str = "") -> None:
         body = self._read_body()

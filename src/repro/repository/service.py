@@ -40,10 +40,13 @@ the backend, whose own caches (the SQLite decode memo keyed by the
 stored payload, the file backend's counter-keyed memo) can never serve
 a snapshot the backend itself would not return.  So two services over
 one durable store — in one process or several — always agree, and
-``replace_latest`` through either is visible through both.  Nor does
-it mint a validator: the wire's one validator is the digest an entry
-carries (:func:`~repro.repository.codec.entry_digest`), which every
-service over the same store computes alike.
+``replace_latest`` through either is visible through both.  Queries
+agree too: a native backend answers them itself, and the search index
+that answers them over any other backend records the backend's change
+counter and is rebuilt once another service's write has moved it.
+Nor does the facade mint a validator: the wire's one validator is the
+digest an entry carries (:func:`~repro.repository.codec.entry_digest`),
+which every service over the same store computes alike.
 
 The service implements the full :class:`StorageBackend` interface
 itself, so everything that accepts a backend accepts a service too —
@@ -230,6 +233,10 @@ class RepositoryService(StorageBackend):
         self._subscribers_mutex = Mutex()
         self._search_index = None  # lazily built, then kept in sync
         self._search_unsubscribe: Callable[[], None] = _noop
+        #: The backend's change counter the index is known to reflect;
+        #: None while there is no index, or when the backend has no
+        #: counter or answers queries natively (nothing to track).
+        self._index_counter: int | None = None
 
     # ------------------------------------------------------------------
     # Reads (any number may run concurrently).
@@ -347,8 +354,14 @@ class RepositoryService(StorageBackend):
     def _commit_group(self) -> None:
         """Leader, under the write lock: commit the head of the queue.
 
-        A lone write commits on its own; several share one backend
-        :meth:`~StorageBackend.write_group`.  A write that fails
+        Several writes share one backend
+        :meth:`~StorageBackend.write_group`.  A lone write skips it and
+        calls the backend write, which is its own group of one in the
+        durable backends, so its events fire after the backend has
+        committed it.  Inside the backend's group they would fire with
+        the backend's lock held: a subscriber parked in an event would
+        hold up every point read, and it would see a write not yet
+        committed.  A write that fails
         (duplicate identifier, non-increasing version) fails alone and
         its groupmates still commit.  If the group itself fails, every
         write in it that had not failed on its own gets the group's
@@ -359,7 +372,8 @@ class RepositoryService(StorageBackend):
             ops = [self._pending.popleft() for _ in range(count)]
         try:
             if len(ops) == 1:
-                self._run(ops[0])
+                with self._index_follows_commit():
+                    self._run(ops[0])
             else:
                 with self.write_group():
                     for op in ops:
@@ -434,7 +448,7 @@ class RepositoryService(StorageBackend):
         self._rwlock.acquire_write()
         try:
             try:
-                with self.backend.write_group():
+                with self._index_follows_commit(), self.backend.write_group():
                     yield self
             except Exception:
                 self.disable_search()
@@ -482,7 +496,8 @@ class RepositoryService(StorageBackend):
 
         Pushes the plan down when the backend can execute it natively;
         otherwise evaluates it over the (lazily enabled, incrementally
-        maintained) search index, under the read lock — index mutation
+        maintained, rebuilt after a foreign write) search index, under
+        the read lock — index mutation
         happens only in event subscribers, which run under the write
         lock, so readers can never observe a half-applied upsert.
         """
@@ -531,9 +546,14 @@ class RepositoryService(StorageBackend):
         """
         with self._rwlock.write_locked():
             if self._search_index is None:
+                # Read before the build: a write by another service
+                # during it leaves the index stale, never wrongly fresh.
+                counter = (None if self.backend.supports_native_query
+                           else self.backend.change_counter())
                 index = SearchIndex()
                 self._search_unsubscribe = index.sync_with(self)
                 self._search_index = index
+                self._index_counter = counter
             return self._search_index
 
     def disable_search(self) -> None:
@@ -542,6 +562,7 @@ class RepositoryService(StorageBackend):
             if self._search_index is not None:
                 self._search_unsubscribe()
                 self._search_index = None
+                self._index_counter = None
 
     @property
     def search_index(self):
@@ -549,12 +570,45 @@ class RepositoryService(StorageBackend):
         return self._search_index
 
     def _ensure_index(self):
-        """The live index, lazily enabling it on first use."""
+        """The live index, lazily enabling it on first use.
+
+        Over a backend with a change counter, the index is rebuilt when
+        the counter has moved past the last value this service saw: a
+        write by another service over the same store raised no event
+        here.  A thread inside a commit unit trusts the index, which
+        this service's own events keep current.
+        """
         with self._rwlock.read_locked():
-            index = self._search_index
-        if index is not None:
+            index, seen = self._search_index, self._index_counter
+        if index is None:
+            return self.enable_search()
+        if (seen is None or self._rwlock.owns_write()
+                or self.backend.change_counter() == seen):
             return index
-        return self.enable_search()
+        with self._rwlock.write_locked():
+            if self._index_counter == seen:  # no other reader rebuilt it
+                self.disable_search()
+            return self.enable_search()
+
+    @contextmanager
+    def _index_follows_commit(self):
+        """Carry the index's counter across one commit of this service.
+
+        The commit's events keep the index current, so afterwards it
+        reflects the new counter, but only if the counter had not
+        already moved before the commit: another service's write left
+        the index stale, and the next query rebuilds it.
+        """
+        seen = self._index_counter
+        if seen is None:
+            yield
+            return
+        before = self.backend.change_counter()
+        try:
+            yield
+        finally:
+            if before == seen and self._index_counter == seen:
+                self._index_counter = self.backend.change_counter()
 
     # The deprecated ``search()`` shim is gone: ``query()`` (with the
     # same lazy index enablement) is the one retrieval surface.  The

@@ -52,7 +52,7 @@ class TestFindings:
         assert finding(path="src/y.py").fingerprint != base
         assert finding(source="other = 1").fingerprint != base
 
-    def test_registry_has_the_seven_shipped_rules(self):
+    def test_registry_has_the_six_shipped_rules(self):
         names = {rule.name for rule in all_rules()}
         assert names >= {
             "lock-discipline",
@@ -61,7 +61,6 @@ class TestFindings:
             "response-once",
             "harness-determinism",
             "retry-discipline",
-            "txn-discipline",
         }
 
     def test_syntax_errors_become_findings(self, tmp_path):

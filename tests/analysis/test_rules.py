@@ -432,101 +432,6 @@ class TestRetryDiscipline:
         assert findings == []
 
 
-class TestTxnDiscipline:
-    BASE = (
-        "class StorageBackend:\n"
-        "    def write_group(self):\n"
-        "        yield self\n"
-    )
-    SQLITE = (
-        "class SQLiteBackend:\n"
-        "    def write_group(self):\n"
-        "        yield self\n"
-    )
-
-    def test_fires_exactly_once_when_a_durable_layer_lags(self, tmp_path):
-        findings = scan(
-            tmp_path,
-            {
-                "backends/base.py": self.BASE,
-                "backends/sqlite.py": self.SQLITE,
-                "backends/file.py": (
-                    "class FileBackend:\n"
-                    "    def add(self, entry):\n"
-                    "        pass\n"
-                ),
-            },
-            "txn-discipline",
-        )
-        assert len(findings) == 1
-        assert findings[0].path.endswith("backends/file.py")
-        assert findings[0].line == 1
-        assert "lockstep" in findings[0].message
-
-    def test_fires_on_group_api_missing_from_base(self, tmp_path):
-        findings = scan(
-            tmp_path,
-            {
-                "backends/base.py": (
-                    "class StorageBackend:\n"
-                    "    def add(self, entry):\n"
-                    "        pass\n"
-                ),
-                "backends/shiny.py": (
-                    "class ShinyBackend:\n"
-                    "    def begin_group(self):\n"
-                    "        pass\n"
-                    "    def commit_group(self):\n"
-                    "        pass\n"
-                ),
-            },
-            "txn-discipline",
-        )
-        assert [f.line for f in findings] == [2, 4]
-        assert all("base.py" in f.message for f in findings)
-
-    def test_quiet_when_all_layers_share_the_seam(self, tmp_path):
-        findings = scan(
-            tmp_path,
-            {
-                "backends/base.py": self.BASE,
-                "backends/sqlite.py": self.SQLITE,
-                "backends/file.py": (
-                    "class FileBackend:\n"
-                    "    def write_group(self):\n"
-                    "        yield self\n"
-                ),
-            },
-            "txn-discipline",
-        )
-        assert findings == []
-
-    def test_quiet_on_partial_trees_and_outside_backends(self, tmp_path):
-        findings = scan(
-            tmp_path,
-            {
-                # Only one durable layer under scan: no parity to check,
-                # and its write_group matches the base declaration.
-                "backends/base.py": self.BASE,
-                "backends/sqlite.py": self.SQLITE,
-                # write_group outside backends/ is not this rule's
-                # business (the service facade holds one too).
-                "service.py": (
-                    "class RepositoryService:\n"
-                    "    def write_group(self):\n"
-                    "        yield self\n"
-                ),
-            },
-            "txn-discipline",
-        )
-        assert findings == []
-
-    def test_real_tree_is_clean(self):
-        project = load_project([REPO_SRC])
-        findings = run_rules(project, [get_rule("txn-discipline")])
-        assert findings == []
-
-
 # ----------------------------------------------------------------------
 # Response once: a send from an except block needs the started-guard.
 # ----------------------------------------------------------------------

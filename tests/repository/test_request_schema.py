@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro.core import errors
 from repro.core.errors import BxError, StorageError
 from repro.repository.backends import MemoryBackend, SQLiteBackend
+from repro.repository.codec import encode_entry
 from repro.repository.entry import ExampleEntry
 from repro.repository.query import (
     MAX_QUERY_DEPTH,
@@ -134,8 +135,9 @@ def in_process(service: RepositoryService, route: str, body: dict):
         if serve is not None:
             status, payload = serve(service, body)
         elif route == "batch_get":
+            # The buffered body splices each entry's codec payload.
             entries = service.get_many(_Handler._parse_get_requests(body))
-            status, payload = 200, {"entries": [entry.to_dict()
+            status, payload = 200, {"entries": [json.loads(encode_entry(entry))
                                                 for entry in entries]}
         else:
             listing = service.versions_many(body["identifiers"])

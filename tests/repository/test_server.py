@@ -1643,6 +1643,27 @@ class TestStreamingBatches:
         assert calls == []
         assert client.wire_cache_stats()["line_memo"]["hits"] == 8
 
+    def test_a_warm_buffered_batch_does_no_encode_work(
+            self, served, monkeypatch):
+        """Without the NDJSON Accept header the batch body splices each
+        entry's kept payload: no ``to_dict`` on either end."""
+        server, client = served
+        client.add_many(entry_batch(8))
+        requests = [f"entry-{index}" for index in range(8)]
+        buffered = HTTPBackend(server.url, stream_batches=False)
+        first = buffered.get_many(requests)
+        calls = []
+        to_dict = ExampleEntry.to_dict
+        monkeypatch.setattr(
+            ExampleEntry, "to_dict",
+            lambda entry: calls.append(entry) or to_dict(entry))
+        assert buffered.get_many(requests) == first
+        assert [entry.title for entry in first] == [
+            f"ENTRY {index}" for index in range(8)]
+        assert calls == []
+        assert server.metrics.snapshot()["stream"]["responses"] == 0
+        buffered.close()
+
     def test_a_stream_after_a_write_carries_the_new_entry(self, served):
         _server, client = served
         client.add_many(entry_batch(2))

@@ -184,14 +184,11 @@ class TestBatching:
         results = service.get_many(["entry-0", "entry-1", "entry-2"])
         assert results == entry_batch(3)
         after = memo_counts(service)
-        if isinstance(service.backend, SQLiteBackend):
-            # Keyed on the stored payload: a later write never orphans
-            # an earlier prime, so this is all hits.
+        if after is not None:
+            # All hits.  SQLite keys the memo on the stored payload; the
+            # file backend stores the batch as one write group and primes
+            # every entry at the counter the group committed at.
             assert after == (before[0] + 3, before[1])
-        elif after is not None:
-            # Keyed on the change counter: only the last add's prime is
-            # at the current counter; the file backend adds one by one.
-            assert after == (before[0] + 1, before[1] + 2)
 
     def test_get_many_mixed_cache_states(self, service):
         service.add_many(entry_batch(3))
@@ -521,16 +518,25 @@ class TestGroupCommit:
     def test_a_failed_group_commit_fails_every_write_it_took_down(
             self, tmp_path):
         class FailingCommit(SQLiteBackend):
+            armed = False
+
             @contextmanager
             def write_group(self):
+                # Every backend write opens a group; only the outermost
+                # group armed for the test fails, and the writes that
+                # join it commit nothing of their own.
+                failing = self.armed and not self._in_own_group()
                 with super().write_group():
                     yield self
-                    raise sqlite3.OperationalError("disk I/O error")
+                    if failing:
+                        raise sqlite3.OperationalError("disk I/O error")
 
-        service = RepositoryService(FailingCommit(tmp_path / "repo.db"))
+        backend = FailingCommit(tmp_path / "repo.db")
+        service = RepositoryService(backend)
         service.add(minimal_entry(title="TAKEN"))
         release, leader = hold_write_lock(
             service, minimal_entry(title="FIRST"))
+        backend.armed = True  # FIRST is committed; fail the next group
         threads, outcomes = queue_writes(service, [
             lambda: service.add(minimal_entry(title="LOST")),
             lambda: service.add(minimal_entry(title="TAKEN")),
@@ -955,6 +961,55 @@ class TestIncrementalSearch:
         service.replace_latest(minimal_entry(overview="Quixotic rewrite."))
         assert service.query("quixotic").hits
         assert not service.query("ephemeral").hits  # the old text is gone
+
+    @pytest.mark.parametrize("kind", ["file", "sqlite"])
+    def test_a_second_service_over_the_same_store_finds_its_writes(
+            self, kind, tmp_path):
+        """The index answering one service's queries rebuilds after a
+        write through another service over the same store, including
+        when this service has written since."""
+        def open_backend():
+            if kind == "file":
+                return FileBackend(tmp_path / "repo")
+            return SQLiteBackend(tmp_path / "repo.db")
+
+        reader, writer = (RepositoryService(open_backend()),
+                          RepositoryService(open_backend()))
+        reader.add(minimal_entry(overview="Original ephemeral text."))
+        assert reader.query("ephemeral").identifiers == ["demo-example"]
+        writer.replace_latest(minimal_entry(overview="A zebra."))
+        assert reader.query("zebra").identifiers == ["demo-example"]
+        assert reader.query("ephemeral").identifiers == []
+        writer.add(minimal_entry(title="OTHER", overview="Another zebra."))
+        reader.add(minimal_entry(title="THIRD", overview="No stripes."))
+        assert reader.query("zebra").identifiers == ["demo-example", "other"]
+        writer.close()
+        reader.close()
+
+    def test_own_writes_keep_the_index(self, tmp_path):
+        """Over a file root, this service's own commits move the stamp
+        with the counter: a lone write, a queued group and an explicit
+        write_group all leave the same index in place."""
+        service = RepositoryService(FileBackend(tmp_path / "repo"))
+        service.add(minimal_entry())
+        index = service.enable_search()
+        service.add(minimal_entry(title="LONE", overview="Solitary."))
+        with service.write_group():
+            service.add(minimal_entry(title="GROUPED", overview="Herded."))
+        release, leader = hold_write_lock(
+            service, minimal_entry(title="FIRST"))
+        threads, outcomes = queue_writes(service, [
+            lambda: service.add(minimal_entry(title="QUEUED 0")),
+            lambda: service.add(minimal_entry(title="QUEUED 1")),
+        ])
+        release.set()
+        join_all(threads + [leader])
+        assert [outcome[0] for outcome in outcomes] == ["ok", "ok"]
+        assert service.query("solitary").identifiers == ["lone"]
+        assert service.query("herded").identifiers == ["grouped"]
+        assert len(service.query("queued").identifiers) == 2
+        assert service.search_index is index
+        service.close()
 
     def test_disable_search_detaches(self, service):
         service.add(minimal_entry())
