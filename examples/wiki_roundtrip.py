@@ -9,8 +9,8 @@ Simulates the situation the paper describes: the repository keeps a
 structured local copy (JSON in a FileBackend) while the public face is a
 wikidot page.  A community member edits the *page*; the wiki-sync lens
 puts the edit back into the structured copy — and restores a section the
-careless editor deleted.  Collection-scale rendering goes through the
-event-driven render cache: after the edit, exactly one page re-renders.
+careless editor deleted.  Rendering the whole collection before and
+after the edit shows exactly one page changed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import tempfile
 
 from repro.catalogue import populate_store
 from repro.repository.backends import FileBackend
-from repro.repository.render_cache import RenderCache
 from repro.repository.service import RepositoryService
 from repro.repository.wiki_sync import (
     WikiSyncLens,
@@ -35,11 +34,9 @@ def main() -> None:
         populate_store(store)
         lens = WikiSyncLens()
 
-        # The whole collection rendered once, through the render cache
-        # (later calls re-render only what was written in between).
-        cache = RenderCache(store)
-        pages = render_wiki_pages(store, cache=cache)
-        print(f"rendered {len(pages)} wiki pages (cold)")
+        # The whole collection rendered once, before any edit.
+        pages = render_wiki_pages(store)
+        print(f"rendered {len(pages)} wiki pages")
 
         # The local structured copy and its rendered wiki page.
         entry = normalise_entry(store.get("roman-numerals"))
@@ -68,14 +65,12 @@ def main() -> None:
         print("stored overview now:",
               store.get("roman-numerals").overview)
 
-        # The replace_latest event evicted exactly the edited entry:
-        # a warm collection render re-renders one page, serves the rest.
-        before = cache.cache_stats()
-        pages = render_wiki_pages(store, cache=cache)
-        after = cache.cache_stats()
-        print(f"\nwarm re-render: {after['misses'] - before['misses']} "
-              f"page(s) re-rendered, "
-              f"{after['hits'] - before['hits']} served from cache")
+        # Rendering the collection again: only the edited page differs.
+        after = render_wiki_pages(store)
+        changed = [identifier for identifier, text in after.items()
+                   if pages.get(identifier) != text]
+        print(f"\nre-render: {len(changed)} of {len(after)} page(s) "
+              f"changed: {changed}")
 
         # Round-trip sanity over the whole repository, selected through
         # the unified query API (one ranked/sorted result instead of an

@@ -6,10 +6,10 @@ Two invariants from the concurrency layer:
   ``concurrency.py`` only (everything else uses ``concurrency.Mutex``
   or ``ReadWriteLock``), so there is exactly one module to audit when
   reasoning about lock ordering;
-* in ``render_cache.py``/``service.py``, a plain mutex (``with
-  self._mutex:``-style bare attribute) is never held across a
-  ``self.service.*``/``self.backend.*`` call — the PR-4 eviction-race
-  invariant ("capture the clock under the lock, call outside").
+* in ``service.py``, a plain mutex (``with self._mutex:``-style bare
+  attribute) is never held across a ``self.service.*``/``self.backend.*``
+  call — the PR-4 eviction-race invariant ("capture state under the
+  lock, call outside").
   ``ReadWriteLock``'s ``read_locked()``/``write_locked()`` context
   managers are *calls*, not bare attributes, and are deliberately not
   matched: the service design does hold the RW lock across backend
@@ -31,7 +31,7 @@ from repro.analysis.engine import (
 
 _LOCK_CONSTRUCTORS = frozenset({"threading.Lock", "threading.RLock"})
 _LOCK_NAMES = frozenset({"Lock", "RLock"})
-_GUARDED_FILES = frozenset({"render_cache.py", "service.py"})
+_GUARDED_FILES = frozenset({"service.py"})
 _SERVICE_ROOTS = ("self.service.", "self.backend.", "self._service.", "self._backend.")
 
 Found = Iterator[tuple[ParsedFile, int, str]]
@@ -40,7 +40,7 @@ Found = Iterator[tuple[ParsedFile, int, str]]
 @rule("lock-discipline")
 def check(project: Project) -> Found:
     """threading locks live in concurrency.py; mutexes are never held
-    across service/backend calls in render_cache.py/service.py."""
+    across service/backend calls in service.py."""
     for parsed in project.files:
         if parsed.tree is None:
             continue

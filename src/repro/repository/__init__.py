@@ -31,7 +31,6 @@ from repro.repository.faults import (
     InjectedFault,
     SlowBackend,
 )
-from repro.repository.render_cache import RenderCache
 from repro.repository.citation import (
     REPOSITORY_URL,
     archive_manuscript,
@@ -153,8 +152,8 @@ __all__ = [
     "RepositoryService", "RepositoryEvent", "RepositoryAPI", "API_METHODS",
     # the serving layer: HTTP server/client
     "RepositoryServer", "HTTPBackend",
-    # the read path: codec + render cache
-    "encode_entry", "decode_entry", "DecodeMemo", "RenderCache",
+    # the read path: entry codec
+    "encode_entry", "decode_entry", "DecodeMemo",
     # the unified query API
     "Q", "Query", "QueryPlan", "QueryResult", "QueryStats", "plan",
     # the query wire codec (what POST /query bodies carry)

@@ -252,6 +252,8 @@ class FileBackend(StorageBackend):
                         self._listing_counter = counter
                     else:
                         self._listing_map = None
+                    # The bytes just written came from these very objects:
+                    # prime the memo so the next read skips the decode.
                     for entry in entries:
                         key = (entry.identifier, str(entry.version), counter)
                         self._memo.put(key, entry)
@@ -320,9 +322,10 @@ class FileBackend(StorageBackend):
 
         Rename only, no counter I/O: the group's leading bump already
         opened the crash window (advanced counter, content trailing).
-        The listing cache and decode memo are maintained at the group's
-        working counter so in-group reads (duplicate and version
-        checks) stay coherent without a rescan.
+        The listing cache is maintained at the group's working counter
+        so in-group reads (duplicate and version checks) stay coherent
+        without a rescan.  The decode memo is primed once, at the
+        committed counter, by the group's trailing bump.
         """
         with self.write_group():
             path = self._version_path(entry.identifier, entry.version)
@@ -342,9 +345,6 @@ class FileBackend(StorageBackend):
                     bisect.insort(stored, entry.version)
             else:
                 self._listing_map = None
-            # The bytes just written came from this very object: prime the
-            # memo so the next read skips the decode entirely.
-            self._memo.put((entry.identifier, str(entry.version), working), entry)
 
     def _bump_counter(self, counter: int) -> None:
         # Atomic per write (temp + rename), like the snapshots.

@@ -19,7 +19,6 @@ looks over parseability.
 
 from __future__ import annotations
 
-from repro.core.errors import StorageError
 from repro.repository.entry import ExampleEntry
 from repro.repository.glossary import glossary_terms
 
@@ -28,6 +27,7 @@ __all__ = [
     "render_markdown",
     "render_glossary_wikidot",
     "render_repository_markdown",
+    "select_entries",
 ]
 
 #: Rendered where the paper's own §4 instance writes "None yet".
@@ -259,37 +259,20 @@ def render_markdown(entry: ExampleEntry) -> str:
 
 
 def render_repository_markdown(store, title: str | None = None,
-                               query=None, *, cache=None) -> str:
+                               query=None) -> str:
     """Render latest entries as one Markdown document (§5.2's
     "collect the most recent versions ... into a manuscript").
 
     ``store`` is any storage backend or, preferably, a
-    :class:`~repro.repository.service.RepositoryService` — the batch
-    ``get_many`` path lets backends with a bulk query (SQLite) fetch
-    all snapshots at once.
-
-    ``query`` optionally restricts the document to a slice of the
-    collection (a :class:`~repro.repository.query.Q` expression or a
-    free-text string), selected through the unified query API in
-    identifier order — e.g. ``query=Q.reviewed()`` renders only the
-    approved examples.  Backends with a native plan (SQLite, sharded)
-    then fetch exactly the matching snapshots.
-
-    ``cache`` is an optional
-    :class:`~repro.repository.render_cache.RenderCache` attached to
-    this very store: per-entry fragments then come from the cache and
-    only entries written since the last export are re-rendered.  The
-    assembled document is byte-identical either way.
+    :class:`~repro.repository.service.RepositoryService`; entries are
+    chosen by :func:`select_entries`, so the document holds everything
+    or, with ``query``, a slice of the collection — e.g.
+    ``query=Q.reviewed()`` renders only the approved examples.  Every
+    call renders every selected entry from its stored snapshot.
     """
     heading = title or "The Bx Examples Repository"
-    if cache is not None:
-        if cache.service is not store:
-            raise StorageError(
-                "render cache is attached to a different store")
-        fragments = list(cache.markdown_fragments(query).values())
-    else:
-        fragments = [render_markdown(entry)
-                     for entry in _select_entries(store, query)]
+    fragments = [render_markdown(entry)
+                 for entry in select_entries(store, query)]
     lines = [f"# {heading}", "",
              f"{len(fragments)} examples, latest versions.", ""]
     for fragment in fragments:
@@ -300,8 +283,16 @@ def render_repository_markdown(store, title: str | None = None,
     return "\n".join(lines).rstrip() + "\n"
 
 
-def _select_entries(store, query):
-    """Latest entries for a document: everything, or a query's matches."""
+def select_entries(store, query=None) -> list[ExampleEntry]:
+    """The latest entries a collection rendering shows, in identifier
+    order: everything when ``query`` is None, else the query's matches.
+
+    ``query`` is a :class:`~repro.repository.query.Q` expression or a
+    free-text string, planned through the unified query API, so a
+    backend with a native plan (SQLite, sharded) fetches exactly the
+    matching snapshots.  With no query the entries come from one batch
+    ``get_many`` over ``identifiers()``, which runs no query at all.
+    """
     if query is None:
         return store.get_many(store.identifiers())
     from repro.repository.query import plan

@@ -917,8 +917,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_wiki(self, identifier: str, query_string: str = "") -> None:
         # The ETag and the page come from the same entry, so they can
-        # never disagree, and every server over the store mints the
-        # same tag for it.
+        # never disagree.  Every server in this process mints the same
+        # tag for it; another process mints its own (PAGE_EPOCH).
         entry = self.server.repository.get(identifier)
         etag = _make_etag(PAGE_EPOCH, entry_digest(entry))
         if self._precondition_hit(etag):

@@ -208,8 +208,7 @@ class RepositoryEvent:
 
     For every kind the carried ``entry`` is the new *latest* snapshot of
     its identifier, so a subscriber maintaining a latest-version view
-    (the search index, a replica, a render cache) only ever needs to
-    upsert.
+    (the search index, a replica) only ever needs to upsert.
     """
 
     kind: str
@@ -625,8 +624,6 @@ class RepositoryService(StorageBackend):
         The facade caches nothing itself, so these are the backend's
         caches — the decode memo, the file listing cache, summed across
         composite children (see :meth:`StorageBackend.cache_stats`).
-        The companion :class:`~repro.repository.render_cache.RenderCache`
-        reports its counters through its own ``cache_stats()``.
         """
         return self.backend.cache_stats()
 

@@ -43,7 +43,7 @@ from repro.repository.entry import (
     RestorationSpec,
     Variant,
 )
-from repro.repository.export import NONE_YET, render_wikidot
+from repro.repository.export import NONE_YET, render_wikidot, select_entries
 from repro.repository.template import EntryType
 from repro.repository.versioning import Version
 
@@ -432,33 +432,19 @@ def make_wiki_sync_lens() -> WikiSyncLens:
     return WikiSyncLens()
 
 
-def render_wiki_pages(store, query=None, *, cache=None) -> dict[str, str]:
+def render_wiki_pages(store, query=None) -> dict[str, str]:
     """Render the wikidot pages of a slice of the repository.
 
-    The push half of §5.4 at collection scale: select entries through
-    the unified query API (``query`` is a
-    :class:`~repro.repository.query.Q` expression, a free-text string,
-    or None for everything) and render each latest snapshot to its
-    wiki page text, keyed by identifier.  On a pushdown-capable store
-    (SQLite, a sharded cluster) only the matching snapshots are
-    fetched.
-
-    ``cache`` is an optional
-    :class:`~repro.repository.render_cache.RenderCache` attached to
-    this very store: with one, only identifiers written since the
-    cache last rendered them are re-rendered (and for ``query=None``
-    even the snapshot fetch is skipped for cached pages).
+    The push half of §5.4 at collection scale: the entries
+    :func:`~repro.repository.export.select_entries` chooses (``query``
+    is a :class:`~repro.repository.query.Q` expression, a free-text
+    string, or None for everything) each render to their wiki page
+    text, keyed by identifier in identifier order.  Every call renders
+    every selected entry from its stored snapshot, so the pages show
+    writes made through any service over the same store.
     """
-    if cache is not None:
-        if cache.service is not store:
-            raise WikiSyncError(
-                "render cache is attached to a different store")
-        return cache.wiki_pages(query)
-    from repro.repository.query import plan
-
-    result = store.execute_query(plan(query, sort="identifier"))
-    return {hit.identifier: render_wikidot(hit.entry)
-            for hit in result.hits}
+    return {entry.identifier: render_wikidot(entry)
+            for entry in select_entries(store, query)}
 
 
 def apply_wiki_edit(store, identifier: str, page: str) -> ExampleEntry:
@@ -470,8 +456,8 @@ def apply_wiki_edit(store, identifier: str, page: str) -> ExampleEntry:
     wiki edit is not a curated revision — version bumps go through
     :class:`~repro.repository.curation.CuratedRepository`), and persist
     with ``replace_latest``.  Going through a
-    :class:`~repro.repository.service.RepositoryService` keeps its cache
-    and any attached search index coherent automatically.
+    :class:`~repro.repository.service.RepositoryService` keeps any
+    attached search index coherent automatically.
 
     Returns the merged, stored entry.
     """

@@ -56,7 +56,7 @@ class TestLockDiscipline:
         findings = scan(
             tmp_path,
             {
-                "render_cache.py": (
+                "service.py": (
                     "class Cache:\n"
                     "    def render(self, identifier):\n"
                     "        with self._mutex:\n"
@@ -74,7 +74,7 @@ class TestLockDiscipline:
         findings = scan(
             tmp_path,
             {
-                "render_cache.py": (
+                "service.py": (
                     "class Cache:\n"
                     "    def render(self, identifier):\n"
                     "        with self._mutex:\n"

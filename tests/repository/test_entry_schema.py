@@ -28,8 +28,8 @@ from repro.repository.entry import (
     Reference,
     Variant,
 )
+from repro.repository.export import render_wikidot
 from repro.repository.query import plan, plan_to_dict
-from repro.repository.render_cache import RenderCache
 from repro.repository.server import RepositoryServer
 from repro.repository.service import RepositoryService
 from repro.repository.versioning import Version
@@ -120,7 +120,7 @@ def test_an_edited_dict_is_refused_or_round_trips_in_process(edits):
     with RepositoryService(MemoryBackend()) as service:
         service.add(entry)
         assert service.get(entry.identifier) == entry
-        assert RenderCache(service).wiki_page(entry.identifier)
+        assert render_wikidot(service.get(entry.identifier))
         assert service.query(entry.title).identifiers == [entry.identifier]
 
 

@@ -9,12 +9,15 @@ import pytest
 
 from repro.core.errors import WikiSyncError
 from repro.core.laws import CheckConfig, check_lens_laws
+from repro.repository.backends import FileBackend, SQLiteBackend
 from repro.repository.entry import Comment, PropertyClaim
 from repro.repository.export import (
     render_glossary_wikidot,
     render_markdown,
+    render_repository_markdown,
     render_wikidot,
 )
+from repro.repository.service import RepositoryService
 from repro.repository.template import TEMPLATE
 from repro.repository.versioning import Version
 from repro.repository.wiki_sync import (
@@ -23,6 +26,7 @@ from repro.repository.wiki_sync import (
     entry_space,
     normalise_entry,
     parse_wikidot,
+    render_wiki_pages,
     wikidot_space,
 )
 from tests.repository.test_entry import minimal_entry
@@ -159,3 +163,51 @@ class TestNormalisation:
         page = pages.sample(rng)
         assert pages.contains(page)
         assert not pages.contains("not a page at all")
+
+
+def open_backend(kind, tmp_path):
+    if kind == "file":
+        return FileBackend(tmp_path / "repo")
+    return SQLiteBackend(tmp_path / "repo.db")
+
+
+class TestCollectionRendering:
+    """``render_wiki_pages`` and ``render_repository_markdown`` render
+    the stored snapshots they select, on every call."""
+
+    @pytest.mark.parametrize("kind", ["file", "sqlite"])
+    def test_pages_show_a_write_through_a_second_service(
+            self, kind, tmp_path):
+        a = RepositoryService(open_backend(kind, tmp_path))
+        b = RepositoryService(open_backend(kind, tmp_path))
+        a.add_many([minimal_entry(title=f"ENTRY {index}")
+                    for index in range(3)])
+        assert "Sneaked." not in render_wiki_pages(a)["entry-0"]
+        b.replace_latest(minimal_entry(title="ENTRY 0",
+                                       overview="Sneaked."))
+        pages = render_wiki_pages(a)
+        assert "Sneaked." in pages["entry-0"]
+        assert pages == {entry.identifier: render_wikidot(entry)
+                         for entry in b.get_many(b.identifiers())}
+        assert "Sneaked." in render_repository_markdown(a)
+        a.close()
+        b.close()
+
+    def test_an_unfiltered_render_runs_no_query(self, tmp_path,
+                                                monkeypatch):
+        service = RepositoryService(SQLiteBackend(tmp_path / "repo.db"))
+        service.add_many([minimal_entry(title=f"ENTRY {index}")
+                          for index in range(3)])
+
+        def no_query(*args, **kwargs):
+            raise AssertionError("an unfiltered render ran a query")
+
+        monkeypatch.setattr(service, "execute_query", no_query)
+        monkeypatch.setattr(service.backend, "execute_query", no_query)
+        entries = service.get_many(service.identifiers())
+        assert render_wiki_pages(service) == {
+            entry.identifier: render_wikidot(entry) for entry in entries}
+        document = render_repository_markdown(service)
+        assert all(render_markdown(entry).rstrip() in document
+                   for entry in entries)
+        service.close()

@@ -25,6 +25,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import zlib
 
 import pytest
 
@@ -1843,6 +1844,72 @@ class TestRetryOnStaleSocket:
         finally:
             client.close()
             fake.close()
+
+    @staticmethod
+    def full_stream(entries, coding: str) -> tuple[bytes, int, int]:
+        """The whole answer to a streamed ``/batch/get`` of ``entries``,
+        framed as the server frames it: one chunk per line (gzip
+        sync-flushed per line, then its trailer), the end frame, the
+        terminator.  Returns the bytes, the head's length and the
+        offset at which the end frame has fully arrived."""
+        lines = [encode_entry(entry) + "\n" for entry in entries]
+        lines.append(f'{{"_stream": "end", "count": {len(entries)}}}\n')
+        head = (b"HTTP/1.1 200 OK\r\n"
+                b"Content-Type: application/x-ndjson\r\n"
+                + (b"Content-Encoding: gzip\r\n" if coding == "gzip"
+                   else b"")
+                + b"Transfer-Encoding: chunked\r\n"
+                b"Connection: close\r\n\r\n")
+        gzipper = (zlib.compressobj(6, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
+                   if coding == "gzip" else None)
+        body = b""
+        for text in lines:
+            data = text.encode("utf-8")
+            if gzipper is not None:
+                data = (gzipper.compress(data)
+                        + gzipper.flush(zlib.Z_SYNC_FLUSH))
+            body += chunk(data)
+        end_frame_arrived = len(head) + len(body) - len(b"\r\n")
+        if gzipper is not None:
+            body += chunk(gzipper.flush(zlib.Z_FINISH))
+        return head + body + b"0\r\n\r\n", len(head), end_frame_arrived
+
+    @pytest.mark.parametrize("coding", ["identity", "gzip"])
+    def test_a_stream_cut_at_any_byte_is_an_error_or_the_full_list(
+            self, coding):
+        """A close at any byte past the head either raises a
+        StorageError or, once the end frame is in, yields the whole
+        batch: never a short list, an untyped error or a hang."""
+        entries = [minimal_entry(), minimal_entry(title="OTHER")]
+        full, head_length, end_frame_arrived = self.full_stream(
+            entries, coding)
+        cuts = range(head_length, len(full) + 1)
+
+        def send_prefix(cut):
+            def script(connection):
+                connection.sendall(full[:cut])
+            return script
+
+        fake = ScriptedServer(*(send_prefix(cut) for cut in cuts))
+        client = HTTPBackend(fake.url, timeout=5,
+                             retry_policy=RetryPolicy(max_attempts=1))
+        outcomes = {}
+        try:
+            for cut in cuts:
+                try:
+                    result = client.get_many(["demo-example", "other"])
+                except StorageError:
+                    outcomes[cut] = "error"
+                else:
+                    assert result == entries, cut
+                    assert cut >= end_frame_arrived, cut
+                    outcomes[cut] = "full"
+        finally:
+            client.close()
+            fake.close()
+        assert len(fake.requests) == len(cuts)  # one request per cut
+        assert outcomes[len(full)] == "full"
+        assert outcomes[end_frame_arrived - 1] == "error"
 
     def test_end_frame_count_mismatch_raises(self):
         line = encode_entry(minimal_entry()).encode("utf-8")

@@ -169,6 +169,41 @@ class TestCache:
         writer.close()
         reader.close()
 
+    def test_file_writes_prime_one_memo_slot_each(self, tmp_path):
+        """A file write primes the decode memo once, at the counter its
+        group commits, so ten lone adds fill ten slots, not twenty."""
+        backend = FileBackend(tmp_path / "repo")
+        for entry in entry_batch(10):
+            backend.add(entry)
+        assert backend.cache_stats()["decode_memo"]["currsize"] == 10
+        # The last write's slot is keyed on the current counter, so
+        # reading it back decodes nothing.
+        before = backend.cache_stats()["decode_memo"]
+        assert backend.get("entry-9") == minimal_entry(title="ENTRY 9")
+        after = backend.cache_stats()["decode_memo"]
+        assert (after["hits"], after["misses"]) == (
+            before["hits"] + 1, before["misses"])
+
+    def test_service_cache_stats_shape(self, tmp_path):
+        service = RepositoryService(SQLiteBackend(tmp_path / "repo.db"))
+        service.add_many(entry_batch(3))
+        service.get("entry-0")
+        service.get("entry-0")
+        stats = service.cache_stats()
+        assert stats["decode_memo"]["hits"] >= 1
+        assert {"misses", "evictions", "currsize",
+                "maxsize"} <= set(stats["decode_memo"])
+        service.close()
+
+    def test_service_cache_stats_include_backend_caches(self, tmp_path):
+        service = RepositoryService(FileBackend(tmp_path / "repo"))
+        service.add(minimal_entry())
+        service.get("demo-example")
+        stats = service.cache_stats()
+        assert "decode_memo" in stats
+        assert "listing" in stats
+        service.close()
+
 
 class TestBatching:
     def test_add_many_and_get_many(self, service):

@@ -18,7 +18,7 @@ from repro.repository.backends import (
     SQLiteBackend,
 )
 from repro.repository.faults import FaultInjector, InjectedFault
-from repro.repository.render_cache import RenderCache
+from repro.repository.export import render_wikidot
 from repro.repository.service import RepositoryService
 from tests.repository.test_entry import minimal_entry
 
@@ -213,16 +213,15 @@ class TestServiceWriteGroup:
         assert "write_group" not in API_METHODS
 
     def test_caches_see_the_post_group_change_counter(self, tmp_path):
-        """DecodeMemo/RenderCache coherence: after a group commits, the
-        service's counter is the group's single post-commit value and
-        event-driven caches re-render against it — no stale page, no
+        """DecodeMemo coherence: after a group commits, the service's
+        counter is the group's single post-commit value and a page
+        rendered after it shows the group's write — no stale page, no
         phantom intermediate counters."""
         backend = SQLiteBackend(tmp_path / "repo.db")
         service = RepositoryService(backend)
-        cache = RenderCache(service)
         first = minimal_entry(title="GROUP 0")
         service.add(first)
-        page_before = cache.wiki_page(first.identifier)
+        page_before = render_wikidot(service.get(first.identifier))
         counter_before = service.change_counter()
         bumped = minimal_entry(
             title="GROUP 0",
@@ -232,7 +231,7 @@ class TestServiceWriteGroup:
             for entry in entry_batch(4, prefix="MORE"):
                 service.add(entry)
         assert service.change_counter() == counter_before + 1
-        page_after = cache.wiki_page(first.identifier)
+        page_after = render_wikidot(service.get(first.identifier))
         assert page_after != page_before
         assert "Rewritten inside the group commit." in page_after
         # And the backend-level memo serves the group's snapshot, not a
