@@ -9,7 +9,11 @@ import pytest
 
 from repro.core.errors import WikiSyncError
 from repro.core.laws import CheckConfig, check_lens_laws
-from repro.repository.backends import FileBackend, SQLiteBackend
+from repro.repository.backends import (
+    FileBackend,
+    MemoryBackend,
+    SQLiteBackend,
+)
 from repro.repository.entry import Comment, PropertyClaim
 from repro.repository.export import (
     render_glossary_wikidot,
@@ -17,6 +21,7 @@ from repro.repository.export import (
     render_repository_markdown,
     render_wikidot,
 )
+from repro.repository.query import Q
 from repro.repository.service import RepositoryService
 from repro.repository.template import TEMPLATE
 from repro.repository.versioning import Version
@@ -166,9 +171,29 @@ class TestNormalisation:
 
 
 def open_backend(kind, tmp_path):
+    if kind == "memory":
+        return MemoryBackend()
     if kind == "file":
         return FileBackend(tmp_path / "repo")
     return SQLiteBackend(tmp_path / "repo.db")
+
+
+def entry_batch(count: int):
+    return [minimal_entry(title=f"ENTRY {index}",
+                          overview=f"Unique token tok{index}.")
+            for index in range(count)]
+
+
+#: One write of each kind, and the identifier it touches.
+WRITES = {
+    "add": (lambda service: service.add(
+        minimal_entry(title="LATECOMER")), "latecomer"),
+    "add_version": (lambda service: service.add_version(
+        minimal_entry(title="ENTRY 1", version=Version(0, 2),
+                      overview="Sharper.")), "entry-1"),
+    "replace_latest": (lambda service: service.replace_latest(
+        minimal_entry(title="ENTRY 2", overview="Quixotic.")), "entry-2"),
+}
 
 
 class TestCollectionRendering:
@@ -211,3 +236,44 @@ class TestCollectionRendering:
         assert all(render_markdown(entry).rstrip() in document
                    for entry in entries)
         service.close()
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    @pytest.mark.parametrize("kind", ["memory", "file", "sqlite"])
+    def test_a_write_changes_exactly_its_own_page(self, kind, write,
+                                                  tmp_path):
+        service = RepositoryService(open_backend(kind, tmp_path))
+        service.add_many(entry_batch(3))
+        before = render_wiki_pages(service)
+        document_before = render_repository_markdown(service)
+        apply_write, identifier = WRITES[write]
+        apply_write(service)
+        after = render_wiki_pages(service)
+        assert set(before) <= set(after)
+        assert {name for name, page in after.items()
+                if before.get(name) != page} == {identifier}
+        entry = service.get(identifier)
+        assert after[identifier] == render_wikidot(entry)
+        document = render_repository_markdown(service)
+        assert document != document_before
+        assert render_markdown(entry).rstrip() in document
+        service.close()
+
+    @pytest.mark.parametrize("kind", ["memory", "file", "sqlite"])
+    def test_both_renderers_select_the_same_slice(self, kind, tmp_path):
+        service = RepositoryService(open_backend(kind, tmp_path))
+        service.add_many(entry_batch(3))
+        query = Q.text("tok1")
+        pages = render_wiki_pages(service, query)
+        assert pages == {"entry-1": render_wikidot(service.get("entry-1"))}
+        document = render_repository_markdown(service, query=query)
+        assert "ENTRY 1" in document
+        assert "ENTRY 0" not in document and "ENTRY 2" not in document
+        service.close()
+
+    def test_neither_renderer_takes_a_cache(self):
+        service = RepositoryService(MemoryBackend())
+        service.add_many(entry_batch(1))
+        with pytest.raises(TypeError, match="cache"):
+            render_wiki_pages(service, cache=None)
+        with pytest.raises(TypeError, match="cache"):
+            render_repository_markdown(service, cache=None)
