@@ -23,14 +23,10 @@ exactly that claim, with the usual honesty rules:
 * :class:`TestWritePathTargets` pins the acceptance floors — coalesced
   4-writer ingest **>= 3x** the serialised write ops/s, and read p50
   *during* ingest within the no-regression bound — plus the sustained
-  90/10 read/write Zipfian mix whose throughput rides into the trend
-  artifact;
+  90/10 read/write Zipfian mix;
 * the HTTP row drives four ``HTTPBackend`` client threads against a
   :class:`~repro.repository.server.RepositoryServer`: its floor is on
   the mechanism (fewer commits than writes), not on time.
-
-The rows' ``extra_info`` (ops/second, commits per write, read p50s)
-ride into ``BENCH_PR<N>.json`` via ``benchmarks/trend.py``.
 """
 
 from __future__ import annotations
@@ -194,7 +190,7 @@ def _timed_reads(service: RepositoryService,
 
 
 # ----------------------------------------------------------------------
-# The sweep rows (ingest + mixed throughput into the trend artifact).
+# The sweep rows (ingest + mixed throughput).
 # ----------------------------------------------------------------------
 
 
@@ -203,21 +199,15 @@ def test_ingest_rate_sweep(benchmark, tmp_path, path):
     """4-writer durable ingest, serialised (bare backend) vs coalesced."""
     entries = make_entries(INGEST_WRITERS * PER_WRITER)
     if path == "bare-backend":
-        rate, commits = benchmark.pedantic(
+        rate, _ = benchmark.pedantic(
             bare_backend_ingest, args=(tmp_path, entries), rounds=1)
     else:
         stack = IngestStack(tmp_path)
         try:
-            before = stack.backend.change_counter()
             rate = benchmark.pedantic(
                 stack.run_ingest, args=(entries,), rounds=1)
-            commits = stack.backend.change_counter() - before
         finally:
             stack.close()
-    benchmark.extra_info["writers"] = INGEST_WRITERS
-    benchmark.extra_info["write_ops_per_second"] = round(rate, 1)
-    benchmark.extra_info["commits_per_write"] = round(
-        commits / len(entries), 4)
     assert rate > 0
 
 
@@ -231,9 +221,6 @@ def test_http_ingest_coalesces(benchmark, tmp_path):
     rate, commits = benchmark.pedantic(
         http_ingest, args=(tmp_path, entries), rounds=1)
     writes = len(entries)
-    benchmark.extra_info["writers"] = INGEST_WRITERS
-    benchmark.extra_info["write_ops_per_second"] = round(rate, 1)
-    benchmark.extra_info["commits_per_write"] = round(commits / writes, 4)
     print(f"\nHTTP 4-writer ingest: {rate:6.0f} ops/s, {writes} writes "
           f"in {commits} commits")
     assert commits < writes, (
@@ -247,7 +234,7 @@ def test_mixed_90_10_zipfian_throughput(benchmark, tmp_path):
     Four workers each replay a seeded 90/10 op stream against a
     pre-loaded durable repository — the steady-state shape of a live
     collection (readers dominate, ingest trickles).  Every op must
-    succeed; the sustained ops/second rides into the trend.
+    succeed.
     """
     stack = IngestStack(tmp_path, preload=READ_POPULATION)
     fresh = make_entries(READ_POPULATION + MIX_OPS)[READ_POPULATION:]
@@ -277,14 +264,9 @@ def test_mixed_90_10_zipfian_throughput(benchmark, tmp_path):
         return sum(counts) / elapsed
 
     try:
-        before = stack.backend.change_counter()
         rate = benchmark.pedantic(run_mix, rounds=1)
-        commits = stack.backend.change_counter() - before
     finally:
         stack.close()
-    benchmark.extra_info["read_share"] = MIX_READ_SHARE
-    benchmark.extra_info["ops_per_second"] = round(rate, 1)
-    benchmark.extra_info["commits"] = commits
     assert rate > 0
 
 

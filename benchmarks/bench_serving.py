@@ -20,10 +20,6 @@ honesty rules as the sharded sweep in ``bench_store_backends``:
   latency sanity bound on the warm in-memory single-read path (the
   TCP_NODELAY regression guard: with Nagle stalls back, localhost
   round-trips jump from ~0.3ms to ~40ms and this fails loudly).
-
-The parametrised sweep rows (and their requests/second ``extra_info``)
-ride into ``BENCH_PR<N>.json`` via ``benchmarks/trend.py``, so the
-trend records the whole threads/throughput curve per PR.
 """
 
 from __future__ import annotations
@@ -188,7 +184,7 @@ def warm_stack():
 
 
 # ----------------------------------------------------------------------
-# The sweep rows (threads/throughput curve into the trend artifact).
+# The sweep rows (the threads/throughput curve).
 # ----------------------------------------------------------------------
 
 
@@ -198,9 +194,6 @@ def test_concurrent_read_sweep(benchmark, stack, threads):
     requests_per_thread = 30
 
     rate = benchmark(stack.run_readers, threads, requests_per_thread)
-    benchmark.extra_info["client_threads"] = threads
-    benchmark.extra_info["requests_per_second"] = round(rate, 1)
-    benchmark.extra_info["storage_latency_ms"] = STORAGE_LATENCY * 1000
     assert rate > 0
 
 
@@ -209,10 +202,9 @@ def test_64_client_p99_latency(benchmark, stack):
 
     Four times the sweep's widest row — past the server's handler
     comfort zone, where queueing (not storage latency) sets the tail.
-    The p99 rides into the trend so a regression in the accept/dispatch
-    path shows up as tail growth long before throughput moves, and the
-    bound keeps the tail an order of magnitude under a queueing
-    collapse.
+    A regression in the accept/dispatch path shows up as tail growth
+    long before throughput moves, and the bound keeps the tail an order
+    of magnitude under a queueing collapse.
     """
     clients = 64
     requests_per_thread = 10
@@ -224,10 +216,6 @@ def test_64_client_p99_latency(benchmark, stack):
     ordered = sorted(samples)
     p50 = ordered[int(len(ordered) * 0.50)]
     p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-    benchmark.extra_info["client_threads"] = clients
-    benchmark.extra_info["requests_per_second"] = round(rate, 1)
-    benchmark.extra_info["read_p50_ms"] = round(p50 * 1000, 3)
-    benchmark.extra_info["read_p99_ms"] = round(p99 * 1000, 3)
     print(f"\n64-client reads: {rate:.0f} req/s, "
           f"p50 {p50 * 1000:.1f}ms, p99 {p99 * 1000:.1f}ms")
     assert p99 < 1.0, (
@@ -240,7 +228,6 @@ def test_http_query_round_trip(benchmark, warm_stack):
     result = benchmark(
         warm_stack.client.query, Q.text("composer sync"), limit=10)
     assert result.total > 0
-    benchmark.extra_info["hits"] = len(result.hits)
 
 
 def test_http_wiki_page_warm(benchmark, warm_stack):
@@ -275,7 +262,6 @@ def test_http_point_read_304_warm(benchmark, warm_stack):
     assert entry.identifier == identifier
     stats = warm_stack.client.wire_cache_stats()
     assert stats["validation"]["hits"] >= 1
-    benchmark.extra_info["revalidated"] = True
 
 
 def test_http_batch_get_streamed(benchmark, warm_stack):
@@ -285,8 +271,6 @@ def test_http_batch_get_streamed(benchmark, warm_stack):
     entries = benchmark(warm_stack.client.get_many,
                         warm_stack.identifiers)
     assert len(entries) == POPULATION
-    benchmark.extra_info["streamed"] = True
-    benchmark.extra_info["batch_size"] = POPULATION
 
 
 # ----------------------------------------------------------------------
@@ -527,11 +511,6 @@ class TestServingTargets:
         assert p99 < 0.5, (
             f"accepted-request p99 {p99:.3f}s: shedding failed to "
             f"protect admitted traffic")
-        benchmark.extra_info["shed_rate"] = round(shed_rate, 4)
-        benchmark.extra_info["shed_count"] = shed_count
-        benchmark.extra_info["accepted_p99_ms"] = round(p99 * 1000, 3)
-        benchmark.extra_info["capacity"] = capacity
-        benchmark.extra_info["clients"] = clients
 
     def test_replica_reintegration_time_bounded(self, benchmark):
         """The PR-9 reintegration row: suspended replica back in
@@ -574,5 +553,3 @@ class TestServingTargets:
               f"entries repaired and rejoined in "
               f"{elapsed * 1000:.1f}ms")
         assert elapsed < 5.0
-        benchmark.extra_info["reintegration_ms"] = round(elapsed * 1e3, 3)
-        benchmark.extra_info["entries_repaired"] = 500 - missed

@@ -1,7 +1,5 @@
-"""Soak & chaos rows for the trajectory: corpus factory throughput and
-fault-injected soak runs whose full outcome (ops/s, per-op p50/p99,
-per-fault recovery time, invariant-check count) rides into
-``BENCH_PR<N>.json`` via ``extra_info``.
+"""Soak & chaos rows: corpus factory throughput and fault-injected soak
+runs, each held to its invariants and bounds.
 
 Two knobs come from the environment so the CI tiers share one file:
 
@@ -11,8 +9,7 @@ Two knobs come from the environment so the CI tiers share one file:
 
 The soak tests are **assertions first, timings second**: a run with any
 invariant violation (stale read, oracle-divergent query, missed fault,
-blown p99 bound) fails the benchmark job outright, not just a number in
-a JSON file.
+blown p99 bound) fails the benchmark job outright.
 """
 
 from __future__ import annotations
@@ -20,8 +17,7 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
-
+from repro.harness.reporting import soak_report_table
 from repro.harness.workloads import CorpusSpec, corpus_digest, corpus_entries
 from repro.harness.soak import SoakConfig, SoakRunner, build_soak_stack
 
@@ -56,12 +52,8 @@ def test_corpus_factory_100k(benchmark):
         f"100k corpus took {elapsed:.1f}s, over the "
         f"{CORPUS_100K_BUDGET_SECONDS:.0f}s budget")
     # Determinism is load-bearing for soak reproduction: pin the digest
-    # shape and derived rate alongside the timing.
+    # shape alongside the timing.
     assert len(digest) == 64
-    benchmark.extra_info["entries"] = CORPUS_100K
-    benchmark.extra_info["digest"] = digest
-    benchmark.extra_info["entries_per_second"] = round(
-        CORPUS_100K / elapsed, 1)
 
 
 def test_corpus_stream_is_validated(benchmark):
@@ -128,7 +120,6 @@ def test_soak_direct_stack(benchmark, tmp_path):
     _assert_soak_ok(report, expect_faults={
         "shard-kill", "replica-diverge", "file-crash", "brownout",
         "replica-recover", "ingest-burst"})
-    benchmark.extra_info.update(report.extra_info())
 
 
 def test_soak_http_stack(benchmark, tmp_path):
@@ -144,12 +135,11 @@ def test_soak_http_stack(benchmark, tmp_path):
         "shard-kill", "replica-diverge", "file-crash", "brownout",
         "replica-recover", "ingest-burst", "overload",
         "server-bounce"})
-    benchmark.extra_info.update(report.extra_info())
 
 
 def test_soak_recovery_times(benchmark, tmp_path):
     """A dedicated fault-recovery row: minimal traffic, all faults, the
-    per-fault recovery milliseconds as first-class trajectory numbers."""
+    per-fault recovery milliseconds printed in the fault table."""
     config = SoakConfig(
         seconds=2.0,
         corpus=CorpusSpec(count=600, seed=SOAK_SEED + 1),
@@ -167,17 +157,4 @@ def test_soak_recovery_times(benchmark, tmp_path):
     report = benchmark.pedantic(soak, rounds=1)
     assert report.ok, f"soak violations: {report.violations}"
     assert len(report.faults) == 8
-    for record in report.faults:
-        benchmark.extra_info[f"recovery_ms_{record.name}"] = round(
-            record.recovery_seconds * 1e3, 3)
-    benchmark.extra_info["stack"] = report.stack
-
-
-@pytest.mark.parametrize("seconds", [SOAK_SECONDS])
-def test_soak_configuration_row(benchmark, seconds):
-    """Record the tier configuration itself so a trajectory point is
-    self-describing (which tier produced these soak numbers)."""
-    benchmark.pedantic(lambda: None, rounds=1)
-    benchmark.extra_info["soak_seconds_per_stack"] = seconds
-    benchmark.extra_info["soak_entries"] = SOAK_ENTRIES
-    benchmark.extra_info["soak_seed"] = SOAK_SEED
+    print(f"\n{soak_report_table(report)}")

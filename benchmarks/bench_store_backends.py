@@ -28,8 +28,7 @@ Two layers:
     because the fan-out overlaps the children's latencies;
   - over purely local in-process SQLite shards the same sweep is
     recorded as a *no-regression* bound: the GIL serialises the
-    JSON-decode work, so fan-out cannot beat one warm local shard —
-    the honest measurement the trend file tracks per PR;
+    JSON-decode work, so fan-out cannot beat one warm local shard;
   - ``anti_entropy()`` restores primary/replica equality after injected
     divergence, and a clean pass reports nothing to repair.
 """
@@ -253,8 +252,8 @@ def test_sharded_query_fanout(benchmark, shard_count, bulk_size,
 
     Phase one aggregates global IDF statistics, phase two runs the
     compiled plan on each shard in parallel and merge-sorts the
-    partial pages — the trend file tracks the fan-out overhead per
-    shard count.
+    partial pages — one row per shard count shows the fan-out
+    overhead.
     """
     entries = make_entries(bulk_size)
     backend = sharded_sqlite(
@@ -353,8 +352,6 @@ def test_repeated_get_many_through_decode_memo(benchmark, bulk_size,
 
     results = benchmark(backend.get_many, requests)
     assert len(results) == bulk_size
-    stats = backend.cache_stats()
-    benchmark.extra_info["memo_hits"] = stats["decode_memo"]["hits"]
 
 
 def test_render_wiki_pages_after_one_write(benchmark, bulk_size,
@@ -557,8 +554,8 @@ class TestScalingTargets:
         """In-process warm sqlite shards: fan-out must cost ~nothing.
 
         The GIL serialises JSON decode, so local sharding cannot beat
-        one warm shard — this row pins the overhead so the trend file
-        catches it regressing.
+        one warm shard — this row pins the overhead with a
+        no-regression bound.
         """
         from repro.repository.codec import DecodeMemo
 

@@ -1,14 +1,13 @@
 """CLI for the repro static analyzer.
 
-Usage (from the repository root, so baseline fingerprints are stable)::
+Usage (from the repository root)::
 
     python -m repro.analysis src/                 # text report
     python -m repro.analysis src --format=json    # machine-readable
-    python -m repro.analysis src --write-baseline # accept current state
     python -m repro.analysis --list-rules
 
-Exit codes: 0 — clean (every error-severity finding baselined or none),
-1 — non-baselined error findings, 2 — usage/configuration problems.
+Exit codes: 0 — no error-severity finding, 1 — error findings,
+2 — usage/configuration problems.
 """
 
 from __future__ import annotations
@@ -19,19 +18,14 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.engine import (
-    Baseline,
     all_rules,
     get_rule,
-    load_baseline,
     load_project,
     render_json,
     render_text,
     run_rules,
-    write_baseline,
 )
 from repro.analysis import rules as _rules  # noqa: F401  (registration)
-
-DEFAULT_BASELINE = "analysis-baseline.json"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -50,21 +44,6 @@ def _parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=f"baseline file (default: ./{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings out as the new baseline and exit",
     )
     parser.add_argument(
         "--rules",
@@ -104,37 +83,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     project = load_project(paths)
     findings = run_rules(project, selected)
-
-    baseline_path = _baseline_path(options)
-    if options.write_baseline:
-        target = baseline_path or Path(DEFAULT_BASELINE)
-        count = write_baseline(target, findings)
-        print(f"wrote {count} baseline entr(y/ies) to {target}")
-        return 0
-
-    if baseline_path is not None:
-        try:
-            baseline = load_baseline(baseline_path)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    else:
-        baseline = Baseline(entries=[])
-
-    active, suppressed, stale = baseline.split(findings)
     render = render_json if options.format == "json" else render_text
-    print(render(active, suppressed, stale, len(project.files)))
-    failing = [finding for finding in active if finding.severity == "error"]
+    print(render(findings, len(project.files)))
+    failing = [finding for finding in findings if finding.severity == "error"]
     return 1 if failing else 0
-
-
-def _baseline_path(options: argparse.Namespace) -> Path | None:
-    if options.no_baseline:
-        return None
-    if options.baseline:
-        return Path(options.baseline)
-    default = Path(DEFAULT_BASELINE)
-    return default if default.exists() else None
 
 
 if __name__ == "__main__":

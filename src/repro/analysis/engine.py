@@ -7,43 +7,37 @@ and harness determinism.  Everything here is stdlib-only (``ast``).
 
 Structure:
 
-* :class:`Finding` — one violation, anchored to ``file:line``, with a
-  content-based fingerprint so baseline entries survive line drift;
+* :class:`Finding` — one violation, anchored to ``file:line``;
 * :class:`ParsedFile` / :class:`Project` — the scanned tree handed to
   every rule;
 * :func:`rule` — registration decorator; a rule is a generator over
-  ``(file, line, message)`` triples and the engine stamps severity and
-  fingerprints on;
-* baseline load/apply/write — accepted pre-existing findings live in a
-  committed JSON file and never block CI, while new findings do.
+  ``(file, line, message)`` triples and the engine stamps severity on.
+
+Every error finding fails the run: it is fixed at its site, or a broad
+``except`` carries ``# noqa: BLE001 - <reason>``.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "ParsedFile",
     "Project",
     "Rule",
     "all_rules",
     "dotted_name",
-    "load_baseline",
     "load_project",
     "render_json",
     "render_text",
     "rule",
     "run_rules",
     "walk_shallow",
-    "write_baseline",
 ]
 
 SEVERITIES = ("error", "warning")
@@ -61,17 +55,7 @@ class Finding:
     path: str  # posix path as scanned (relative to cwd when possible)
     line: int
     message: str
-    source: str  # the stripped source line (fingerprint input)
-
-    @property
-    def fingerprint(self) -> str:
-        """Content-based identity: rule + path + stripped source line.
-
-        Line numbers are deliberately left out so unrelated edits above
-        a baselined site do not void its baseline entry.
-        """
-        payload = f"{self.rule}\n{self.path}\n{self.source}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    source: str  # the stripped source line
 
     @property
     def anchor(self) -> str:
@@ -85,7 +69,6 @@ class Finding:
             "line": self.line,
             "message": self.message,
             "source": self.source,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -180,11 +163,7 @@ def get_rule(name: str) -> Rule:
 
 
 def _relative(path: Path) -> str:
-    """Posix path relative to cwd when inside it, else as given.
-
-    CI and the documented workflow run the analyzer from the repo root,
-    which keeps baseline fingerprints stable (they hash this path).
-    """
+    """Posix path relative to cwd when inside it, else as given."""
     try:
         return path.resolve().relative_to(Path.cwd().resolve()).as_posix()
     except ValueError:
@@ -262,161 +241,31 @@ def run_rules(project: Project, rules: Iterable[Rule] | None = None) -> list[Fin
 
 
 # ----------------------------------------------------------------------
-# Baseline: accepted pre-existing findings.
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BaselineEntry:
-    fingerprint: str
-    rule: str
-    path: str
-    reason: str
-
-    def to_json(self) -> dict[str, str]:
-        return {
-            "fingerprint": self.fingerprint,
-            "rule": self.rule,
-            "path": self.path,
-            "reason": self.reason,
-        }
-
-
-@dataclass
-class Baseline:
-    entries: list[BaselineEntry]
-
-    def split(
-        self, findings: Iterable[Finding]
-    ) -> tuple[list[Finding], list[Finding], list[BaselineEntry]]:
-        """Partition findings into (active, suppressed) + stale entries.
-
-        A finding is suppressed when its fingerprint matches a baseline
-        entry; entries matching nothing are *stale* — reported so the
-        baseline shrinks as sites get fixed, but never a failure.
-        """
-        by_print = {entry.fingerprint: entry for entry in self.entries}
-        active: list[Finding] = []
-        suppressed: list[Finding] = []
-        used: set[str] = set()
-        for finding in findings:
-            if finding.fingerprint in by_print:
-                used.add(finding.fingerprint)
-                suppressed.append(finding)
-            else:
-                active.append(finding)
-        stale = [entry for entry in self.entries if entry.fingerprint not in used]
-        return active, suppressed, stale
-
-
-def load_baseline(path: Path) -> Baseline:
-    """Load and validate the committed baseline file.
-
-    Every entry must carry a non-empty one-line justification; a
-    baseline that silences findings without saying why is rejected.
-    """
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
-        raise ValueError(f"unreadable baseline {path}: {error}") from error
-    entries_raw = payload.get("entries") if isinstance(payload, dict) else None
-    if not isinstance(entries_raw, list):
-        raise ValueError(f"baseline {path} must be an object with an 'entries' list")
-    entries: list[BaselineEntry] = []
-    for index, item in enumerate(entries_raw):
-        if not isinstance(item, dict):
-            raise ValueError(f"baseline entry #{index} is not an object")
-        try:
-            entry = BaselineEntry(
-                fingerprint=str(item["fingerprint"]),
-                rule=str(item["rule"]),
-                path=str(item["path"]),
-                reason=str(item["reason"]),
-            )
-        except KeyError as missing:
-            raise ValueError(
-                f"baseline entry #{index} is missing key {missing}"
-            ) from None
-        if not entry.reason.strip():
-            raise ValueError(
-                f"baseline entry #{index} ({entry.rule} in {entry.path}) "
-                "has an empty reason; every accepted finding needs a "
-                "one-line justification"
-            )
-        entries.append(entry)
-    return Baseline(entries=entries)
-
-
-def write_baseline(path: Path, findings: Iterable[Finding]) -> int:
-    """Write the current findings out as a fresh baseline skeleton."""
-    entries = [
-        {
-            "fingerprint": finding.fingerprint,
-            "rule": finding.rule,
-            "path": finding.path,
-            "reason": "TODO: one-line justification",
-        }
-        for finding in findings
-    ]
-    payload = {
-        "comment": (
-            "Accepted findings for `python -m repro.analysis`. Each entry "
-            "needs a one-line justification; stale entries are reported "
-            "and should be deleted. See ARCHITECTURE.md 'Static analysis'."
-        ),
-        "entries": entries,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return len(entries)
-
-
-# ----------------------------------------------------------------------
 # Rendering.
 # ----------------------------------------------------------------------
 
 
-def render_text(
-    active: list[Finding],
-    suppressed: list[Finding],
-    stale: list[BaselineEntry],
-    files_scanned: int,
-) -> str:
-    lines: list[str] = []
-    for finding in active:
-        lines.append(
-            f"{finding.anchor}: [{finding.rule}] "
-            f"{finding.severity}: {finding.message}"
-        )
-    for entry in stale:
-        lines.append(
-            f"note: stale baseline entry {entry.fingerprint} "
-            f"({entry.rule} in {entry.path}) matched nothing — delete it"
-        )
-    errors = sum(1 for finding in active if finding.severity == "error")
-    warnings = len(active) - errors
+def render_text(findings: list[Finding], files_scanned: int) -> str:
+    lines = [
+        f"{finding.anchor}: [{finding.rule}] {finding.severity}: {finding.message}"
+        for finding in findings
+    ]
+    errors = sum(1 for finding in findings if finding.severity == "error")
+    warnings = len(findings) - errors
     lines.append(
-        f"{files_scanned} files scanned: {errors} error(s), "
-        f"{warnings} warning(s), {len(suppressed)} baselined, "
-        f"{len(stale)} stale baseline entr(y/ies)"
+        f"{files_scanned} files scanned: {errors} error(s), {warnings} warning(s)"
     )
     return "\n".join(lines)
 
 
-def render_json(
-    active: list[Finding],
-    suppressed: list[Finding],
-    stale: list[BaselineEntry],
-    files_scanned: int,
-) -> str:
+def render_json(findings: list[Finding], files_scanned: int) -> str:
     payload = {
         "files_scanned": files_scanned,
         "rules": [
             {"name": r.name, "severity": r.severity, "summary": r.summary}
             for r in all_rules()
         ],
-        "findings": [finding.to_json() for finding in active],
-        "baselined": [finding.to_json() for finding in suppressed],
-        "stale_baseline": [entry.to_json() for entry in stale],
+        "findings": [finding.to_json() for finding in findings],
     }
     return json.dumps(payload, indent=2)
 

@@ -130,7 +130,7 @@ def _raise_sites(parsed: ParsedFile, typed: frozenset[str]) -> Found:
                     parsed,
                     node.lineno,
                     "raised class cannot be statically resolved; raise a "
-                    "named StorageError subclass (or baseline this site)",
+                    "named StorageError subclass",
                 )
                 continue
             leaf = name.split(".")[-1]

@@ -3,13 +3,6 @@
 Benchmarks and the experiment scripts print fixed-width tables through
 these helpers so that EXPERIMENTS.md's measured sections can be
 regenerated verbatim by re-running the harness.
-
-:func:`normalise_benchmark_json` additionally distils a raw
-pytest-benchmark ``--benchmark-json`` dump into the small, stable,
-diff-friendly trajectory document that CI's ``bench-trend`` job uploads
-as ``BENCH_PR<N>.json`` — one artifact per PR, so the performance
-history of the repository is a downloadable series rather than a log
-archaeology exercise.
 """
 
 from __future__ import annotations
@@ -22,50 +15,8 @@ __all__ = [
     "text_table",
     "law_report_table",
     "claims_table",
-    "normalise_benchmark_json",
     "soak_report_table",
 ]
-
-#: The per-benchmark stats worth tracking across PRs (seconds, except
-#: ``ops`` in 1/s and ``rounds`` as a count).
-_TREND_STATS = ("min", "mean", "stddev", "ops", "rounds")
-
-
-def normalise_benchmark_json(raw: dict, *, label: str) -> dict:
-    """Distil a pytest-benchmark JSON dump into a trajectory document.
-
-    ``raw`` is the object pytest-benchmark writes via
-    ``--benchmark-json``; ``label`` names the point on the trajectory
-    (CI passes ``PR<N>``).  The result is deterministic: benchmarks are
-    sorted by name and only the stable stats (min/mean/stddev/ops and
-    round count) are kept, so two artifacts diff cleanly.
-    """
-    commit_info = raw.get("commit_info") or {}
-    rows = []
-    for bench in raw.get("benchmarks", []):
-        stats = bench.get("stats") or {}
-        rows.append({
-            "name": bench.get("name", "?"),
-            "group": bench.get("group"),
-            "params": bench.get("params") or {},
-            "stats": {key: stats.get(key) for key in _TREND_STATS},
-            # Measurements a benchmark attaches beyond raw timings —
-            # e.g. the cache-sizing sweep records its hit rate per
-            # cache size, so the trajectory carries the whole
-            # hit-rate/latency curve.
-            "extra_info": bench.get("extra_info") or {},
-        })
-    rows.sort(key=lambda row: row["name"])
-    return {
-        "schema": 1,
-        "label": label,
-        "commit": commit_info.get("id"),
-        "branch": commit_info.get("branch"),
-        "datetime": raw.get("datetime"),
-        "machine": (raw.get("machine_info") or {}).get("node"),
-        "benchmark_count": len(rows),
-        "benchmarks": rows,
-    }
 
 
 def text_table(headers: Sequence[str],
@@ -104,8 +55,8 @@ def soak_report_table(report: Any) -> str:
 
     Typed loosely to keep this module free of a harness→soak import
     cycle; anything with the ``SoakReport`` shape renders.  The same
-    numbers travel machine-readably via ``SoakReport.extra_info()`` on
-    the benchmark row, so this table is for logs and eyeballs only.
+    numbers travel machine-readably as ``SoakReport.to_json()``, so
+    this table is for logs and eyeballs only.
     """
     summary = text_table(
         ("stack", "seconds", "ops", "ops/s", "faults", "checks",

@@ -4,7 +4,7 @@ Microbenchmarks answer "how fast"; a repository serving millions of
 users also has to answer "does it stay *correct* while things break".
 This module drives Zipf-skewed read/write/query traffic for a
 configurable wall-clock duration against any
-:class:`~repro.repository.service.RepositoryAPI` composition — the
+:class:`~repro.repository.backends.StorageBackend` composition — the
 service facade over a sharded-of-replicated stack, or an
 :class:`~repro.repository.client.HTTPBackend` against a live
 :class:`~repro.repository.server.RepositoryServer` — while a **fault
@@ -48,11 +48,6 @@ The fault taxonomy (see :mod:`repro.repository.faults` for the seam):
   and ``anti_entropy()`` must drain the lag — replica/oracle equality
   is only asserted *after* the drain, and the drain time is the
   recovery metric the soak gate trends.
-
-Soak rows (throughput, p50/p99, fault-recovery time, invariant-check
-count) flow through ``SoakReport.extra_info()`` into pytest-benchmark's
-``extra_info`` — which :func:`repro.harness.reporting.normalise_benchmark_json`
-preserves — so every soak lands in the ``BENCH_PR<N>.json`` trajectory.
 
 Run it directly for the CI tiers::
 
@@ -99,11 +94,11 @@ from repro.repository import (
     RetryPolicy,
     ShardedBackend,
     SlowBackend,
+    StorageBackend,
     shard_index,
 )
 from repro.repository.entry import Comment, ExampleEntry
 from repro.repository.query import QueryResult
-from repro.repository.service import RepositoryAPI
 from repro.repository.versioning import Version
 
 __all__ = [
@@ -207,43 +202,6 @@ class SoakReport:
     def fault_names(self) -> list[str]:
         return [record.name for record in self.faults]
 
-    def extra_info(self) -> dict[str, Any]:
-        """The trajectory payload: JSON-safe, diff-friendly, flat-ish.
-
-        Attached to a pytest-benchmark row as ``extra_info`` so
-        ``normalise_benchmark_json`` carries the whole soak outcome —
-        throughput, per-op p50/p99, per-fault recovery time, invariant
-        counts — into ``BENCH_PR<N>.json``.
-        """
-        return {
-            "stack": self.stack,
-            "seconds": round(self.seconds, 3),
-            "seed": self.seed,
-            "corpus_count": self.corpus_count,
-            "preload": self.preload,
-            "entries_final": self.entries_final,
-            "ops_total": self.ops_total,
-            "expected_failures": self.expected_failures,
-            "throughput_ops": round(self.throughput_ops, 1),
-            "latencies": {name: {key: round(value, 3)
-                                 for key, value in summary.items()}
-                          for name, summary in self.latencies.items()},
-            "faults": [{"name": record.name,
-                        "at_seconds": round(record.at_seconds, 3),
-                        "recovery_ms": round(
-                            record.recovery_seconds * 1e3, 3),
-                        "fired": record.fired,
-                        "details": {
-                            key: value
-                            for key, value in sorted(
-                                record.details.items())
-                            if isinstance(value, (int, float, str, bool))
-                        }}
-                       for record in self.faults],
-            "invariant_checks": self.invariant_checks,
-            "violations": list(self.violations),
-        }
-
     def to_json(self) -> str:
         payload = dataclasses.asdict(self)
         payload["ok"] = self.ok
@@ -264,7 +222,7 @@ class SoakStack:
     handles the fault schedule needs to break specific components.
     """
 
-    target: RepositoryAPI
+    target: StorageBackend
     service: RepositoryService
     sharded: ShardedBackend
     injector: FaultInjector

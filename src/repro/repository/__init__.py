@@ -96,7 +96,6 @@ from repro.repository.resilience import (
 from repro.repository.search import SearchHit, SearchIndex, tokenize
 from repro.repository.service import (
     API_METHODS,
-    RepositoryAPI,
     RepositoryEvent,
     RepositoryService,
 )
@@ -149,7 +148,7 @@ __all__ = [
     "Deadline", "deadline_scope", "current_deadline",
     "RetryBudget", "RetryPolicy", "CircuitBreaker", "HealthProbe",
     # service facade
-    "RepositoryService", "RepositoryEvent", "RepositoryAPI", "API_METHODS",
+    "RepositoryService", "RepositoryEvent", "API_METHODS",
     # the serving layer: HTTP server/client
     "RepositoryServer", "HTTPBackend",
     # the read path: entry codec

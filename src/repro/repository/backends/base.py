@@ -20,7 +20,8 @@ storage mechanics live behind it in interchangeable backends:
 
 Consumers should normally not talk to a backend directly but through the
 :class:`~repro.repository.service.RepositoryService` facade, which adds
-caching, batching and change events on top of any backend.
+batching, thread safety, group commit and change events on top of any
+backend.
 
 Batch operations (``add_many``, ``get_many``, ``versions_many``) have
 straightforward loop defaults here; backends override them when the
@@ -269,9 +270,7 @@ class StorageBackend(ABC):
 
         A concrete convenience over :meth:`execute_query`, shared by
         every layer of the stack (backends, the service facade, the
-        HTTP client) — part of the
-        :class:`~repro.repository.service.RepositoryAPI` contract, so
-        it composes the plan here and lets each layer's
+        HTTP client) — so it composes the plan here and lets each layer's
         ``execute_query`` decide where the work runs (SQL pushdown,
         sharded fan-out, the service's lazily enabled index, a remote
         server).

@@ -15,7 +15,7 @@ HTTP-specific assertion.
 
 Error fidelity is the point of the wire format: the server transmits
 the exception's class name plus its structured arguments, and
-:func:`_raise_remote_error` re-raises the *same*
+:func:`_remote_error` rebuilds the *same*
 :mod:`repro.core.errors` class the in-process backend would have
 raised — ``EntryNotFound`` with its identifier and version,
 ``DuplicateEntry`` with its identifier, ``StorageError`` and friends
@@ -152,29 +152,30 @@ _ERROR_CLASSES = {
     )
 }
 
-def _raise_remote_error(status: int, payload: object) -> None:
-    """Re-raise a wire error as the class the server named."""
+
+def _remote_error(status: int, payload: object) -> StorageError:
+    """The wire error as the class the server named."""
     detail = payload.get("error") if isinstance(payload, dict) else None
     if not isinstance(detail, dict):
-        raise StorageError(f"server returned HTTP {status} with no "
-                           f"error detail: {payload!r}")
+        return StorageError(f"server returned HTTP {status} with no "
+                            f"error detail: {payload!r}")
     name = detail.get("type")
     message = detail.get("message", f"HTTP {status}")
     if name == "EntryNotFound":
-        raise EntryNotFound(
+        return EntryNotFound(
             detail.get("identifier", "?"), detail.get("version")
         )
     if name == "DuplicateEntry":
-        raise DuplicateEntry(detail.get("identifier", "?"))
+        return DuplicateEntry(detail.get("identifier", "?"))
     # Reconstructed with their ``retry_after`` pacing hint intact, so a
     # retry policy on this side of the wire paces itself off the server's.
     if name == "CircuitOpenError":
-        raise CircuitOpenError(message, retry_after=detail.get("retry_after"))
+        return CircuitOpenError(message, retry_after=detail.get("retry_after"))
     if name == "BackendUnavailableError":
-        raise BackendUnavailableError(
+        return BackendUnavailableError(
             message, retry_after=detail.get("retry_after")
         )
-    raise _ERROR_CLASSES.get(name, StorageError)(message)
+    return _ERROR_CLASSES.get(name, StorageError)(message)
 
 
 def _transport_error(phase: str, base_url: str, error: Exception,
@@ -505,7 +506,7 @@ class HTTPBackend(StorageBackend):
                 f"server sent malformed JSON (HTTP {status}): "
                 f"{error}") from error
         if status >= 400:
-            _raise_remote_error(status, payload)
+            raise _remote_error(status, payload)
         if not isinstance(payload, dict):
             raise StorageError(
                 f"server response is not an object: "
@@ -715,7 +716,7 @@ class HTTPBackend(StorageBackend):
                 # request, so it is dropped, not reused.
                 self._drop_connection()
         if error_frame is not None:
-            _raise_remote_error(response.status, error_frame)
+            raise _remote_error(response.status, error_frame)
         if end_count is None:
             self._drop_connection()
             raise StorageError(

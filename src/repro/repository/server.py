@@ -12,7 +12,7 @@ constraint (no new dependencies) holds:
         ▼
     RepositoryServer (ThreadingHTTPServer: one thread per connection)
         ▼
-    RepositoryService (the RepositoryAPI facade: RW lock, group commit,
+    RepositoryService (the StorageBackend facade: RW lock, group commit,
                        events)
         ▼
     StorageBackend (memory / file / sqlite / sharded / replicated)
@@ -358,9 +358,8 @@ class _RequestTracker:
     * **Counting** — ``ThreadingHTTPServer`` runs handlers on *daemon*
       threads, which ``server_close()`` does not join — so
       ``RepositoryServer.stop()`` uses :meth:`wait_idle` to wait
-      (bounded) for in-flight requests before tearing down the render
-      cache and, optionally, the service a handler might still be
-      reading from.
+      (bounded) for in-flight requests before, optionally, closing the
+      service a handler might still be reading from.
     * **Load shedding** — :meth:`try_enter` refuses once ``limit``
       requests are already inside handlers.  Refusing *early* is the
       point: an overloaded server that queues unboundedly serves every
@@ -578,7 +577,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # The server instance carries the repository objects (see
     # RepositoryServer.start): self.server.repository is the
-    # RepositoryAPI facade.
+    # RepositoryService facade.
 
     # ------------------------------------------------------------------
     # The request head.
@@ -1208,8 +1207,7 @@ class _Handler(BaseHTTPRequestHandler):
 class RepositoryServer:
     """The serving-layer front door: one repository behind HTTP.
 
-    Wraps any :class:`~repro.repository.service.RepositoryAPI`
-    implementation — a bare :class:`StorageBackend` is wrapped in a
+    Wraps any :class:`StorageBackend` — a bare backend is wrapped in a
     :class:`RepositoryService` first (the facade's lock and write queue
     are what make concurrent handler threads safe, and what coalesce
     their writes into group commits).

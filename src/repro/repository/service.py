@@ -59,20 +59,13 @@ import contextvars
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Iterable,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import Callable, Iterable, Sequence
 
 from repro.repository.backends import MemoryBackend, StorageBackend
 from repro.repository.backends.base import GetRequest
 from repro.repository.concurrency import Mutex, ReadWriteLock
 from repro.repository.entry import ExampleEntry
 from repro.repository.query import (
-    Query,
     QueryPlan,
     QueryResult,
     QueryStats,
@@ -85,17 +78,16 @@ from repro.repository.versioning import Version
 __all__ = [
     "API_METHODS",
     "MAX_GROUP_WRITES",
-    "RepositoryAPI",
     "RepositoryEvent",
     "RepositoryService",
 ]
 
-#: Every method of the :class:`RepositoryAPI` contract, by name.  The
-#: protocol-coverage tests check every layer against it: the backends
-#: and this facade in ``tests/repository/test_store.py``, and
-#: ``HTTPBackend`` in ``tests/repository/test_routes.py``, which calls
-#: each name once over a live server and compares the answer with this
-#: facade's.
+#: The read/write/query methods of the :class:`StorageBackend` contract
+#: that every serving layer shares, by name.  The coverage tests check
+#: every layer against it: the backends and this facade in
+#: ``tests/repository/test_store.py``, and ``HTTPBackend`` in
+#: ``tests/repository/test_routes.py``, which calls each name once over
+#: a live server and compares the answer with this facade's.
 API_METHODS = (
     # reads
     "identifiers", "versions", "versions_many", "has", "entry_count",
@@ -107,65 +99,6 @@ API_METHODS = (
     # introspection / lifecycle
     "cache_stats", "close",
 )
-
-
-@runtime_checkable
-class RepositoryAPI(Protocol):
-    """The read/write/query surface every serving layer shares.
-
-    One explicit contract extracted from :class:`RepositoryService`, so
-    the facade, the HTTP server (:mod:`repro.repository.server`) and the
-    HTTP client backend (:class:`~repro.repository.client.HTTPBackend`)
-    all expose the *same* operations — a consumer written against this
-    protocol runs unchanged against any of them.  Every
-    :class:`~repro.repository.backends.StorageBackend` satisfies it
-    structurally too.
-
-    :data:`API_METHODS` lists the member names; the protocol is
-    ``runtime_checkable`` so ``isinstance(obj, RepositoryAPI)`` verifies
-    an implementation has the full surface (presence, not signatures —
-    the conformance suites check behaviour).
-    """
-
-    def identifiers(self) -> list[str]: ...
-
-    def versions(self, identifier: str) -> list[Version]: ...
-
-    def versions_many(
-            self, identifiers: Sequence[str]) -> dict[str, list[Version]]: ...
-
-    def has(self, identifier: str) -> bool: ...
-
-    def entry_count(self) -> int: ...
-
-    def get(self, identifier: str,
-            version: Version | None = None) -> ExampleEntry: ...
-
-    def get_many(
-            self, requests: Sequence[GetRequest]) -> list[ExampleEntry]: ...
-
-    def add(self, entry: ExampleEntry) -> None: ...
-
-    def add_version(self, entry: ExampleEntry) -> None: ...
-
-    def replace_latest(self, entry: ExampleEntry) -> None: ...
-
-    def add_many(self, entries: Iterable[ExampleEntry]) -> int: ...
-
-    def query(self, query: Query | str | None = None, *,
-              sort: str = "relevance", offset: int = 0,
-              limit: int | None = None) -> QueryResult: ...
-
-    def execute_query(self, plan: QueryPlan,
-                      stats: QueryStats | None = None) -> QueryResult: ...
-
-    def query_stats(self, terms: Sequence[str]) -> QueryStats: ...
-
-    def change_counter(self) -> int | None: ...
-
-    def cache_stats(self) -> dict[str, dict[str, int]]: ...
-
-    def close(self) -> None: ...
 
 
 def _noop() -> None:

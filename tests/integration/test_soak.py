@@ -80,16 +80,14 @@ class TestDirectSoak:
         assert by_name["ingest-burst-0"].details["lag_before_repair"] >= 1
         assert by_name["ingest-burst-0"].details["async_applied"] >= 1
 
-    def test_report_round_trips_and_extra_info_is_json_safe(
-            self, direct_stack):
+    def test_report_round_trips_as_json(self, direct_stack):
         report = SoakRunner(direct_stack, short_config(seed=9)).run()
         decoded = json.loads(report.to_json())
         assert decoded["ok"] is True
         assert decoded["stack"] == "direct"
-        info = json.loads(json.dumps(report.extra_info()))
-        assert info["violations"] == []
+        assert decoded["violations"] == []
         assert {"get", "get_many", "query", "write"} == set(
-            info["latencies"])
+            decoded["latencies"])
 
     def test_single_fault_schedule(self, direct_stack):
         """The runner takes an explicit schedule — one fault type can

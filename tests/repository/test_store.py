@@ -13,11 +13,7 @@ from repro.repository.backends import (
     MemoryBackend,
     StorageBackend,
 )
-from repro.repository.service import (
-    API_METHODS,
-    RepositoryAPI,
-    RepositoryService,
-)
+from repro.repository.service import API_METHODS, RepositoryService
 from repro.repository.versioning import Version
 from tests.repository.test_entry import minimal_entry
 
@@ -87,18 +83,12 @@ class TestStoreInterface:
             store.replace_latest(minimal_entry(version=Version(0, 2)))
 
 
-class TestRepositoryAPIProtocol:
-    """The storage interface carries the full RepositoryAPI surface.
+class TestStorageContract:
+    """Every layer carries the full StorageBackend surface.
 
-    If the protocol extraction (or a later refactor of the base class)
-    dropped a method, every backend would silently stop honouring the
-    service contract.  API_METHODS is the single list both the protocol
-    and this test check against."""
-
-    def test_api_methods_mirror_the_protocol_exactly(self):
-        declared = {name for name in vars(RepositoryAPI)
-                    if not name.startswith("_")}
-        assert declared == set(API_METHODS)
+    If a refactor of the base class dropped a method, every backend
+    would silently stop honouring the service contract.  API_METHODS is
+    the list of shared method names these tests check against."""
 
     def test_backends_carry_every_api_method(self, tmp_path):
         instances = [MemoryBackend(), FileBackend(tmp_path / "repo")]
@@ -106,16 +96,16 @@ class TestRepositoryAPIProtocol:
             for name in API_METHODS:
                 assert callable(getattr(instance, name)), \
                     f"{type(instance).__name__}.{name} missing"
-            assert isinstance(instance, RepositoryAPI)
+            assert isinstance(instance, StorageBackend)
 
     def test_storage_backend_declares_the_surface(self):
         for name in API_METHODS:
             assert hasattr(StorageBackend, name), \
                 f"StorageBackend.{name} missing"
 
-    def test_service_facade_satisfies_the_protocol(self):
+    def test_service_facade_is_a_storage_backend(self):
         service = RepositoryService()
-        assert isinstance(service, RepositoryAPI)
+        assert isinstance(service, StorageBackend)
         for name in API_METHODS:
             assert callable(getattr(service, name))
 
