@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 import repro.analysis  # noqa: F401  (registers the built-in rules)
-from repro.analysis.engine import all_rules, load_project, run_rules
+from repro.analysis.engine import all_rules, get_rule, load_project, run_rules
 from repro.analysis.__main__ import main
 
 
@@ -18,17 +20,28 @@ def make_tree(root: Path, files: dict[str, str]) -> Path:
     return root
 
 
+SHIPPED_RULES = [
+    "lock-discipline",
+    "exception-taxonomy",
+    "codec-discipline",
+    "response-once",
+    "harness-determinism",
+    "retry-discipline",
+]
+
+
 class TestFindings:
     def test_registry_has_the_six_shipped_rules(self):
         names = {rule.name for rule in all_rules()}
-        assert names >= {
-            "lock-discipline",
-            "exception-taxonomy",
-            "codec-discipline",
-            "response-once",
-            "harness-determinism",
-            "retry-discipline",
+        assert names >= set(SHIPPED_RULES)
+
+    def test_finding_json_is_its_anchor_and_message(self, tmp_path):
+        make_tree(tmp_path, {"src/bad.py": VIOLATION})
+        (finding,) = run_rules(load_project([tmp_path / "src"]))
+        assert set(finding.to_json()) == {
+            "rule", "severity", "path", "line", "message", "source",
         }
+        assert finding.to_json()["source"] == "mutex = threading.Lock()"
 
     def test_syntax_errors_become_findings(self, tmp_path):
         make_tree(tmp_path, {"broken.py": "def nope(:\n"})
@@ -74,6 +87,25 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "lock-discipline" in out
         assert "response-once" in out
+
+    @pytest.mark.parametrize("name", SHIPPED_RULES)
+    def test_list_rules_prints_each_rule_with_its_severity(self, name, capsys):
+        assert main(["--list-rules"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [line for line in lines if line.startswith(f"{name}  ")]
+        assert f"[{get_rule(name).severity}]" in line
+        assert line.endswith(get_rule(name).summary)
+
+    @pytest.mark.parametrize(
+        "option", ["--baseline=accepted.json", "--no-baseline", "--write-baseline"]
+    )
+    def test_accepted_findings_options_are_gone(self, option, tmp_path, capsys):
+        """A finding is fixed at its site; no option accepts it instead."""
+        make_tree(tmp_path, {"src/bad.py": VIOLATION})
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path / "src"), option])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_path_is_a_usage_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2
